@@ -7,7 +7,6 @@ isomorphism questions decidable by simple equality.
 """
 
 from ordersum import (
-    CayleyTable,
     Dihedral,
     SemidirectCyclic,
     build_group,
@@ -31,8 +30,8 @@ print()
 print("Canonical forms decide isomorphism.  The symmetric group on three")
 print("letters can be built as C_3 x| C_2 (inversion action) or as the")
 print("dihedral group of order 6; both canonicalize to the same table:")
-s3 = canonical_form(CayleyTable.from_group(build_group(SemidirectCyclic(3, 2, 2))))
-d6 = canonical_form(CayleyTable.from_group(build_group(Dihedral(6))))
+s3 = canonical_form(build_group(SemidirectCyclic(3, 2, 2)))
+d6 = canonical_form(build_group(Dihedral(6)))
 print(f"  equal canonical forms: {s3 == d6}")
-for row in s3.rows:
-    print("   ", list(row))
+for row in s3.table.tolist():
+    print("   ", row)

@@ -9,7 +9,6 @@ the groups attaining the largest and second-largest values of psi.
 
 from .arith import (
     Factorization,
-    Rational,
     cyclic_lower_bound,
     divisors,
     euler_phi,
@@ -27,8 +26,8 @@ from .groups import (
     Cyclic,
     Dihedral,
     DirectProduct,
-    FromCayleyTable,
     FromPermutations,
+    FromTable,
     GeneralizedQuaternion,
     Group,
     GroupSpecError,
@@ -42,19 +41,15 @@ from .groups import (
 )
 from .enumeration import (
     CatalogClass,
-    CayleyTable,
     EnumerationBoundError,
     SpectrumEntry,
-    all_groups,
     canonical_form,
     catalog,
     psi_spectrum,
-    relabel,
 )
 from .theorems import (
     EqualityWitness,
     VerificationReport,
-    classify_equality,
     lemma5_check,
     lemma6_check,
     lemma7_check,

@@ -11,9 +11,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-# All ratios and bounds in the package are exact rationals.
-Rational = Fraction
-
 #: (prime, exponent) pairs with strictly increasing primes.
 Factorization = list[tuple[int, int]]
 
@@ -99,12 +96,6 @@ def least_prime_factor(n: int) -> int:
     if n < 2:
         raise ValueError(f"{n} has no prime factors")
     return factorize(n)[0][0]
-
-
-def greatest_prime_factor(n: int) -> int:
-    if n < 2:
-        raise ValueError(f"{n} has no prime factors")
-    return factorize(n)[-1][0]
 
 
 def multiplicative_order(a: int, m: int) -> int:

@@ -12,16 +12,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import theorems
 from .enumeration import (
     DEFAULT_BOUND,
     HARD_CAP,
-    EnumerationBoundError,
     catalog,
+    class_to_dict,
     psi_spectrum,
 )
-from .groups import GroupSpecError, TableError, build_group, parse_spec
+from .groups import GroupSpecError, build_group, parse_spec
 from .theorems import (
     lemma5_check,
     lemma6_check,
@@ -118,16 +119,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(args, command: str, render: dict) -> None:
+    """Write one command's result in the --format asked for.
+
+    ``render`` maps each format to a function building that output, so only
+    the requested one is rendered; the json function returns the document
+    body that follows the schema and command keys.
+    """
+    out = render[args.format]()
+    if args.format == "json":
+        out = json.dumps({"schema": SCHEMA, "command": command, **out}, indent=2) + "\n"
+    sys.stdout.write(out)
+
+
 def _emit_reports(args, reports, command: str, extra: dict) -> int:
     ok = all(r.ok for r in reports)
-    if args.format == "json":
-        doc = {"schema": SCHEMA, "command": command, **extra, "ok": ok,
-               "reports": [theorems.report_to_dict(r) for r in reports]}
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        sys.stdout.write(theorems.reports_to_csv(reports))
-    else:
-        sys.stdout.write(theorems.reports_to_text(reports))
+    _emit(args, command, {
+        "json": lambda: {**extra, "ok": ok,
+                         "reports": [theorems.report_to_dict(r) for r in reports]},
+        "csv": lambda: theorems.reports_to_csv(reports),
+        "table": lambda: theorems.reports_to_text(reports),
+    })
     return 0 if ok else 1
 
 
@@ -141,54 +153,40 @@ def _orders_in_play(args) -> list[int]:
 
 def _run_psi(args) -> int:
     g = build_group(parse_spec(args.spec))
-    if args.format == "json":
-        doc = {"schema": SCHEMA, "command": "psi", "spec": args.spec,
-               "order": g.order, "psi": g.psi()}
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        print("spec,order,psi")
-        print(f"{args.spec},{g.order},{g.psi()}")
-    else:
-        print(g.psi())
+    _emit(args, "psi", {
+        "json": lambda: {"spec": args.spec, "order": g.order, "psi": g.psi()},
+        "csv": lambda: f"spec,order,psi\n{args.spec},{g.order},{g.psi()}\n",
+        "table": lambda: f"{g.psi()}\n",
+    })
     return 0
 
 
 def _run_spectrum(args) -> int:
     entries = psi_spectrum(args.n, bound=args.enum_bound, cache_dir=args.cache_dir)
-    if args.format == "json":
-        doc = {"schema": SCHEMA, "command": "spectrum", "n": args.n,
-               "entries": [{"psi": e.psi, "count": e.count, "witnesses": list(e.witnesses)}
-                           for e in entries]}
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        print("psi,count,witnesses")
-        for e in entries:
-            print(f"{e.psi},{e.count},{'|'.join(e.witnesses)}")
-    else:
-        for e in entries:
-            print(f"psi={e.psi}  classes={e.count}  {', '.join(e.witnesses)}")
+    _emit(args, "spectrum", {
+        "json": lambda: {"n": args.n, "entries": [
+            {"psi": e.psi, "count": e.count, "witnesses": list(e.witnesses)}
+            for e in entries]},
+        "csv": lambda: "psi,count,witnesses\n" + "".join(
+            f"{e.psi},{e.count},{'|'.join(e.witnesses)}\n" for e in entries),
+        "table": lambda: "".join(
+            f"psi={e.psi}  classes={e.count}  {', '.join(e.witnesses)}\n" for e in entries),
+    })
     return 0
 
 
 def _run_catalog(args) -> int:
     classes = catalog(args.n, bound=args.enum_bound, cache_dir=args.cache_dir)
-    if args.format == "json":
-        doc = {"schema": SCHEMA, "command": "catalog", "n": args.n,
-               "classes": [{"table": [list(r) for r in c.table.rows], "psi": c.psi,
-                            "order_profile": [list(p) for p in c.order_profile],
-                            "description": c.description}
-                           for c in classes]}
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        print("index,psi,order_profile,description")
-        for i, c in enumerate(classes):
-            profile = ";".join(f"{d}:{cnt}" for d, cnt in c.order_profile)
-            print(f"{i},{c.psi},{profile},{c.description}")
-    else:
-        print(f"{len(classes)} isomorphism classes of order {args.n}")
-        for c in classes:
-            profile = {d: cnt for d, cnt in c.order_profile}
-            print(f"  psi={c.psi:<6} profile={profile}  {c.description}")
+    profiles = [c.group.order_profile() for c in classes]
+    _emit(args, "catalog", {
+        "json": lambda: {"n": args.n, "classes": [class_to_dict(c) for c in classes]},
+        "csv": lambda: "index,psi,order_profile,description\n" + "".join(
+            f"{i},{c.psi},{';'.join(f'{d}:{k}' for d, k in p.items())},{c.description}\n"
+            for i, (c, p) in enumerate(zip(classes, profiles))),
+        "table": lambda: f"{len(classes)} isomorphism classes of order {args.n}\n" + "".join(
+            f"  psi={c.psi:<6} profile={p}  {c.description}\n"
+            for c, p in zip(classes, profiles)),
+    })
     return 0
 
 
@@ -229,6 +227,20 @@ def _run_verify(args) -> int:
     return _emit_reports(args, reports, "verify", {"claim": args.claim})
 
 
+def _run_audit(args) -> int:
+    report = proof_inequality_audit(args.qmax, args.pmax, args.smax)
+    return _emit_reports(args, [report], "audit", {})
+
+
+COMMANDS = {
+    "psi": _run_psi,
+    "spectrum": _run_spectrum,
+    "catalog": _run_catalog,
+    "verify": _run_verify,
+    "audit": _run_audit,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -240,21 +252,14 @@ def main(argv=None) -> int:
     if args.enum_bound > HARD_CAP:
         parser.error(f"--enum-bound {args.enum_bound} exceeds the hard cap {HARD_CAP}")
     try:
-        if args.command == "psi":
-            return _run_psi(args)
-        if args.command == "spectrum":
-            return _run_spectrum(args)
-        if args.command == "catalog":
-            return _run_catalog(args)
-        if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "audit":
-            report = proof_inequality_audit(args.qmax, args.pmax, args.smax)
-            return _emit_reports(args, [report], "audit", {})
-    except (GroupSpecError, TableError, EnumerationBoundError, ValueError, OSError) as exc:
+        return COMMANDS[args.command](args)
+    except (ValueError, OSError) as exc:  # bad specs, tables, bounds and files
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
+    except Exception as exc:  # a crash is never a failed claim (exit 1)
+        traceback.print_exc()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,12 +43,11 @@ from .groups import (
     Dihedral,
     FromPermutations,
     GeneralizedQuaternion,
+    Group,
     Modular,
     SemidirectCyclic,
     build_group,
-    element_orders_of_table,
     format_spec,
-    validate_table,
 )
 
 DEFAULT_BOUND = 12
@@ -57,42 +57,6 @@ GENERATOR_VERSION = 1
 
 class EnumerationBoundError(ValueError):
     """Raised when an order exceeds the configured enumeration bound."""
-
-
-@dataclass(frozen=True)
-class CayleyTable:
-    """An n x n multiplication table over 0..n-1 with the identity at 0."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def from_rows(cls, rows) -> "CayleyTable":
-        arr = np.asarray([[int(v) for v in row] for row in rows], dtype=np.int64)
-        validate_table(arr)
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
-
-    @classmethod
-    def from_group(cls, g: groups.Group) -> "CayleyTable":
-        return cls(tuple(tuple(int(v) for v in row) for row in g.table))
-
-    def to_group(self) -> groups.Group:
-        return groups.Group(np.array(self.rows, dtype=np.int64), check="none")
-
-    def psi(self) -> int:
-        return int(element_orders_of_table(np.array(self.rows, dtype=np.int64)).sum())
-
-    def order_profile(self) -> dict[int, int]:
-        orders = element_orders_of_table(np.array(self.rows, dtype=np.int64))
-        vals, counts = np.unique(orders, return_counts=True)
-        return {int(v): int(c) for v, c in zip(vals, counts)}
-
-
-# The canonical form of a table is itself a CayleyTable.
-CanonicalForm = CayleyTable
 
 
 @lru_cache(maxsize=None)
@@ -110,18 +74,6 @@ def shell_cells(n: int) -> tuple[tuple[int, int], ...]:
 def flatten(rows) -> tuple[int, ...]:
     """Flatten a complete table along the shell cell order."""
     return tuple(rows[i][j] for i, j in shell_cells(len(rows)))
-
-
-def relabel(rows, perm) -> tuple[tuple[int, ...], ...]:
-    """Apply a relabeling permutation (perm[old] = new, perm[0] must be 0)."""
-    n = len(rows)
-    if perm[0] != 0:
-        raise ValueError("relabelings must fix the identity at index 0")
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[perm[i]][perm[j]] = perm[rows[i][j]]
-    return tuple(tuple(r) for r in out)
 
 
 def _scan_labelings(rows, ref=None, stop_below_ref: bool = False):
@@ -214,24 +166,18 @@ def _is_canonical(rows) -> bool:
     return not found_below
 
 
-def canonical_form(table: CayleyTable) -> CanonicalForm:
-    """Canonical representative of the isomorphism class of ``table``.
+def canonical_form(g: Group) -> Group:
+    """Canonical representative of the isomorphism class of ``g``.
 
-    Invariant under any identity-fixing relabeling of the input; two valid
-    tables have equal canonical forms exactly when their groups are
-    isomorphic.
+    Invariant under any identity-fixing relabeling of the table; two groups
+    have equal canonical forms exactly when they are isomorphic.
     """
-    if not isinstance(table, CayleyTable):
-        table = CayleyTable.from_rows(table)
-    rows = table.rows
-    n = len(rows)
+    rows = g.table.tolist()
     _, _, best_order = _scan_labelings(rows)
     posmap = {x: i for i, x in enumerate(best_order)}
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = posmap[rows[best_order[i]][best_order[j]]]
-    return CanonicalForm(tuple(tuple(r) for r in out))
+    return Group(
+        [[posmap[rows[x][y]] for y in best_order] for x in best_order], check="none"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +330,8 @@ def _search_groups(n: int) -> list[tuple[tuple[int, ...], ...]]:
     return results
 
 
-def _enumerate(n: int) -> list[CayleyTable]:
-    tables = _search_groups(n)
-    out = []
-    for rows in sorted(set(tables), key=flatten):
-        arr = np.array(rows, dtype=np.int64)
-        validate_table(arr)
-        out.append(CayleyTable(rows))
-    return out
+def _enumerate(n: int) -> list[Group]:
+    return [Group(rows, check="full") for rows in sorted(set(_search_groups(n)), key=flatten)]
 
 
 # ---------------------------------------------------------------------------
@@ -401,16 +341,17 @@ def _enumerate(n: int) -> list[CayleyTable]:
 
 @dataclass(frozen=True)
 class CatalogClass:
-    """One isomorphism class of a given order: canonical table plus stats."""
+    """One isomorphism class of a given order: its canonical table and a name.
 
-    table: CayleyTable
-    psi: int
-    order_profile: tuple[tuple[int, int], ...]
+    psi and the order profile are read from the group's walked orders.
+    """
+
+    group: Group
     description: str
 
     @property
-    def profile_dict(self) -> dict[int, int]:
-        return dict(self.order_profile)
+    def psi(self) -> int:
+        return self.group.psi()
 
 
 def _check_bound(n: int, bound: int) -> None:
@@ -505,8 +446,8 @@ def _partitions(e: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _describe_classes(n: int, tables: list[CayleyTable]) -> list[str]:
-    by_canon: dict[tuple, str] = {}
+def _describe_classes(n: int, classes: list[Group]) -> list[str]:
+    by_canon: dict[Group, str] = {}
     for desc, spec in _family_candidates(n):
         try:
             g = build_group(spec)
@@ -514,16 +455,11 @@ def _describe_classes(n: int, tables: list[CayleyTable]) -> list[str]:
             continue
         if g.order != n:
             continue
-        key = canonical_form(CayleyTable.from_group(g)).rows
-        by_canon.setdefault(key, desc)
-    out = []
-    for idx, t in enumerate(tables):
-        desc = by_canon.get(t.rows)
-        if desc is None:
-            profile = t.order_profile()
-            desc = f"order-{n} class #{idx} with order profile {profile}"
-        out.append(desc)
-    return out
+        by_canon.setdefault(canonical_form(g), desc)
+    return [
+        by_canon.get(g) or f"order-{n} class #{idx} with order profile {g.order_profile()}"
+        for idx, g in enumerate(classes)
+    ]
 
 
 def catalog(
@@ -532,7 +468,7 @@ def catalog(
     """All isomorphism classes of order n with psi values and descriptions.
 
     With cache_dir set, results persist to ``catalog/n=<n>.json`` under it
-    and are reloaded when the (order, generator version) pair matches.
+    and are reloaded when the file is of this generator version and valid.
     """
     _check_bound(n, bound)
     path = None
@@ -541,73 +477,76 @@ def catalog(
         cached = _load_catalog(path, n)
         if cached is not None:
             return cached
-    tables = _enumerate(n)
-    descriptions = _describe_classes(n, tables)
-    classes = []
-    for t, desc in zip(tables, descriptions):
-        profile = t.order_profile()
-        psi = sum(d * c for d, c in profile.items())
-        classes.append(
-            CatalogClass(
-                table=t,
-                psi=psi,
-                order_profile=tuple(sorted(profile.items())),
-                description=desc,
-            )
-        )
+    found = _enumerate(n)
+    classes = [CatalogClass(g, desc) for g, desc in zip(found, _describe_classes(n, found))]
     if path is not None:
         _save_catalog(path, n, classes)
     return classes
 
 
 def _load_catalog(path: Path, n: int) -> list[CatalogClass] | None:
+    """The catalog cached at ``path``, or None when it has to be computed.
+
+    Cache files are untrusted: every stored table is rebuilt as a fully
+    validated Group, and its stored psi and order profile must equal the
+    walked ones.  A file that fails any check is reported in a warning and
+    treated as a miss; a file of another generator version is a plain miss.
+    """
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+        if data["generator_version"] != GENERATOR_VERSION:
+            return None
+        if data["n"] != n:
+            raise ValueError(f"it holds order {data['n']}")
+        return [_load_class(entry, n) for entry in data["classes"]]
+    except FileNotFoundError:
         return None
-    if data.get("n") != n or data.get("generator_version") != GENERATOR_VERSION:
-        return None
-    classes = []
-    for entry in data["classes"]:
-        table = CayleyTable(tuple(tuple(int(v) for v in row) for row in entry["table"]))
-        classes.append(
-            CatalogClass(
-                table=table,
-                psi=int(entry["psi"]),
-                order_profile=tuple((int(d), int(c)) for d, c in entry["order_profile"]),
-                description=entry["description"],
-            )
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        warnings.warn(
+            f"ignoring invalid cache file {path} ({type(exc).__name__}: {exc}); recomputing",
+            RuntimeWarning,
+            stacklevel=2,
         )
-    return classes
+        return None
+
+
+def _load_class(entry: dict, n: int) -> CatalogClass:
+    table = np.array(entry["table"])
+    if table.dtype.kind != "i" or table.shape != (n, n):
+        raise TypeError(f"a stored table is not an {n} x {n} array of integers")
+    cls = CatalogClass(Group(table, check="full"), entry["description"])
+    if not isinstance(cls.description, str):
+        raise TypeError("a stored description is not a string")
+    if entry != class_to_dict(cls):
+        raise ValueError("a stored psi or order profile differs from the walked one")
+    return cls
+
+
+def class_to_dict(cls: CatalogClass) -> dict:
+    """One class as cache files and ``catalog --format json`` hold it."""
+    return {
+        "table": cls.group.table.tolist(),
+        "psi": cls.psi,
+        "order_profile": [[d, c] for d, c in cls.group.order_profile().items()],
+        "description": cls.description,
+    }
 
 
 def _save_catalog(path: Path, n: int, classes: list[CatalogClass]) -> None:
+    """Write the cache file atomically: a temporary file, then os.replace."""
     path.parent.mkdir(parents=True, exist_ok=True)
     data = {
         "schema": 1,
         "n": n,
         "generator_version": GENERATOR_VERSION,
-        "classes": [
-            {
-                "table": [list(row) for row in cls.table.rows],
-                "psi": cls.psi,
-                "order_profile": [list(pair) for pair in cls.order_profile],
-                "description": cls.description,
-            }
-            for cls in classes
-        ],
+        "classes": [class_to_dict(cls) for cls in classes],
     }
-    with open(path, "w") as fh:
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    with open(tmp, "w") as fh:
         json.dump(data, fh, indent=1)
         fh.write("\n")
-
-
-def all_groups(
-    n: int, *, bound: int = DEFAULT_BOUND, cache_dir: str | Path | None = None
-) -> list[CayleyTable]:
-    """One canonical CayleyTable per isomorphism class of order n."""
-    return [cls.table for cls in catalog(n, bound=bound, cache_dir=cache_dir)]
+    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)

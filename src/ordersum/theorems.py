@@ -39,7 +39,7 @@ from pathlib import Path
 
 from . import arith, enumeration, groups
 from .arith import f_ratio, psi_cyclic
-from .enumeration import DEFAULT_BOUND, CayleyTable, canonical_form, catalog
+from .enumeration import DEFAULT_BOUND, canonical_form, catalog
 from .groups import (
     Abelian,
     Cyclic,
@@ -161,7 +161,7 @@ def verify_max_cyclic(
     top = psi_cyclic(n)
     cases = []
     for cls in classes:
-        if max(cls.profile_dict) == n:  # the cyclic class itself
+        if cls.group.is_cyclic():
             continue
         cases.append(
             Case(
@@ -266,14 +266,12 @@ def verify_equality_classification(
 
     expected_canon = None
     if expected is not None:
-        expected_canon = canonical_form(
-            CayleyTable.from_group(build_group(expected.spec))
-        ).rows
+        expected_canon = canonical_form(build_group(expected.spec))
     cases = []
     for cls in catalog(n, bound=bound, cache_dir=cache_dir):
-        if max(cls.profile_dict) == n:
-            continue  # cyclic class: psi(C_n) > target since f(q) < 1
-        is_expected = expected_canon is not None and cls.table.rows == expected_canon
+        if cls.group.is_cyclic():
+            continue  # psi(C_n) > target since f(q) < 1
+        is_expected = cls.group == expected_canon
         cases.append(
             Case(
                 params={"n": n, "q": q, "class": cls.description},
@@ -292,31 +290,6 @@ def verify_equality_classification(
         cases=cases,
         witnesses=tuple(c.witnesses[0] for c in cases if c.verdict == "equality"),
     )
-
-
-def classify_equality(
-    n: int,
-    q: int,
-    *,
-    bound: int = DEFAULT_BOUND,
-    cache_dir: str | Path | None = None,
-    family_only: bool = False,
-) -> list[EqualityWitness]:
-    """All equality witnesses of order n for the second-maximal bound.
-
-    Exhaustive over the catalog when n is within the enumeration bound; the
-    classification itself is re-verified along the way and an unexpected
-    witness pattern raises.
-    """
-    report = verify_equality_classification(
-        n, q, bound=bound, cache_dir=cache_dir, family_only=family_only
-    )
-    if report.verdict == "fails":
-        raise AssertionError(f"equality classification failed for n={n}, q={q}")
-    witness = _expected_witness(n, q)
-    found = [c for c in report.cases if c.verdict == "equality"]
-    assert len(found) == (1 if witness is not None else 0)
-    return [witness] if witness is not None else []
 
 
 def lemma7_check(
@@ -352,7 +325,7 @@ def lemma7_check(
                 if math.gcd(a, m) != 1 or pow(a, k, m) != 1:
                     continue
                 sd = build_group(SemidirectCyclic(m, k, a))
-                if canonical_form(CayleyTable.from_group(sd)).rows == cls.table.rows:
+                if canonical_form(sd) == cls.group:
                     matches.append((m, k, a))
         if not matches:
             cases.append(

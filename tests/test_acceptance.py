@@ -10,8 +10,14 @@ from fractions import Fraction
 
 from ordersum import arith, theorems
 from ordersum.arith import f_ratio, psi_cyclic, psi_cyclic_oracle
-from ordersum.enumeration import catalog
-from ordersum.groups import Abelian, Cyclic, DirectProduct, GeneralizedQuaternion, build_group
+from ordersum.enumeration import canonical_form, catalog
+from ordersum.groups import (
+    Cyclic,
+    DirectProduct,
+    GeneralizedQuaternion,
+    build_group,
+    parse_spec,
+)
 
 PRIMES_TO_97 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -53,12 +59,13 @@ def test_criterion_3_max_cyclic_catalog(cache_dir):
 def test_criterion_4_equality_classification_exhaustive(cache_dir):
     with criterion(4, "equality exactly at (C2xC2)xC_k for n in {4, 12}"):
         for n, expected_spec in ((4, "C2xC2"), (12, "C2xC2xC3")):
-            witnesses = theorems.classify_equality(n, 2, cache_dir=cache_dir)
-            assert [w.spec_text for w in witnesses] == [expected_spec]
             report = theorems.verify_equality_classification(n, 2, cache_dir=cache_dir)
             assert report.verdict == "holds"
             equalities = [c for c in report.cases if c.verdict == "equality"]
             assert len(equalities) == 1
+            by_desc = {c.description: c.group for c in catalog(n, cache_dir=cache_dir)}
+            witness = by_desc[equalities[0].params["class"]]
+            assert witness == canonical_form(build_group(parse_spec(expected_spec)))
 
 
 def test_criterion_5_equality_family_q2():

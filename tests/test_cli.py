@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ordersum import cli, theorems
-from ordersum.enumeration import CayleyTable, canonical_form
+from ordersum.enumeration import canonical_form
 from ordersum.groups import build_group, parse_spec
 
 
@@ -143,12 +143,9 @@ class TestOutputContracts:
                            "--cache-dir", str(tmp_path), "--format", "json")
         assert code == 0
         report = json.loads(out)["reports"][0]
-        expected = canonical_form(
-            CayleyTable.from_group(build_group(parse_spec("A[2,2]xC3")))
-        )
+        expected = canonical_form(build_group(parse_spec("A[2,2]xC3")))
         for text in report["witnesses"]:
-            g = build_group(parse_spec(text))
-            assert canonical_form(CayleyTable.from_group(g)) == expected
+            assert canonical_form(build_group(parse_spec(text))) == expected
 
     def test_failing_report_exits_one(self, capsys):
         bad = theorems.VerificationReport(claim_id="max_cyclic", params={}, verdict="fails")
@@ -159,3 +156,36 @@ class TestOutputContracts:
         code = cli._emit_reports(Args(), [bad], "verify", {})
         assert code == 1
         assert "[FAILS]" in capsys.readouterr().out
+
+    def test_unexpected_exception_exits_two(self, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(cli, "verify_max_cyclic", crash)
+        code, out, err = run(capsys, "verify", "max_cyclic", "--n", "8")
+        assert code == 2 and out == ""
+        assert err.startswith("Traceback") and err.endswith("error: KeyError: 'boom'\n")
+
+
+class TestUntrustedCache:
+    """A cache file that fails validation is recomputed, never believed."""
+
+    @pytest.mark.parametrize("damage", ["psi", "classes"])
+    def test_max_cyclic_on_damaged_cache(self, capsys, tmp_path, damage):
+        path = tmp_path / "catalog" / "n=8.json"
+        run(capsys, "catalog", "8", "--cache-dir", str(tmp_path))
+        good = path.read_bytes()
+        data = json.loads(good)
+        if damage == "psi":
+            victim = next(c for c in data["classes"] if c["description"] != "C8")
+            victim["psi"] = 999
+        else:
+            del data["classes"]
+        path.write_text(json.dumps(data))
+        with pytest.warns(RuntimeWarning, match="invalid cache file"):
+            code, out, _ = run(capsys, "verify", "max_cyclic", "--n", "8",
+                               "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert out.startswith("[HOLDS] max_cyclic")
+        assert "999" not in out
+        assert path.read_bytes() == good

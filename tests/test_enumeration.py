@@ -8,19 +8,17 @@ from ordersum import arith
 from ordersum.enumeration import (
     DEFAULT_BOUND,
     GENERATOR_VERSION,
-    CayleyTable,
     EnumerationBoundError,
-    all_groups,
     canonical_form,
     catalog,
     psi_spectrum,
-    relabel,
     _family_candidates,
 )
 from ordersum.groups import (
     Abelian,
     Cyclic,
     Dihedral,
+    Group,
     GroupSpecError,
     SemidirectCyclic,
     build_group,
@@ -39,10 +37,20 @@ PSI_SPECTRA = {
 }
 
 
+
+def relabel(g: Group, perm) -> Group:
+    """The same group with each element x renamed perm[x]; perm[0] must be 0."""
+    if perm[0] != 0:
+        raise ValueError("relabelings must fix the identity at index 0")
+    perm = np.asarray(perm)
+    old = np.argsort(perm)  # old[new] is the element renamed to new
+    return Group(perm[g.table][np.ix_(old, old)], check="full")
+
+
 class TestAllGroups:
     def test_class_counts(self, cache_dir):
         for n, count in CLASS_COUNTS.items():
-            assert len(all_groups(n, cache_dir=cache_dir)) == count, n
+            assert len(catalog(n, cache_dir=cache_dir)) == count, n
 
     @pytest.mark.parametrize("n", sorted(PSI_SPECTRA))
     def test_psi_spectra(self, n, cache_dir):
@@ -51,27 +59,27 @@ class TestAllGroups:
 
     def test_every_output_is_a_valid_group(self, cache_dir):
         for n in range(1, 13):
-            for table in all_groups(n, cache_dir=cache_dir):
-                validate_table(np.array(table.rows, dtype=np.int64))
+            for cls in catalog(n, cache_dir=cache_dir):
+                validate_table(cls.group.table)
 
     def test_cyclic_always_present(self, cache_dir):
         for n in range(1, 13):
-            cyc = canonical_form(CayleyTable.from_group(build_group(Cyclic(n))))
-            assert cyc in all_groups(n, cache_dir=cache_dir)
+            cyc = canonical_form(build_group(Cyclic(n)))
+            assert cyc in [cls.group for cls in catalog(n, cache_dir=cache_dir)]
 
     def test_determinism(self):
-        assert all_groups(9) == all_groups(9)
+        assert catalog(9) == catalog(9)
         assert catalog(10) == catalog(10)
 
     def test_bound_rejection(self):
         with pytest.raises(EnumerationBoundError, match=str(DEFAULT_BOUND)):
-            all_groups(13)
+            catalog(13)
         with pytest.raises(EnumerationBoundError):
-            all_groups(13, bound=17)  # above the hard cap
+            catalog(13, bound=17)  # above the hard cap
 
     def test_warning_above_default(self):
         with pytest.warns(RuntimeWarning):
-            all_groups(13, bound=13)
+            catalog(13, bound=13)
 
 
 class TestCanonicalForm:
@@ -80,36 +88,34 @@ class TestCanonicalForm:
         for text in ["C12", "D8", "Q8", "SD(3,4,2)", "A[2,6]", "SD(5,4,2)"]:
             from ordersum.groups import parse_spec
 
-            t = CayleyTable.from_group(build_group(parse_spec(text)))
-            reference = canonical_form(t)
+            g = build_group(parse_spec(text))
+            reference = canonical_form(g)
             for _ in range(4):
-                perm = [0] + rng.sample(range(1, t.n), t.n - 1)
-                shuffled = CayleyTable(relabel(t.rows, perm))
-                assert canonical_form(shuffled) == reference
+                perm = [0] + rng.sample(range(1, g.order), g.order - 1)
+                assert canonical_form(relabel(g, perm)) == reference
 
     def test_distinguishes_non_isomorphic(self):
-        c4 = canonical_form(CayleyTable.from_group(build_group(Cyclic(4))))
-        v4 = canonical_form(CayleyTable.from_group(build_group(Abelian([2, 2]))))
+        c4 = canonical_form(build_group(Cyclic(4)))
+        v4 = canonical_form(build_group(Abelian([2, 2])))
         assert c4 != v4
 
     def test_identifies_isomorphic_constructions(self):
-        s3 = canonical_form(CayleyTable.from_group(build_group(SemidirectCyclic(3, 2, 2))))
-        d6 = canonical_form(CayleyTable.from_group(build_group(Dihedral(6))))
+        s3 = canonical_form(build_group(SemidirectCyclic(3, 2, 2)))
+        d6 = canonical_form(build_group(Dihedral(6)))
         assert s3 == d6
 
     def test_relabeled_table_keeps_psi_and_profile(self):
         rng = random.Random(5)
-        t = CayleyTable.from_group(build_group(Dihedral(10)))
-        reference = canonical_form(t)
+        g = build_group(Dihedral(10))
+        reference = canonical_form(g)
         perm = [0] + rng.sample(range(1, 10), 9)
-        shuffled = CayleyTable(relabel(t.rows, perm))
+        shuffled = relabel(g, perm)
         assert shuffled.psi() == reference.psi()
         assert shuffled.order_profile() == reference.order_profile()
 
     def test_relabel_requires_fixed_identity(self):
-        t = CayleyTable.from_group(build_group(Cyclic(3)))
         with pytest.raises(ValueError):
-            relabel(t.rows, [1, 0, 2])
+            relabel(build_group(Cyclic(3)), [1, 0, 2])
 
     def test_exhaustive_relabelings_small_orders(self, cache_dir):
         # Every identity-fixing relabeling of every class canonicalizes back
@@ -122,9 +128,8 @@ class TestCanonicalForm:
             for cls in classes:
                 for tail in permutations(range(1, n)):
                     perm = (0, *tail)
-                    shuffled = relabel(cls.table.rows, perm)
-                    assert canonical_form(CayleyTable(shuffled)) == cls.table
-                seen[cls.table.rows] = cls.description
+                    assert canonical_form(relabel(cls.group, perm)) == cls.group
+                seen[cls.group] = cls.description
             assert len(seen) == len(classes)
 
 
@@ -132,7 +137,7 @@ class TestCompleteness:
     def test_families_land_in_catalog(self, cache_dir):
         # Every construction-family group of order n matches exactly one class.
         for n in range(1, 13):
-            classes = {c.table.rows for c in catalog(n, cache_dir=cache_dir)}
+            classes = {c.group for c in catalog(n, cache_dir=cache_dir)}
             for _, spec in _family_candidates(n):
                 try:
                     g = build_group(spec)
@@ -140,8 +145,7 @@ class TestCompleteness:
                     continue
                 if g.order != n:
                     continue
-                cf = canonical_form(CayleyTable.from_group(g))
-                assert cf.rows in classes, (n, spec)
+                assert canonical_form(g) in classes, (n, spec)
 
     def test_top_of_spectrum_uniquely_cyclic(self, cache_dir):
         for n in range(2, 13):
@@ -172,7 +176,36 @@ class TestCatalogCache:
         path = tmp_path / "catalog" / "n=4.json"
         path.parent.mkdir(parents=True)
         path.write_text("{not json")
-        assert len(catalog(4, cache_dir=tmp_path)) == 2
+        with pytest.warns(RuntimeWarning, match="invalid cache file"):
+            assert len(catalog(4, cache_dir=tmp_path)) == 2
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda d: d["classes"][0].update(psi=999),
+            lambda d: d["classes"][1].update(order_profile=[[1, 1], [2, 7]]),
+            lambda d: d["classes"][1]["table"][1].reverse(),  # not a group
+            lambda d: d["classes"][1].update(table=[[0, 1], [1, 0]]),  # wrong order
+            lambda d: d["classes"][1].update(description=None),
+            lambda d: d["classes"][1].pop("psi"),
+            lambda d: d.pop("classes"),
+            lambda d: d.update(n=6),
+        ],
+    )
+    def test_invalid_cache_recomputed_and_rewritten(self, tmp_path, tamper):
+        first = catalog(8, cache_dir=tmp_path)
+        path = tmp_path / "catalog" / "n=8.json"
+        good = path.read_bytes()
+        data = json.loads(good)
+        tamper(data)
+        path.write_text(json.dumps(data))
+        with pytest.warns(RuntimeWarning, match="invalid cache file"):
+            assert catalog(8, cache_dir=tmp_path) == first
+        assert path.read_bytes() == good
+
+    def test_save_leaves_no_temporary_file(self, tmp_path):
+        catalog(6, cache_dir=tmp_path)
+        assert [p.name for p in (tmp_path / "catalog").iterdir()] == ["n=6.json"]
 
 
 class TestDescriptions:

@@ -10,9 +10,10 @@ from ordersum.groups import (
     Cyclic,
     Dihedral,
     DirectProduct,
-    FromCayleyTable,
     FromPermutations,
+    FromTable,
     GeneralizedQuaternion,
+    Group,
     GroupSpecError,
     Modular,
     SemidirectCyclic,
@@ -169,17 +170,12 @@ class TestStructure:
         assert not g.is_cyclic()
         assert 20 not in g.order_profile()
 
-    def test_abelian_invariants(self):
-        g = build_group(DirectProduct([Abelian([2, 2]), Cyclic(3)]))
-        assert g.abelian_invariants() == [2, 6]
-        assert build_group(Cyclic(12)).abelian_invariants() == [12]
-        assert build_group(Abelian([3, 3])).abelian_invariants() == [3, 3]
-        assert build_group(Abelian([2, 4, 8])).abelian_invariants() == [2, 4, 8]
-        assert build_group(Cyclic(1)).abelian_invariants() == []
-
-    def test_abelian_invariants_rejects_nonabelian(self):
-        with pytest.raises(GroupSpecError):
-            build_group(Dihedral(8)).abelian_invariants()
+    def test_equality_compares_tables(self):
+        assert build_group(Cyclic(6)) == build_group(parse_spec("C6"))
+        assert build_group(Cyclic(4)) != build_group(Abelian([2, 2]))
+        same = Group(build_group(Dihedral(8)).table.tolist(), check="full")
+        assert same == build_group(Dihedral(8)) and same.spec is None
+        assert hash(same) == hash(build_group(Dihedral(8)))
 
 
 class TestKernelOfAction:
@@ -197,7 +193,7 @@ class TestKernelOfAction:
             p_part = [i * k for i in range(m)]
             centralizer = [
                 j for j in range(k)
-                if all(g.mul(j, x) == g.mul(x, j) for x in p_part)
+                if all(g.table[j, x] == g.table[x, j] for x in p_part)
             ]
             assert len(centralizer) == kernel_of_action(m, k, a)
 
@@ -209,7 +205,7 @@ class TestKernelOfAction:
 class TestExplicitTables:
     def test_valid_table(self):
         rows = [[(i + j) % 5 for j in range(5)] for i in range(5)]
-        g = build_group(FromCayleyTable(rows))
+        g = build_group(FromTable(rows))
         assert g.is_cyclic() and g.psi() == arith.psi_cyclic(5)
 
     def test_rejects_non_associative(self):
@@ -220,17 +216,27 @@ class TestExplicitTables:
                 [3, 2, 4, 0, 1],
                 [4, 3, 1, 2, 0]]
         with pytest.raises(TableError):
-            build_group(FromCayleyTable(rows))
+            build_group(FromTable(rows))
+
+    def test_spot_check_rejects_non_associative(self):
+        # The same non-associative Latin square, passed off as a generated table.
+        rows = [[0, 1, 2, 3, 4],
+                [1, 0, 3, 4, 2],
+                [2, 4, 0, 1, 3],
+                [3, 2, 4, 0, 1],
+                [4, 3, 1, 2, 0]]
+        with pytest.raises(TableError, match="spot check"):
+            Group(rows, spec=Cyclic(5), check="spot")
 
     def test_rejects_non_latin(self):
         rows = [[0, 1], [1, 1]]
         with pytest.raises(TableError):
-            build_group(FromCayleyTable(rows))
+            build_group(FromTable(rows))
 
     def test_rejects_missing_identity(self):
         rows = [[1, 0], [0, 1]]
         with pytest.raises(TableError):
-            build_group(FromCayleyTable(rows))
+            build_group(FromTable(rows))
 
     def test_permutation_group(self):
         s3 = build_group(FromPermutations(3, ((1, 0, 2), (1, 2, 0))))

@@ -6,6 +6,7 @@ import pytest
 
 from ordersum import theorems
 from ordersum.arith import f_ratio, psi_cyclic
+from ordersum.enumeration import canonical_form, catalog
 from ordersum.groups import (
     Abelian,
     Cyclic,
@@ -17,7 +18,6 @@ from ordersum.groups import (
 from ordersum.theorems import (
     Case,
     VerificationReport,
-    classify_equality,
     lemma5_check,
     lemma6_check,
     lemma7_check,
@@ -78,21 +78,28 @@ class TestUpperBound:
             verify_upper_bound(build_group(GeneralizedQuaternion(8)), 3)
 
 
+def equality_witnesses(n, q, cache_dir):
+    """The catalog groups on which the exhaustive report finds equality."""
+    report = verify_equality_classification(n, q, cache_dir=cache_dir)
+    assert report.verdict == "holds"
+    by_desc = {cls.description: cls.group for cls in catalog(n, cache_dir=cache_dir)}
+    return [by_desc[c.params["class"]] for c in report.cases if c.verdict == "equality"]
+
+
 class TestEqualityClassification:
     def test_n4(self, cache_dir):
-        witnesses = classify_equality(4, 2, cache_dir=cache_dir)
-        assert len(witnesses) == 1
-        assert witnesses[0].spec_text == "C2xC2" and witnesses[0].k == 1
+        witnesses = equality_witnesses(4, 2, cache_dir)
+        assert witnesses == [canonical_form(build_group(parse_spec("C2xC2")))]
 
     def test_n12(self, cache_dir):
-        witnesses = classify_equality(12, 2, cache_dir=cache_dir)
-        assert [w.spec_text for w in witnesses] == ["C2xC2xC3"]
+        witnesses = equality_witnesses(12, 2, cache_dir)
+        assert witnesses == [canonical_form(build_group(parse_spec("C2xC2xC3")))]
         report = verify_equality_classification(12, 2, cache_dir=cache_dir)
         strict = [c for c in report.cases if c.expected == "holds"]
         assert len(strict) == 3 and all(c.verdict == "holds" for c in strict)
 
     def test_n8_no_witness(self, cache_dir):
-        assert classify_equality(8, 2, cache_dir=cache_dir) == []
+        assert equality_witnesses(8, 2, cache_dir) == []
 
     def test_exhaustive_all_orders(self, cache_dir):
         for n in range(2, 13):
