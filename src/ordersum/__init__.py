@@ -38,6 +38,7 @@ from .groups import (
     format_spec,
     kernel_of_action,
     parse_spec,
+    semidirect_actions,
 )
 from .enumeration import (
     CatalogClass,
@@ -48,7 +49,6 @@ from .enumeration import (
     psi_spectrum,
 )
 from .theorems import (
-    EqualityWitness,
     VerificationReport,
     lemma5_check,
     lemma6_check,

@@ -27,7 +27,6 @@ index 0, using three ingredients:
 from __future__ import annotations
 
 import json
-import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -405,9 +404,8 @@ def _family_candidates(n: int):
         if n % m:
             continue
         k = n // m
-        for a in range(2, m):
-            if math.gcd(a, m) == 1 and pow(a, k, m) == 1:
-                cands.append((f"SD({m},{k},{a})", SemidirectCyclic(m, k, a)))
+        for a in groups.semidirect_actions(m, k)[1:]:  # a = 1 is the direct product
+            cands.append((f"SD({m},{k},{a})", SemidirectCyclic(m, k, a)))
     return cands
 
 

@@ -98,7 +98,14 @@ class FromTable:
     path: str | None = None
 
     def __init__(self, rows, path=None):
-        object.__setattr__(self, "rows", tuple(tuple(int(v) for v in r) for r in rows))
+        # Entries are checked, never converted: int(0.9) would read 0.  A bool
+        # is an int subclass, so `type(v) is int` also rejects true and false.
+        _require(
+            isinstance(rows, (list, tuple)) and all(
+                isinstance(r, (list, tuple)) and all(type(v) is int for v in r) for r in rows),
+            f"{path or 'a table'} must hold a JSON list of lists of integers",
+        )
+        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
         object.__setattr__(self, "path", path)
 
 
@@ -356,10 +363,7 @@ def _table_for(spec: GroupSpec, element_budget: int) -> np.ndarray:
         _require(all(d >= 1 for d in spec.factors), f"invalid invariant factors {spec.factors}")
         for d1, d2 in zip(factors, factors[1:]):
             _require(d2 % d1 == 0, f"invariant factors must form a divisibility chain: {factors}")
-        table = _cyclic_table(1)
-        for d in factors:
-            table = _product_table(table, _cyclic_table(d))
-        return table
+        return _table_for(DirectProduct(Cyclic(d) for d in factors), element_budget)
 
     if isinstance(spec, DirectProduct):
         table = _cyclic_table(1)
@@ -368,15 +372,7 @@ def _table_for(spec: GroupSpec, element_budget: int) -> np.ndarray:
         return table
 
     if isinstance(spec, SemidirectCyclic):
-        m, k, a = spec.m, spec.k, spec.a
-        _require(m >= 1 and k >= 1, f"semidirect orders must be >= 1: ({m}, {k})")
-        a %= max(m, 1)
-        _require(math.gcd(a, m) == 1, f"action x -> x**{spec.a} is not an automorphism of C_{m}")
-        _require(
-            pow(a, k, m) == 1 % m,
-            f"invalid semidirect action: {spec.a}**{k} is not 1 mod {m}",
-        )
-        return _semidirect_table(m, k, a)
+        return _semidirect_table(spec.m, spec.k, _check_action(spec.m, spec.k, spec.a))
 
     if isinstance(spec, Dihedral):
         _require(
@@ -436,19 +432,29 @@ def build_group(spec: GroupSpec, *, element_budget: int = 2048) -> Group:
     return Group(table, spec=spec, check=check)
 
 
+def _check_action(m: int, k: int, a: int) -> int:
+    """a mod m, after checking that x -> x**a makes C_m x| C_k a group:
+    a must be a unit mod m with a**k == 1 (mod m), as in semidirect_actions.
+    """
+    _require(m >= 1 and k >= 1, f"semidirect orders must be >= 1: ({m}, {k})")
+    aa = a % m
+    _require(math.gcd(aa, m) == 1, f"action x -> x**{a} is not an automorphism of C_{m}")
+    _require(pow(aa, k, m) == 1 % m, f"invalid semidirect action: {a}**{k} is not 1 mod {m}")
+    return aa
+
+
+def semidirect_actions(m: int, k: int) -> list[int]:
+    """Every a in 1..m-1 for which SemidirectCyclic(m, k, a) is a group."""
+    return [a for a in range(1, m) if math.gcd(a, m) == 1 and pow(a, k, m) == 1]
+
+
 def kernel_of_action(m: int, k: int, a: int) -> int:
     """Size of the centralizer of C_m inside C_k for SemidirectCyclic(m, k, a).
 
     The acting element j centralizes C_m exactly when a**j == 1 (mod m), so
     the centralizer has size k / multiplicative_order(a, m).
     """
-    _require(m >= 1 and k >= 1, f"semidirect orders must be >= 1: ({m}, {k})")
-    aa = a % max(m, 1)
-    _require(math.gcd(aa, m) == 1, f"action x -> x**{a} is not an automorphism of C_{m}")
-    _require(pow(aa, k, m) == 1 % m, f"invalid semidirect action: {a}**{k} is not 1 mod {m}")
-    if m == 1:
-        return k
-    t = arith.multiplicative_order(aa, m)
+    t = arith.multiplicative_order(_check_action(m, k, a), m)
     assert k % t == 0
     return k // t
 
@@ -466,23 +472,10 @@ def parse_spec(text: str) -> GroupSpec:
         raise GroupSpecError("empty group spec")
     if text.startswith("table:"):
         path = text[len("table:") :]
-        try:
-            with open(path) as fh:
-                rows = json.load(fh)
-        except OSError as exc:
-            raise GroupSpecError(f"cannot read table file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise GroupSpecError(f"table file {path} is not valid JSON: {exc}") from exc
-        return FromTable(rows, path=path)
+        return FromTable(_read_json(path, "table"), path=path)
     if text.startswith("perm:"):
         path = text[len("perm:") :]
-        try:
-            with open(path) as fh:
-                perms = json.load(fh)
-        except OSError as exc:
-            raise GroupSpecError(f"cannot read permutation file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise GroupSpecError(f"permutation file {path} is not valid JSON: {exc}") from exc
+        perms = _read_json(path, "permutation")
         if not perms or not all(isinstance(p, list) for p in perms):
             raise GroupSpecError(f"{path} must hold a JSON list of one-line permutations")
         return FromPermutations(len(perms[0]), perms, path=path)
@@ -490,6 +483,16 @@ def parse_spec(text: str) -> GroupSpec:
     if len(parts) == 1:
         return parts[0]
     return DirectProduct(parts)
+
+
+def _read_json(path: str, kind: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise GroupSpecError(f"cannot read {kind} file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise GroupSpecError(f"{kind} file {path} is not valid JSON: {exc}") from exc
 
 
 def _parse_atom(text: str) -> GroupSpec:

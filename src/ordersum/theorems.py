@@ -4,7 +4,7 @@ Each checker returns a VerificationReport whose verdict is recomputable
 from the recorded exact values.  All comparisons are between integers and
 ``Fraction`` values; there are no tolerances anywhere in this module.
 
-The claims, by id:
+The claims of ``ordersum verify``, by id (the keys of ``cli.CLAIMS``):
 
 * ``max_cyclic``   the cyclic group is the unique maximizer of psi among
                    groups of its order (checked over the exhaustive catalog);
@@ -24,10 +24,12 @@ The claims, by id:
 * ``lemma6``       the strict kernel-weighted bound for non-central actions;
 * ``lemma7``       when a second-maximal class splits as a cyclic Sylow
                    semidirect a cyclic complement, the action kernel has prime
-                   index in the complement;
-* ``audit``        the standalone numeric inequalities used in the proofs of
-                   the two bounding propositions, including the q = 2 failure
-                   341 < 336 and the q = 3 near-miss 4087 < 4375.
+                   index in the complement.
+
+``ordersum audit`` runs proof_inequality_audit (report id ``audit``): the
+standalone numeric inequalities used in the proofs of the two bounding
+propositions, including the q = 2 failure 341 < 336 and the q = 3 near-miss
+4087 < 4375.
 """
 
 from __future__ import annotations
@@ -105,20 +107,6 @@ def _compare(lhs, rhs) -> str:
     return "holds" if lhs < rhs else "fails"
 
 
-@dataclass(frozen=True)
-class EqualityWitness:
-    """A group (C_q x C_q) x C_k of order n = q^2 k attaining the bound."""
-
-    n: int
-    q: int
-    k: int
-    spec_text: str
-
-    @property
-    def spec(self):
-        return groups.parse_spec(self.spec_text)
-
-
 def _witness_spec(q: int, k: int):
     parts = [Cyclic(q), Cyclic(q)]
     if k > 1:
@@ -126,8 +114,8 @@ def _witness_spec(q: int, k: int):
     return DirectProduct(parts)
 
 
-def _expected_witness(n: int, q: int) -> EqualityWitness | None:
-    """The witness the classification predicts for order n, if any.
+def _expected_witness(n: int, q: int) -> DirectProduct | None:
+    """The spec of the witness the classification predicts for order n, if any.
 
     Requires q to be the least prime divisor of n.  A witness exists exactly
     when q divides n to the second power exactly: then n = q^2 k with every
@@ -138,7 +126,7 @@ def _expected_witness(n: int, q: int) -> EqualityWitness | None:
     k = n // (q * q)
     if k % q == 0:
         return None
-    return EqualityWitness(n=n, q=q, k=k, spec_text=format_spec(_witness_spec(q, k)))
+    return _witness_spec(q, k)
 
 
 def _require_least_prime(n: int, q: int) -> None:
@@ -223,72 +211,62 @@ def verify_equality_classification(
     expected = _expected_witness(n, q)
     target = f_ratio(q) * psi_cyclic(n)
 
-    if family_only:
-        cases = []
-        if expected is None:
-            cases.append(
-                Case(
-                    params={"n": n, "q": q},
-                    lhs=None,
-                    rhs=target,
-                    verdict="not_applicable",
-                    expected="not_applicable",
-                    note="n is not of the form q^2 k with k free of primes <= q",
-                )
+    cases = []
+    if family_only and expected is None:
+        cases.append(
+            Case(
+                params={"n": n, "q": q},
+                lhs=None,
+                rhs=target,
+                verdict="not_applicable",
+                expected="not_applicable",
+                note="n is not of the form q^2 k with k free of primes <= q",
             )
-        else:
-            g = build_group(expected.spec)
-            cases.append(
-                Case(
-                    params={"n": n, "q": q, "class": expected.spec_text},
-                    lhs=g.psi(),
-                    rhs=target,
-                    verdict=_compare(g.psi(), target),
-                    expected="equality",
-                    witnesses=(expected.spec_text,),
-                )
-            )
-        return VerificationReport(
-            claim_id="equality",
-            params={"n": n, "q": q, "mode": "family-restricted"},
-            verdict=_verdict_from_cases(cases),
-            rhs=target,
-            cases=cases,
-            witnesses=tuple(c.witnesses[0] for c in cases if c.verdict == "equality"),
-            note="family-restricted: only the predicted construction was examined",
         )
-
-    if n > bound:
+    elif family_only:
+        g = build_group(expected)
+        label = format_spec(expected)
+        cases.append(
+            Case(
+                params={"n": n, "q": q, "class": label},
+                lhs=g.psi(),
+                rhs=target,
+                verdict=_compare(g.psi(), target),
+                expected="equality",
+                witnesses=(label,),
+            )
+        )
+    elif n > bound:
         raise enumeration.EnumerationBoundError(
             f"order {n} exceeds the enumeration bound {bound}; "
             "pass family_only=True for a family-restricted check"
         )
-
-    expected_canon = None
-    if expected is not None:
-        expected_canon = canonical_form(build_group(expected.spec))
-    cases = []
-    for cls in catalog(n, bound=bound, cache_dir=cache_dir):
-        if cls.group.is_cyclic():
-            continue  # psi(C_n) > target since f(q) < 1
-        is_expected = cls.group == expected_canon
-        cases.append(
-            Case(
-                params={"n": n, "q": q, "class": cls.description},
-                lhs=cls.psi,
-                rhs=target,
-                verdict=_compare(cls.psi, target),
-                expected="equality" if is_expected else "holds",
-                witnesses=(cls.description,),
+    else:
+        expected_canon = None
+        if expected is not None:
+            expected_canon = canonical_form(build_group(expected))
+        for cls in catalog(n, bound=bound, cache_dir=cache_dir):
+            if cls.group.is_cyclic():
+                continue  # psi(C_n) > target since f(q) < 1
+            cases.append(
+                Case(
+                    params={"n": n, "q": q, "class": cls.description},
+                    lhs=cls.psi,
+                    rhs=target,
+                    verdict=_compare(cls.psi, target),
+                    expected="equality" if cls.group == expected_canon else "holds",
+                    witnesses=(cls.description,),
+                )
             )
-        )
     return VerificationReport(
         claim_id="equality",
-        params={"n": n, "q": q, "mode": "exhaustive"},
+        params={"n": n, "q": q, "mode": "family-restricted" if family_only else "exhaustive"},
         verdict=_verdict_from_cases(cases),
         rhs=target,
         cases=cases,
         witnesses=tuple(c.witnesses[0] for c in cases if c.verdict == "equality"),
+        note=("family-restricted: only the predicted construction was examined"
+              if family_only else ""),
     )
 
 
@@ -321,9 +299,7 @@ def lemma7_check(
         for p, e in arith.factorize(n):
             m = p**e
             k = n // m
-            for a in range(1, m):
-                if math.gcd(a, m) != 1 or pow(a, k, m) != 1:
-                    continue
+            for a in groups.semidirect_actions(m, k):
                 sd = build_group(SemidirectCyclic(m, k, a))
                 if canonical_form(sd) == cls.group:
                     matches.append((m, k, a))
@@ -379,38 +355,29 @@ def thm4_family_check(q: int, k_max: int) -> VerificationReport:
     cases = []
     for k in range(1, k_max + 1):
         n = q * q * k
-        witness = format_spec(_witness_spec(q, k))
-        lhs = build_group(_witness_spec(q, k)).psi()
+        witness = _witness_spec(q, k)
+        lhs = build_group(witness).psi()
         cyc = build_group(Cyclic(n)).psi()
+        params = {"q": q, "k": k, "n": n}
+        note = ""
         small = None if k == 1 else arith.least_prime_factor(k)
-        if small is None or small > q:
-            cases.append(
-                Case(
-                    params={"q": q, "k": k, "n": n},
-                    lhs=lhs,
-                    rhs=f_ratio(q) * cyc,
-                    verdict=_compare(lhs, f_ratio(q) * cyc),
-                    expected="equality",
-                    witnesses=(witness,),
-                )
+        law = small is None or small > q
+        if not law:
+            params["q_star"] = small  # the least prime divisor of n
+            note = (f"k has the prime factor {small} <= q, so n is a "
+                    f"{small}*-order; the group must not be second maximal")
+        rhs = f_ratio(q if law else small) * cyc
+        cases.append(
+            Case(
+                params=params,
+                lhs=lhs,
+                rhs=rhs,
+                verdict=_compare(lhs, rhs),
+                expected="equality" if law else "not_equality",
+                witnesses=(format_spec(witness),),
+                note=note,
             )
-        else:
-            qstar = min(q, small)
-            rhs = f_ratio(qstar) * cyc
-            cases.append(
-                Case(
-                    params={"q": q, "k": k, "n": n, "q_star": qstar},
-                    lhs=lhs,
-                    rhs=rhs,
-                    verdict=_compare(lhs, rhs),
-                    expected="not_equality",
-                    witnesses=(witness,),
-                    note=(
-                        f"k has the prime factor {small} <= q, so n is a "
-                        f"{qstar}*-order; the group must not be second maximal"
-                    ),
-                )
-            )
+        )
     return VerificationReport(
         claim_id="thm4",
         params={"q": q, "k_max": k_max},
@@ -431,35 +398,31 @@ def mqr_formula_check(q: int, r: int) -> VerificationReport:
     value stays strictly below f(q) * psi(C_{q^r}).
     """
     num = q ** (2 * r) + q**3 - q * q + 1
-    modular = build_group(Modular(q, r))  # validates the (q, r) domain
     assert num % (q + 1) == 0
     closed = num // (q + 1)
-    abelian_spec = Abelian([q, q ** (r - 1)])
-    abelian = build_group(abelian_spec)
+    cases = []
+    # The modular group comes first: building it validates the (q, r) domain.
+    for spec in (Modular(q, r), Abelian([q, q ** (r - 1)])):
+        psi = build_group(spec).psi()
+        cases.append(
+            Case(
+                params={"q": q, "r": r, "group": format_spec(spec)},
+                lhs=psi,
+                rhs=closed,
+                verdict=_compare(psi, closed),
+                expected="equality",
+            )
+        )
     bound = f_ratio(q) * psi_cyclic(q**r)
-    cases = [
-        Case(
-            params={"q": q, "r": r, "group": format_spec(Modular(q, r))},
-            lhs=modular.psi(),
-            rhs=closed,
-            verdict=_compare(modular.psi(), closed),
-            expected="equality",
-        ),
-        Case(
-            params={"q": q, "r": r, "group": format_spec(abelian_spec)},
-            lhs=abelian.psi(),
-            rhs=closed,
-            verdict=_compare(abelian.psi(), closed),
-            expected="equality",
-        ),
+    cases.append(
         Case(
             params={"q": q, "r": r, "comparison": "closed form below f(q) psi(C_n)"},
             lhs=closed,
             rhs=bound,
             verdict=_compare(closed, bound),
             expected="holds",
-        ),
-    ]
+        )
+    )
     return VerificationReport(
         claim_id="mqr",
         params={"q": q, "r": r, "closed_form": closed},
@@ -476,9 +439,21 @@ def _sylow_semidirect_parameters(mk_max: int):
         for k in range(1, mk_max // m + 1):
             if math.gcd(m, k) != 1:
                 continue
-            for a in range(1, m):
-                if math.gcd(a, m) == 1 and pow(a, k, m) == 1:
-                    yield m, k, a
+            for a in groups.semidirect_actions(m, k):
+                yield m, k, a
+
+
+def _shown_cases(cases: list[Case]) -> list[Case]:
+    """Every violation in scan order, then the tightest case that holds.
+
+    The tightest has the largest lhs/rhs among the ok cases whose verdict is
+    "holds"; on a tie the first one scanned wins.
+    """
+    shown = [c for c in cases if not c.ok]
+    strict = [c for c in cases if c.ok and c.verdict == "holds"]
+    if strict:
+        shown.append(max(strict, key=lambda c: Fraction(c.lhs) / c.rhs))
+    return shown
 
 
 def lemma5_check(mk_max: int = 200) -> VerificationReport:
@@ -488,37 +463,26 @@ def lemma5_check(mk_max: int = 200) -> VerificationReport:
     to k and mk <= mk_max, so that C_m is a cyclic normal Sylow subgroup and
     the quotient is C_k.
     """
-    violations: list[Case] = []
-    tightest: tuple[Fraction, Case] | None = None
-    checked = equalities = 0
+    cases = []
     for m, k, a in _sylow_semidirect_parameters(mk_max):
         lhs = build_group(SemidirectCyclic(m, k, a)).psi()
         rhs = psi_cyclic(m) * psi_cyclic(k)
-        verdict = _compare(lhs, rhs)
-        expected = "equality" if a == 1 else "holds"
-        checked += 1
-        if verdict == "equality":
-            equalities += 1
-        case = Case(
-            params={"m": m, "k": k, "a": a},
-            lhs=lhs,
-            rhs=rhs,
-            verdict=verdict,
-            expected=expected,
-            witnesses=(f"SD({m},{k},{a})",),
+        cases.append(
+            Case(
+                params={"m": m, "k": k, "a": a},
+                lhs=lhs,
+                rhs=rhs,
+                verdict=_compare(lhs, rhs),
+                expected="equality" if a == 1 else "holds",
+                witnesses=(f"SD({m},{k},{a})",),
+            )
         )
-        if verdict != expected:
-            violations.append(case)
-        elif a != 1:
-            ratio = Fraction(lhs, rhs)
-            if tightest is None or ratio > tightest[0]:
-                tightest = (ratio, case)
-    cases = violations + ([tightest[1]] if tightest else [])
+    equalities = sum(c.verdict == "equality" for c in cases)
     return VerificationReport(
         claim_id="lemma5",
-        params={"mk_max": mk_max, "groups_checked": checked, "equalities": equalities},
-        verdict="fails" if violations else "holds",
-        cases=cases,
+        params={"mk_max": mk_max, "groups_checked": len(cases), "equalities": equalities},
+        verdict=_verdict_from_cases(cases),
+        cases=_shown_cases(cases),
         note="cases shown: violations plus the tightest strict instance",
     )
 
@@ -533,9 +497,7 @@ def lemma6_check(mk_max: int = 200) -> VerificationReport:
 
     exactly, in rational arithmetic.
     """
-    violations: list[Case] = []
-    tightest: tuple[Fraction, Case] | None = None
-    checked = 0
+    cases = []
     for m, k, a in _sylow_semidirect_parameters(mk_max):
         if k == 1 or a == 1:
             continue
@@ -546,28 +508,21 @@ def lemma6_check(mk_max: int = 200) -> VerificationReport:
             * psi_cyclic(k)
             * (Fraction(psi_cyclic(z), psi_cyclic(k)) + Fraction(m, psi_cyclic(m)))
         )
-        checked += 1
-        verdict = "holds" if lhs < rhs else "fails"
-        case = Case(
-            params={"m": m, "k": k, "a": a, "kernel": z},
-            lhs=lhs,
-            rhs=rhs,
-            verdict=verdict,
-            expected="holds",
-            witnesses=(f"SD({m},{k},{a})",),
+        cases.append(
+            Case(
+                params={"m": m, "k": k, "a": a, "kernel": z},
+                lhs=lhs,
+                rhs=rhs,
+                verdict="holds" if lhs < rhs else "fails",
+                expected="holds",
+                witnesses=(f"SD({m},{k},{a})",),
+            )
         )
-        if verdict != "holds":
-            violations.append(case)
-        else:
-            ratio = Fraction(lhs) / rhs
-            if tightest is None or ratio > tightest[0]:
-                tightest = (ratio, case)
-    cases = violations + ([tightest[1]] if tightest else [])
     return VerificationReport(
         claim_id="lemma6",
-        params={"mk_max": mk_max, "groups_checked": checked},
-        verdict="fails" if violations else "holds",
-        cases=cases,
+        params={"mk_max": mk_max, "groups_checked": len(cases)},
+        verdict=_verdict_from_cases(cases),
+        cases=_shown_cases(cases),
         note="cases shown: violations plus the tightest instance",
     )
 
@@ -760,14 +715,7 @@ def reports_to_csv(reports: list[VerificationReport]) -> str:
 
     lines = ["claim_id,params,lhs,rhs,verdict,witness"]
     for r in reports:
-        if not r.cases:
-            lines.append(
-                ",".join(
-                    [r.claim_id, fmt_params(r.params), fmt_val(r.lhs), fmt_val(r.rhs),
-                     r.verdict, "|".join(r.witnesses)]
-                )
-            )
-        for c in r.cases:
+        for c in r.cases or [r]:  # a report without cases is its own row
             lines.append(
                 ",".join(
                     [r.claim_id, fmt_params({**r.params, **c.params}), fmt_val(c.lhs),

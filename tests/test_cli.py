@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +42,14 @@ class TestPsiCommand:
         code, _, err = run(capsys, "psi", f"table:{path}")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("text", ["[[0,1],[1,0.9]]", "[1,2]", "[[0,1],[1,false]]"])
+    def test_malformed_table_file(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "psi", f"table:{path}")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestSpectrumAndCatalog:
     def test_spectrum_table(self, capsys):
@@ -80,6 +90,11 @@ class TestVerifyCommand:
         report = doc["reports"][0]
         assert report["verdict"] == "holds"
         assert "C2xC2xC3" in report["witnesses"]
+
+    def test_claim_ids_documented(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert re.findall(r"^\| `(\w+)`", readme, re.M) == list(cli.CLAIMS)
+        assert re.findall(r"^\* ``(\w+)``", theorems.__doc__, re.M) == list(cli.CLAIMS)
 
     def test_unknown_claim(self, capsys):
         code, _, _ = run(capsys, "verify", "no_such_claim")

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -22,7 +23,11 @@ from ordersum.groups import (
     format_spec,
     kernel_of_action,
     parse_spec,
+    semidirect_actions,
 )
+
+# Table files that are not a JSON list of lists of integers.
+MALFORMED_TABLES = ["[[0,1],[1,0.9]]", "[1,2]", "[[0,1],[1,false]]"]
 
 
 class TestBuildGroup:
@@ -201,6 +206,20 @@ class TestKernelOfAction:
         with pytest.raises(GroupSpecError):
             kernel_of_action(5, 3, 2)
 
+    def test_semidirect_actions_are_the_buildable_ones(self):
+        for m in range(1, 61):
+            for k in range(1, 60 // m + 1):
+                buildable = []
+                for a in range(1, m):
+                    try:
+                        build_group(SemidirectCyclic(m, k, a))
+                    except GroupSpecError:
+                        with pytest.raises(GroupSpecError):
+                            kernel_of_action(m, k, a)
+                    else:
+                        buildable.append(a)
+                assert semidirect_actions(m, k) == buildable, (m, k)
+
 
 class TestExplicitTables:
     def test_valid_table(self):
@@ -237,6 +256,11 @@ class TestExplicitTables:
         rows = [[1, 0], [0, 1]]
         with pytest.raises(TableError):
             build_group(FromTable(rows))
+
+    @pytest.mark.parametrize("text", MALFORMED_TABLES)
+    def test_rejects_non_integer_rows(self, text):
+        with pytest.raises(GroupSpecError):
+            FromTable(json.loads(text))
 
     def test_permutation_group(self):
         s3 = build_group(FromPermutations(3, ((1, 0, 2), (1, 2, 0))))
@@ -292,3 +316,10 @@ class TestGrammar:
     def test_missing_file(self):
         with pytest.raises(GroupSpecError):
             parse_spec("table:/no/such/file.json")
+
+    @pytest.mark.parametrize("text", MALFORMED_TABLES)
+    def test_malformed_table_file(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(GroupSpecError):
+            parse_spec(f"table:{path}")

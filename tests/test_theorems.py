@@ -215,6 +215,34 @@ class TestLemmas:
         assert report.verdict == "not_applicable"
 
 
+def case(i, lhs, rhs, verdict, expected="holds"):
+    return Case(params={"i": i}, lhs=lhs, rhs=rhs, verdict=verdict, expected=expected)
+
+
+class TestShownCases:
+    def test_violations_first_in_scan_order(self):
+        cases = [case(0, 1, 2, "holds"), case(1, 5, 4, "fails"), case(2, 3, 4, "holds"),
+                 case(3, 2, 2, "equality")]
+        shown = theorems._shown_cases(cases)
+        assert [c.params["i"] for c in shown] == [1, 3, 2]
+
+    def test_tie_keeps_the_first(self):
+        cases = [case(0, 1, 3, "holds"), case(1, 2, 3, "holds"), case(2, 4, 6, "holds")]
+        assert [c.params["i"] for c in theorems._shown_cases(cases)] == [1]
+
+    def test_holds_where_equality_expected_is_a_violation_only(self):
+        # A trivial action (a = 1) whose psi fell below the bound: not ok, and
+        # its ratio beats every strict case, yet it must not be the tightest.
+        cases = [case(0, 1, 3, "holds"), case(1, 9, 10, "holds", expected="equality")]
+        shown = theorems._shown_cases(cases)
+        assert [c.params["i"] for c in shown] == [1, 0]
+
+    def test_no_strict_case(self):
+        cases = [case(0, 2, 2, "equality", expected="equality"), case(1, 3, 2, "fails")]
+        assert [c.params["i"] for c in theorems._shown_cases(cases)] == [1]
+        assert theorems._shown_cases(cases[:1]) == []
+
+
 class TestAudit:
     def test_expected_pattern(self):
         report = proof_inequality_audit(29, 61, 4)
