@@ -23,7 +23,7 @@ from pathlib import Path
 from ordersum import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CACHED_ORDERS = (8, 12)
+CACHED_ORDERS = (8, 12, 13, 14, 15, 16)
 CACHE = "{cache}"  # replaced by a fresh cache directory on every run
 
 COMMANDS = {
@@ -40,6 +40,10 @@ COMMANDS = {
     "catalog_12": ["catalog", "12", "--cache-dir", CACHE],
     "catalog_over_bound": ["catalog", "14"],
     "verify_max_cyclic": ["verify", "max_cyclic", "--nmax", "12", "--cache-dir", CACHE],
+    "verify_max_cyclic_16": [
+        "verify", "max_cyclic", "--nmax", "16", "--enum-bound", "16", "--acknowledge-slow",
+        "--cache-dir", CACHE,
+    ],
     "verify_upper_bound_Q8": ["verify", "upper_bound", "--spec", "Q8", "--q", "2"],
     "verify_upper_bound_eq": ["verify", "upper_bound", "--spec", "C2xC2xC3", "--q", "2"],
     "verify_upper_bound_nospec": ["verify", "upper_bound", "--q", "2"],
