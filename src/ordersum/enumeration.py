@@ -2,7 +2,7 @@
 
 The enumerator is an independent oracle: it imports no group catalog.  It
 performs orderly generation over Cayley tables with the identity pinned at
-index 0, using three ingredients:
+index 0, using four ingredients:
 
 * a fixed "shell" ordering of the interior table cells: for t = 1, 2, ...
   the cells (t,1),(1,t),(t,2),(2,t),...,(t,t).  A table is flattened to the
@@ -16,6 +16,15 @@ index 0, using three ingredients:
   subgroup, the next generator gets the next label.  The canonical form of
   a table is the lexicographically least flattening over all BFS labelings,
   which is a complete isomorphism invariant;
+
+* automorphism pruning of that scan, as in nauty/Traces (McKay & Piperno,
+  "Practical graph isomorphism II", 2014): two complete labelings with equal
+  flattenings differ by an automorphism, which the scan records.  Before
+  choosing the next generator it merges the unlabeled elements into orbits
+  under the recorded automorphisms that fix every generator chosen so far,
+  and tries one candidate per orbit, since an automorphism maps the subtree
+  of one candidate onto that of another with equal flattenings.  The least
+  flattening, and so the canonical form, is the same as without pruning;
 
 * a backtracking search that builds tables directly in BFS-labeled form,
   propagating associativity constraints after every cell assignment and
@@ -75,33 +84,39 @@ def flatten(rows) -> tuple[int, ...]:
     return tuple(rows[i][j] for i, j in shell_cells(len(rows)))
 
 
-def _scan_labelings(rows, ref=None, stop_below_ref: bool = False):
-    """Depth-first search over all BFS labelings of a complete table.
+def _scan_labelings(rows, stop_below_self: bool = False):
+    """Depth-first search over the BFS labelings of a complete table.
 
-    Returns (found_below, best_flat, best_order) where found_below reports
-    whether some labeling flattens strictly below ``ref``; best_flat and
-    best_order describe the least labeling found (best_order lists the
-    original element played by each new label).  With stop_below_ref the
-    search aborts as soon as any labeling beats ref, which is all the
-    canonicity test needs.
+    Returns (best_flat, best_order): the least flattening found and the
+    labeling giving it (best_order lists the original element played by
+    each new label).  With stop_below_self the scan starts from the table's
+    own labeling, the identity, and stops at the first labeling that
+    flattens strictly below it, which is all the canonicity test needs.
+
+    A completed labeling L that flattens equal to the best one is recorded
+    as the automorphism best_order[i] -> L[i].  At each choice of the next
+    generator, a candidate is skipped when the automorphisms found so far
+    that fix every earlier generator map an explored candidate onto it: such
+    an automorphism maps one subtree onto the other with equal flattenings.
     """
     n = len(rows)
-    best_flat = list(ref) if ref is not None else None
-    best_order: list[int] | None = None
-    found_below = False
+    best_flat = flatten(rows) if stop_below_self else None
+    best_order = list(range(n)) if stop_below_self else None
+    autos: list[list[int]] = []  # automorphisms found, as lists of images
+    stopped = False
 
     def run(gens: list[int]):
         """Deterministic closure for one generator sequence.
 
         Emits flattened values in shell order, comparing against best_flat.
-        Returns (status, L) with status one of "pruned", "stall", "leaf",
-        "below" (strictly smaller prefix established, then completed).
+        Returns (status, L) with status one of "pruned", "stall", "leaf"
+        (equal to best_flat), "below" (a new best).
         """
         L = [0]
         pos = {0: 0}
         gi = 0
         emitted = 0
-        prefix_lt = False
+        prefix_lt = best_flat is None
         t = 1
         while True:
             if t >= len(L):
@@ -121,7 +136,7 @@ def _scan_labelings(rows, ref=None, stop_below_ref: bool = False):
                         lab = len(L)
                         pos[x] = lab
                         L.append(x)
-                    if best_flat is not None and not prefix_lt:
+                    if not prefix_lt:
                         c = best_flat[emitted]
                         if lab > c:
                             return "pruned", L
@@ -134,35 +149,59 @@ def _scan_labelings(rows, ref=None, stop_below_ref: bool = False):
         return ("below" if prefix_lt else "leaf"), L
 
     def rec(gens: list[int]):
-        nonlocal best_flat, best_order, found_below
+        nonlocal best_flat, best_order, stopped
         status, L = run(gens)
         if status == "pruned":
             return
-        if status == "stall":
-            labeled = set(L)
-            for g in range(1, n):
-                if g not in labeled:
-                    rec(gens + [g])
-                    if found_below and stop_below_ref:
-                        return
+        if status == "leaf":
+            auto = [0] * n
+            for x, y in zip(best_order, L):
+                auto[x] = y
+            autos.append(auto)
             return
-        # Completed labeling: recover its flattening exactly.
-        posmap = {x: i for i, x in enumerate(L)}
-        flat = tuple(posmap[rows[L[i]][L[j]]] for i, j in shell_cells(n))
-        if ref is not None and flat < tuple(ref):
-            found_below = True
-        if best_flat is None or flat < tuple(best_flat):
-            best_flat = list(flat)
-            best_order = list(L)
+        if status == "below":
+            posmap = {x: i for i, x in enumerate(L)}
+            best_flat = tuple(posmap[rows[L[i]][L[j]]] for i, j in shell_cells(n))
+            best_order = L
+            stopped = stop_below_self
+            return
+        # Stall: orbits of the unlabeled elements under the automorphisms
+        # found that fix every generator, kept as a union-find forest.
+        labeled = set(L)
+        root = list(range(n))
+
+        def find(x: int) -> int:
+            while root[x] != x:
+                root[x] = root[root[x]]
+                x = root[x]
+            return x
+
+        used = 0
+        explored: list[int] = []
+        for g in range(1, n):
+            if g in labeled:
+                continue
+            for auto in autos[used:]:
+                if all(auto[x] == x for x in gens):
+                    for x in range(n):
+                        root[find(x)] = find(auto[x])
+            used = len(autos)
+            r = find(g)
+            if any(find(e) == r for e in explored):
+                continue
+            explored.append(g)
+            rec(gens + [g])
+            if stopped:
+                return
 
     rec([])
-    return found_below, (tuple(best_flat) if best_flat is not None else None), best_order
+    return best_flat, best_order
 
 
 def _is_canonical(rows) -> bool:
     """True when no BFS relabeling flattens strictly below the table itself."""
-    found_below, _, _ = _scan_labelings(rows, ref=flatten(rows), stop_below_ref=True)
-    return not found_below
+    _, best_order = _scan_labelings(rows, stop_below_self=True)
+    return best_order == list(range(len(rows)))
 
 
 def canonical_form(g: Group) -> Group:
@@ -172,7 +211,7 @@ def canonical_form(g: Group) -> Group:
     have equal canonical forms exactly when they are isomorphic.
     """
     rows = g.table.tolist()
-    _, _, best_order = _scan_labelings(rows)
+    _, best_order = _scan_labelings(rows)
     posmap = {x: i for i, x in enumerate(best_order)}
     return Group(
         [[posmap[rows[x][y]] for y in best_order] for x in best_order], check="none"

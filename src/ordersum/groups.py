@@ -98,14 +98,14 @@ class FromTable:
     path: str | None = None
 
     def __init__(self, rows, path=None):
-        # Entries are checked, never converted: int(0.9) would read 0.  A bool
-        # is an int subclass, so `type(v) is int` also rejects true and false.
+        name = path or "a table"
+        rows = _integer_rows(rows, f"{name} must hold a JSON list of lists of integers")
+        # Checked before numpy sees them: an entry past 64 bits would overflow.
         _require(
-            isinstance(rows, (list, tuple)) and all(
-                isinstance(r, (list, tuple)) and all(type(v) is int for v in r) for r in rows),
-            f"{path or 'a table'} must hold a JSON list of lists of integers",
+            all(0 <= v < len(rows) for r in rows for v in r),
+            f"{name} has an entry outside 0..{len(rows) - 1}",
         )
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "path", path)
 
 
@@ -118,11 +118,26 @@ class FromPermutations:
     path: str | None = None
 
     def __init__(self, degree, generators, path=None):
-        object.__setattr__(self, "degree", int(degree))
-        object.__setattr__(
-            self, "generators", tuple(tuple(int(v) for v in g) for g in generators)
+        generators = _integer_rows(
+            generators, f"{path or 'a permutation list'} must hold a JSON list of lists of integers"
         )
+        object.__setattr__(self, "degree", int(degree))
+        object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "path", path)
+
+
+def _integer_rows(rows, message: str) -> tuple[tuple[int, ...], ...]:
+    """``rows`` as a tuple of tuples, if it is a list of lists of integers.
+
+    Entries are checked, never converted: int(0.9) would read 0.  A bool is
+    an int subclass, so `type(v) is int` also rejects true and false.
+    """
+    _require(
+        isinstance(rows, (list, tuple)) and all(
+            isinstance(r, (list, tuple)) and all(type(v) is int for v in r) for r in rows),
+        message,
+    )
+    return tuple(tuple(r) for r in rows)
 
 
 GroupSpec = Union[

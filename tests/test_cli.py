@@ -50,6 +50,21 @@ class TestPsiCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            ("table", "[[0,1],[1,99999999999999999999]]"),  # past 64 bits
+            ("perm", "[[1.9, 0, 2]]"),
+            ("perm", "[[true, false]]"),
+        ],
+    )
+    def test_malformed_entries_one_error_line(self, capsys, tmp_path, kind, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "psi", f"{kind}:{path}")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
 
 class TestSpectrumAndCatalog:
     def test_spectrum_table(self, capsys):

@@ -11,8 +11,12 @@ from ordersum.enumeration import (
     EnumerationBoundError,
     canonical_form,
     catalog,
+    flatten,
     psi_spectrum,
+    shell_cells,
     _family_candidates,
+    _is_canonical,
+    _scan_labelings,
 )
 from ordersum.groups import (
     Abelian,
@@ -27,15 +31,20 @@ from ordersum.groups import (
 
 # Regression values produced by this enumerator and cross-checked against
 # the construction families; the order-8 and order-12 psi multisets carry
-# independent corroboration (psi(Q8) = 27, psi(C8) = 43).
-CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2, 10: 2, 11: 1, 12: 5}
+# independent corroboration (psi(Q8) = 27, psi(C8) = 43).  The class counts
+# are OEIS A000001.
+CLASS_COUNTS = {
+    1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5, 9: 2, 10: 2, 11: 1, 12: 5,
+    13: 1, 14: 2, 15: 1, 16: 14,
+}
 PSI_SPECTRA = {
     2: [3],
     4: [11, 7],
     8: [43, 27, 23, 19, 15],
     12: [77, 49, 45, 33, 31],
+    16: [171, 87, 75, 67, 59, 55, 47, 39, 31],
 }
-
+ABOVE_DEFAULT = pytest.mark.filterwarnings("ignore:enumerating order:RuntimeWarning")
 
 
 def relabel(g: Group, perm) -> Group:
@@ -48,13 +57,15 @@ def relabel(g: Group, perm) -> Group:
 
 
 class TestAllGroups:
+    @ABOVE_DEFAULT
     def test_class_counts(self, cache_dir):
         for n, count in CLASS_COUNTS.items():
-            assert len(catalog(n, cache_dir=cache_dir)) == count, n
+            assert len(catalog(n, bound=16, cache_dir=cache_dir)) == count, n
 
+    @ABOVE_DEFAULT
     @pytest.mark.parametrize("n", sorted(PSI_SPECTRA))
     def test_psi_spectra(self, n, cache_dir):
-        got = [e.psi for e in psi_spectrum(n, cache_dir=cache_dir)]
+        got = [e.psi for e in psi_spectrum(n, bound=16, cache_dir=cache_dir)]
         assert got == PSI_SPECTRA[n]
 
     def test_every_output_is_a_valid_group(self, cache_dir):
@@ -131,6 +142,112 @@ class TestCanonicalForm:
                     assert canonical_form(relabel(cls.group, perm)) == cls.group
                 seen[cls.group] = cls.description
             assert len(seen) == len(classes)
+
+
+def _unpruned_scan(rows, ref=None, stop_below_ref=False):
+    """The labeling scan without automorphism pruning, kept as a reference.
+
+    Visits every BFS labeling that the comparison with the best flattening
+    so far does not rule out; returns (found_below, best_flat).
+    """
+    n = len(rows)
+    best_flat = list(ref) if ref is not None else None
+    found_below = False
+
+    def run(gens):
+        L, pos, gi, emitted, prefix_lt, t = [0], {0: 0}, 0, 0, False, 1
+        while True:
+            if t >= len(L):
+                if gi < len(gens):
+                    pos[gens[gi]] = len(L)
+                    L.append(gens[gi])
+                    gi += 1
+                    continue
+                break
+            for s in range(1, t + 1):
+                for i, j in ((t, s), (s, t)) if s < t else ((t, t),):
+                    x = rows[L[i]][L[j]]
+                    lab = pos.get(x)
+                    if lab is None:
+                        lab = pos[x] = len(L)
+                        L.append(x)
+                    if best_flat is not None and not prefix_lt:
+                        if lab > best_flat[emitted]:
+                            return "pruned", L
+                        prefix_lt = lab < best_flat[emitted]
+                    emitted += 1
+            t += 1
+        return ("stall" if len(L) < n else "done"), L
+
+    def rec(gens):
+        nonlocal best_flat, found_below
+        status, L = run(gens)
+        if status == "pruned":
+            return
+        if status == "stall":
+            for g in range(1, n):
+                if g not in L:
+                    rec(gens + [g])
+                    if found_below and stop_below_ref:
+                        return
+            return
+        posmap = {x: i for i, x in enumerate(L)}
+        flat = [posmap[rows[L[i]][L[j]]] for i, j in shell_cells(n)]
+        if ref is not None and flat < list(ref):
+            found_below = True
+        if best_flat is None or flat < best_flat:
+            best_flat = flat
+
+    rec([])
+    return found_below, tuple(best_flat)
+
+
+def _relabelings(g: Group, count: int, rng: random.Random):
+    for _ in range(count):
+        yield relabel(g, [0] + rng.sample(range(1, g.order), g.order - 1))
+
+
+class TestPrunedScan:
+    """The automorphism-pruned scan agrees with the unpruned one."""
+
+    def test_matches_unpruned_scan(self, cache_dir):
+        rng = random.Random(7)
+        for n in range(1, 13):
+            for cls in catalog(n, cache_dir=cache_dir):
+                for g in [cls.group, *_relabelings(cls.group, 2, rng)]:
+                    rows = g.table.tolist()
+                    _, least = _unpruned_scan(rows)
+                    assert _scan_labelings(rows)[0] == least, (n, rows)
+                    below, _ = _unpruned_scan(rows, flatten(rows), stop_below_ref=True)
+                    assert _is_canonical(rows) is not below, (n, rows)
+                    assert below is (g != cls.group), (n, rows)
+
+    @ABOVE_DEFAULT
+    def test_order_16_relabelings(self, cache_dir):
+        rng = random.Random(16)
+        classes = catalog(16, bound=16, cache_dir=cache_dir)
+        assert "A[2,2,2,2]" in [cls.description for cls in classes]
+        for cls in classes:
+            assert _is_canonical(cls.group.table.tolist())
+            for g in _relabelings(cls.group, 3, rng):
+                assert canonical_form(g) == cls.group, cls.description
+                if g != cls.group:
+                    assert not _is_canonical(g.table.tolist()), cls.description
+
+    def test_prunes_by_automorphisms(self):
+        # C2 x C2 x C2 has 168 BFS labelings, all flattening alike; pruning by
+        # the automorphisms they reveal reads a small fraction of the cells.
+        class Row(list):
+            def __getitem__(self, j):
+                reads[0] += 1
+                return list.__getitem__(self, j)
+
+        rows = [Row(r) for r in build_group(Abelian([2, 2, 2])).table.tolist()]
+        reads = [0]
+        _unpruned_scan(rows)
+        unpruned, reads[0] = reads[0], 0
+        assert _scan_labelings(rows)[0] == flatten(rows)
+        assert reads[0] * 10 < unpruned
 
 
 class TestCompleteness:

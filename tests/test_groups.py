@@ -28,6 +28,9 @@ from ordersum.groups import (
 
 # Table files that are not a JSON list of lists of integers.
 MALFORMED_TABLES = ["[[0,1],[1,0.9]]", "[1,2]", "[[0,1],[1,false]]"]
+# Entries outside 0..n-1, one of them past 64 bits.
+OUT_OF_RANGE_TABLES = ["[[0,1],[1,99999999999999999999]]", "[[0,1],[1,-1]]", "[[0,1],[1,2]]"]
+MALFORMED_PERMS = ["[[1.9, 0, 2]]", "[[true, false]]"]
 
 
 class TestBuildGroup:
@@ -262,6 +265,17 @@ class TestExplicitTables:
         with pytest.raises(GroupSpecError):
             FromTable(json.loads(text))
 
+    @pytest.mark.parametrize("text", OUT_OF_RANGE_TABLES)
+    def test_rejects_out_of_range_entries(self, text):
+        with pytest.raises(GroupSpecError, match="outside 0..1"):
+            FromTable(json.loads(text))
+
+    @pytest.mark.parametrize("text", MALFORMED_PERMS)
+    def test_rejects_non_integer_permutations(self, text):
+        perms = json.loads(text)
+        with pytest.raises(GroupSpecError):
+            FromPermutations(len(perms[0]), perms)
+
     def test_permutation_group(self):
         s3 = build_group(FromPermutations(3, ((1, 0, 2), (1, 2, 0))))
         assert s3.order == 6 and s3.psi() == 13
@@ -323,3 +337,11 @@ class TestGrammar:
         path.write_text(text)
         with pytest.raises(GroupSpecError):
             parse_spec(f"table:{path}")
+
+    @pytest.mark.parametrize("text", OUT_OF_RANGE_TABLES + MALFORMED_PERMS)
+    def test_malformed_entries_in_files(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        kind = "perm" if text in MALFORMED_PERMS else "table"
+        with pytest.raises(GroupSpecError):
+            parse_spec(f"{kind}:{path}")
