@@ -55,6 +55,11 @@ COMMANDS = {
     "verify_mqr_3_3": ["verify", "mqr", "--q", "3", "--r", "3"],
     "verify_lemma5": ["verify", "lemma5", "--mkmax", "40"],
     "verify_lemma6": ["verify", "lemma6", "--mkmax", "40"],
+    "verify_lemma5_200": ["verify", "lemma5", "--mkmax", "200"],
+    "verify_lemma6_200": ["verify", "lemma6", "--mkmax", "200"],
+    "verify_thm4_q5_60": ["verify", "thm4", "--q", "5", "--kmax", "60"],
+    "psi_C2048": ["psi", "C2048"],
+    "psi_Q2048": ["psi", "Q2048"],
     "verify_lemma7": ["verify", "lemma7", "--nmax", "12", "--cache-dir", CACHE],
     "audit": ["audit"],
     "audit_small": ["audit", "--qmax", "5", "--pmax", "11", "--smax", "2"],
