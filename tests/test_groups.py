@@ -5,7 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from ordersum import arith
+from ordersum import arith, groups
+from ordersum.enumeration import catalog
 from ordersum.groups import (
     Abelian,
     Cyclic,
@@ -25,12 +26,64 @@ from ordersum.groups import (
     parse_spec,
     semidirect_actions,
 )
+from ordersum.theorems import _witness_spec
+from test_enumeration import ABOVE_DEFAULT, relabel
 
 # Table files that are not a JSON list of lists of integers.
 MALFORMED_TABLES = ["[[0,1],[1,0.9]]", "[1,2]", "[[0,1],[1,false]]"]
 # Entries outside 0..n-1, one of them past 64 bits.
 OUT_OF_RANGE_TABLES = ["[[0,1],[1,99999999999999999999]]", "[[0,1],[1,-1]]", "[[0,1],[1,2]]"]
 MALFORMED_PERMS = ["[[1.9, 0, 2]]", "[[true, false]]"]
+# A Latin square with identity 0 but (1*1)*2 != 1*(1*2), and 1**5 != 0.
+NON_ASSOCIATIVE = [[0, 1, 2, 3, 4],
+                   [1, 0, 3, 4, 2],
+                   [2, 4, 0, 1, 3],
+                   [3, 2, 4, 0, 1],
+                   [4, 3, 1, 2, 0]]
+
+
+def _definitional_orders(rows: np.ndarray) -> np.ndarray:
+    """Orders by definition: the first t with x**t == 0, one table step per power.
+
+    This was `element_orders_of_table` before it split orders by prime; it
+    is kept as the oracle for that walk.
+    """
+    n = len(rows)
+    idx = np.arange(n, dtype=np.int64)
+    cur = idx.copy()
+    orders = np.zeros(n, dtype=np.int64)
+    orders[0] = 1
+    t = 1
+    while (orders == 0).any():
+        t += 1
+        if t > n:
+            raise TableError("order walk exceeded the group order; table is not a group")
+        active = orders == 0
+        cur[active] = rows[idx[active], cur[active]]
+        orders[(cur == 0) & active] = t
+    return orders
+
+
+def _invariant_factors(limit: int, least: int = 2):
+    """Every chain d1 | d2 | ... with d1 >= least and product <= limit."""
+    yield ()
+    for d in range(least, limit + 1):
+        for rest in _invariant_factors(limit // d, d):
+            if all(r % d == 0 for r in rest):
+                yield (d,) + rest
+
+
+def _family_specs(limit: int) -> list:
+    """Every spec of order <= limit that the grammar builds without 'x'."""
+    specs = [Cyclic(n) for n in range(1, limit + 1)]
+    specs += [Abelian(f) for f in _invariant_factors(limit) if len(f) >= 2]
+    specs += [Dihedral(2 * m) for m in range(1, limit // 2 + 1)]
+    specs += [GeneralizedQuaternion(1 << e) for e in range(3, limit.bit_length())]
+    specs += [Modular(q, r) for q in arith.primes_up_to(limit) for r in range(3, limit.bit_length())
+              if q**r <= limit and (r >= 4 or q > 2)]
+    specs += [SemidirectCyclic(m, k, a) for m in range(1, limit + 1)
+              for k in range(1, limit // m + 1) for a in semidirect_actions(m, k)]
+    return specs
 
 
 class TestBuildGroup:
@@ -105,6 +158,64 @@ class TestElementOrder:
                      SemidirectCyclic(7, 3, 2), Modular(3, 3)):
             g = build_group(spec)
             assert all(g.order % g.element_order(x) == 0 for x in range(g.order))
+
+
+class TestCyclicTable:
+    @pytest.mark.parametrize("n", [*range(1, 65), 1500, 2048])
+    def test_matches_sum_mod_n(self, n):
+        r = np.arange(n, dtype=np.int64)
+        table = groups._cyclic_table(n)
+        assert table.dtype == np.int64
+        assert np.array_equal(table, (r[:, None] + r[None, :]) % n)
+
+
+class TestOrderWalk:
+    """The prime-power walk agrees with the one-step-per-power definition."""
+
+    @staticmethod
+    def check(g: Group) -> None:
+        assert np.array_equal(g.element_orders, _definitional_orders(g.table)), g
+
+    def test_family_specs(self):
+        for spec in _family_specs(256):
+            self.check(build_group(spec))
+
+    def test_products_of_two(self):
+        # Both factors of order 2..16, one product per unordered pair.  An SD
+        # with a == 1 is itself the product C_m x C_k, so it is left out.
+        pool = [(s, len(build_group(s))) for s in _family_specs(16)
+                if not (isinstance(s, SemidirectCyclic) and s.a == 1)]
+        pool = [(s, n) for s, n in pool if n > 1]
+        for i, (a, na) in enumerate(pool):
+            for b, nb in pool[i:]:
+                if na * nb <= 256:
+                    self.check(build_group(DirectProduct([a, b])))
+
+    def test_thm4_witnesses(self):
+        for q in (2, 3, 5):
+            for k in range(1, 61):
+                self.check(build_group(_witness_spec(q, k)))
+
+    def test_cyclic(self):
+        # The definition costs n table steps over all of C_n (about 20 s for
+        # every n <= 1500 on a 2-vCPU Xeon), so every n is checked against
+        # ord(x) = n / gcd(x, n) and the definition against n <= 400 and
+        # 2^9, 2^10, 3*5*7*11, 11^3, 2^5*3^2*5, the prime 1499 and 1500.
+        for n in range(1, 1501):
+            g = build_group(Cyclic(n))
+            x = np.arange(n)
+            assert np.array_equal(g.element_orders, n // np.gcd(x, n)), n
+            if n <= 400 or n in (512, 1024, 1155, 1331, 1440, 1499, 1500):
+                self.check(g)
+
+    @ABOVE_DEFAULT
+    def test_catalog_relabelings(self, cache_dir):
+        rng = random.Random(5)
+        for n in range(1, 17):
+            for cls in catalog(n, bound=16, cache_dir=cache_dir):
+                for _ in range(2):
+                    perm = [0] + rng.sample(range(1, n), n - 1)
+                    self.check(relabel(cls.group, perm))
 
 
 class TestPsi:
@@ -231,24 +342,23 @@ class TestExplicitTables:
         assert g.is_cyclic() and g.psi() == arith.psi_cyclic(5)
 
     def test_rejects_non_associative(self):
-        # Latin square with identity but (1*1)*2 != 1*(1*2).
-        rows = [[0, 1, 2, 3, 4],
-                [1, 0, 3, 4, 2],
-                [2, 4, 0, 1, 3],
-                [3, 2, 4, 0, 1],
-                [4, 3, 1, 2, 0]]
         with pytest.raises(TableError):
-            build_group(FromTable(rows))
+            build_group(FromTable(NON_ASSOCIATIVE))
 
     def test_spot_check_rejects_non_associative(self):
-        # The same non-associative Latin square, passed off as a generated table.
-        rows = [[0, 1, 2, 3, 4],
-                [1, 0, 3, 4, 2],
-                [2, 4, 0, 1, 3],
-                [3, 2, 4, 0, 1],
-                [4, 3, 1, 2, 0]]
+        # The same square, passed off as a generated table.
         with pytest.raises(TableError, match="spot check"):
-            Group(rows, spec=Cyclic(5), check="spot")
+            Group(NON_ASSOCIATIVE, spec=Cyclic(5), check="spot")
+
+    def test_bare_table_is_validated(self):
+        # With no spec the table came from outside, so "spot" checks it in full.
+        with pytest.raises(TableError, match="associativity fails"):
+            Group(NON_ASSOCIATIVE)
+
+    def test_order_walk_rejects_non_group(self):
+        # Unchecked, the square still fails in the walk: 1**5 is 1, not 0.
+        with pytest.raises(TableError, match="power 5"):
+            Group(NON_ASSOCIATIVE, check="none")
 
     def test_rejects_non_latin(self):
         rows = [[0, 1], [1, 1]]
