@@ -23,7 +23,7 @@ from pathlib import Path
 from ordersum import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CACHED_ORDERS = (8, 12, 13, 14, 15, 16)
+CACHED_ORDERS = range(2, 17)
 CACHE = "{cache}"  # replaced by a fresh cache directory on every run
 
 COMMANDS = {
