@@ -7,7 +7,9 @@ index 0, using four ingredients:
 * a fixed "shell" ordering of the interior table cells: for t = 1, 2, ...
   the cells (t,1),(1,t),(t,2),(2,t),...,(t,t).  A table is flattened to the
   sequence of its values along this ordering, and tables are compared
-  lexicographically on those flattenings;
+  lexicographically on those flattenings.  ``shell_cells`` is the one
+  definition of the order: ``flatten``, the labeling scan and the search all
+  walk its cells by position;
 
 * breadth-first (BFS) labelings: a labeling of a group is determined by an
   ordered choice of generators.  Starting from the identity (label 0), the
@@ -100,6 +102,7 @@ def _scan_labelings(rows, stop_below_self: bool = False):
     an automorphism maps one subtree onto the other with equal flattenings.
     """
     n = len(rows)
+    cells = shell_cells(n)
     best_flat = flatten(rows) if stop_below_self else None
     best_order = list(range(n)) if stop_below_self else None
     autos: list[list[int]] = []  # automorphisms found, as lists of images
@@ -114,36 +117,29 @@ def _scan_labelings(rows, stop_below_self: bool = False):
         """
         L = [0]
         pos = {0: 0}
-        gi = 0
-        emitted = 0
+        rest = iter(gens)
         prefix_lt = best_flat is None
-        t = 1
-        while True:
-            if t >= len(L):
-                if gi < len(gens):
-                    g = gens[gi]
-                    gi += 1
-                    pos[g] = len(L)
-                    L.append(g)
-                    continue
-                break
-            for s in range(1, t + 1):
-                pair = ((t, s), (s, t)) if s < t else ((t, t),)
-                for i, j in pair:
-                    x = rows[L[i]][L[j]]
-                    lab = pos.get(x)
-                    if lab is None:
-                        lab = len(L)
-                        pos[x] = lab
-                        L.append(x)
-                    if not prefix_lt:
-                        c = best_flat[emitted]
-                        if lab > c:
-                            return "pruned", L
-                        if lab < c:
-                            prefix_lt = True
-                    emitted += 1
-            t += 1
+        for p, (i, j) in enumerate(cells):
+            if i == len(L):
+                # The shell i starts past the labeled set: the next
+                # generator gets label i, or the run ends here.
+                g = next(rest, None)
+                if g is None:
+                    break
+                pos[g] = i
+                L.append(g)
+            x = rows[L[i]][L[j]]
+            lab = pos.get(x)
+            if lab is None:
+                lab = len(L)
+                pos[x] = lab
+                L.append(x)
+            if not prefix_lt:
+                c = best_flat[p]
+                if lab > c:
+                    return "pruned", L
+                if lab < c:
+                    prefix_lt = True
         if len(L) < n:
             return "stall", L
         return ("below" if prefix_lt else "leaf"), L
@@ -161,7 +157,7 @@ def _scan_labelings(rows, stop_below_self: bool = False):
             return
         if status == "below":
             posmap = {x: i for i, x in enumerate(L)}
-            best_flat = tuple(posmap[rows[L[i]][L[j]]] for i, j in shell_cells(n))
+            best_flat = tuple(posmap[rows[L[i]][L[j]]] for i, j in cells)
             best_order = L
             stopped = stop_below_self
             return
@@ -213,9 +209,7 @@ def canonical_form(g: Group) -> Group:
     rows = g.table.tolist()
     _, best_order = _scan_labelings(rows)
     posmap = {x: i for i, x in enumerate(best_order)}
-    return Group(
-        [[posmap[rows[x][y]] for y in best_order] for x in best_order], check="none"
-    )
+    return Group([[posmap[rows[x][y]] for y in best_order] for x in best_order])
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +229,7 @@ def _search_groups(n: int) -> list[tuple[tuple[int, ...], ...]]:
     if n == 1:
         return [((0,),)]
 
+    cells = shell_cells(n)
     T = [[-1] * n for _ in range(n)]
     for i in range(n):
         T[i][0] = i
@@ -314,25 +309,18 @@ def _search_groups(n: int) -> list[tuple[tuple[int, ...], ...]]:
             colmask[b] &= ~(1 << v)
             preim[v].pop()
 
-    def next_cell(t: int, i: int):
-        # Within shell t, slot i decodes to (t, s) for even i and (s, t) for
-        # odd i, with s = i//2 + 1; the last slot 2t-2 is the diagonal (t, t).
-        while t < k:
-            pairs = 2 * t - 1
-            while i < pairs:
-                s, second = divmod(i, 2)
-                s += 1
-                a, b = (s, t) if second else (t, s)
-                if T[a][b] < 0:
-                    return t, i, a, b
-                i += 1
-            t += 1
-            i = 0
-        return t, i, -1, -1
+    def next_cell(p: int):
+        # Shells 1..k-1, the cells among labels below k, are cells[:(k-1)**2].
+        while p < (k - 1) ** 2:
+            a, b = cells[p]
+            if T[a][b] < 0:
+                return p, a, b
+            p += 1
+        return p, -1, -1
 
-    def dfs(t: int, i: int) -> None:
+    def dfs(p: int) -> None:
         nonlocal k
-        t, i, a, b = next_cell(t, i)
+        p, a, b = next_cell(p)
         if a < 0:
             # Labeled set is closed: a subgroup of order k.
             if n % k:
@@ -348,7 +336,7 @@ def _search_groups(n: int) -> list[tuple[tuple[int, ...], ...]]:
                 results.append(sub)
                 return
             k += 1
-            dfs(t, 0)
+            dfs(p)
             k -= 1
             return
         for v in range(k + 1 if k < n else k):
@@ -359,17 +347,17 @@ def _search_groups(n: int) -> list[tuple[tuple[int, ...], ...]]:
                 k += 1
             trail: list[tuple[int, int, int]] = []
             if propagate(a, b, v, trail):
-                dfs(t, i + 1)
+                dfs(p + 1)
             undo(trail)
             if fresh:
                 k -= 1
 
-    dfs(1, 0)
+    dfs(0)
     return results
 
 
 def _enumerate(n: int) -> list[Group]:
-    return [Group(rows, check="full") for rows in sorted(set(_search_groups(n)), key=flatten)]
+    return [Group(rows) for rows in sorted(set(_search_groups(n)), key=flatten)]
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +513,12 @@ def _load_catalog(path: Path, n: int) -> list[CatalogClass] | None:
     """The catalog cached at ``path``, or None when it has to be computed.
 
     Cache files are untrusted: every stored table is rebuilt as a fully
-    validated Group, and its stored psi and order profile must equal the
-    walked ones.  A file that fails any check is reported in a warning and
-    treated as a miss; a file of another generator version is a plain miss.
+    validated Group, it must be canonical, and its stored psi and order
+    profile must equal the walked ones.  The tables must be in strictly
+    increasing flatten order, as _enumerate writes them, so no class is
+    stored twice.  A deleted class is not caught: only a recompute finds it.
+    A file that fails any check is reported in a warning and treated as a
+    miss; a file of another generator version is a plain miss.
     """
     try:
         with open(path) as fh:
@@ -536,7 +527,11 @@ def _load_catalog(path: Path, n: int) -> list[CatalogClass] | None:
             return None
         if data["n"] != n:
             raise ValueError(f"it holds order {data['n']}")
-        return [_load_class(entry, n) for entry in data["classes"]]
+        classes = [_load_class(entry, n) for entry in data["classes"]]
+        flats = [flatten(cls.group.table) for cls in classes]
+        if any(a >= b for a, b in zip(flats, flats[1:])):
+            raise ValueError("the stored tables are not in strictly increasing flatten order")
+        return classes
     except FileNotFoundError:
         return None
     except (OSError, KeyError, TypeError, ValueError) as exc:
@@ -552,7 +547,9 @@ def _load_class(entry: dict, n: int) -> CatalogClass:
     table = np.array(entry["table"])
     if table.dtype.kind != "i" or table.shape != (n, n):
         raise TypeError(f"a stored table is not an {n} x {n} array of integers")
-    cls = CatalogClass(Group(table, check="full"), entry["description"])
+    cls = CatalogClass(Group(table), entry["description"])
+    if not _is_canonical(table.tolist()):
+        raise ValueError("a stored table is not canonical")
     if not isinstance(cls.description, str):
         raise TypeError("a stored description is not a string")
     if entry != class_to_dict(cls):

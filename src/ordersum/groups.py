@@ -231,7 +231,9 @@ def validate_table(rows: np.ndarray) -> None:
     """Full group-axiom check: identity at 0, Latin rows/cols, associativity.
 
     Raises TableError naming the first violated axiom.  O(n^3) but chunked
-    row by row, so fine at the table sizes this package handles.
+    row by row, so fine at the table sizes this package handles.  Inverses
+    need no check of their own: a row that is a permutation of 0..n-1
+    contains the identity.
     """
     n = len(rows)
     if n == 0:
@@ -254,9 +256,6 @@ def validate_table(rows: np.ndarray) -> None:
         if not np.array_equal(left, right):
             b, c = np.argwhere(left != right)[0]
             raise TableError(f"associativity fails at ({a}, {int(b)}, {int(c)})")
-    for a in range(n):
-        if not (rows[a] == 0).any():
-            raise TableError(f"element {a} has no inverse")
 
 
 def _spot_check_associativity(rows: np.ndarray, spec: GroupSpec) -> None:
@@ -321,22 +320,23 @@ def element_orders_of_table(rows: np.ndarray) -> np.ndarray:
 class Group:
     """A realized finite group: order, table, and cached element orders.
 
-    Immutable after construction; the element-order cache is filled eagerly
-    so instances are safe to share across threads.
+    A table with no spec, or from a FromTable spec, came from outside and gets
+    the full axiom check; a generated table is spot-checked.  Immutable after
+    construction; the element-order cache is filled eagerly so instances are
+    safe to share across threads.
     """
 
-    __slots__ = ("order", "table", "spec", "element_orders", "_profile")
+    __slots__ = ("order", "table", "spec", "element_orders")
 
-    def __init__(self, table: np.ndarray, spec: GroupSpec | None = None, check: str = "spot"):
+    def __init__(self, table: np.ndarray, spec: GroupSpec | None = None):
         table = np.asarray(table, dtype=np.int64)
-        # A table with no spec came from outside: spot-checking it means checking it.
-        if check == "full" or (check == "spot" and spec is None):
+        if spec is None or isinstance(spec, FromTable):
             validate_table(table)
         else:
             n = len(table)
             if table.shape != (n, n):
                 raise TableError(f"table is not square: shape {table.shape}")
-            if check == "spot" and n > 0:
+            if n > 0:
                 _spot_check_associativity(table, spec)
         table.setflags(write=False)
         self.table = table
@@ -344,7 +344,6 @@ class Group:
         self.spec = spec
         self.element_orders = element_orders_of_table(table)
         self.element_orders.setflags(write=False)
-        self._profile = None
 
     def __len__(self) -> int:
         return self.order
@@ -373,10 +372,8 @@ class Group:
 
     def order_profile(self) -> dict[int, int]:
         """Map from element order d to the number of elements of that order."""
-        if self._profile is None:
-            vals, counts = np.unique(self.element_orders, return_counts=True)
-            self._profile = {int(v): int(c) for v, c in zip(vals, counts)}
-        return dict(self._profile)
+        vals, counts = np.unique(self.element_orders, return_counts=True)
+        return {int(v): int(c) for v, c in zip(vals, counts)}
 
     def is_cyclic(self) -> bool:
         return int(self.element_orders.max()) == self.order
@@ -469,9 +466,7 @@ def build_group(spec: GroupSpec, *, element_budget: int = 2048) -> Group:
     Explicit tables get the full O(n^3) axiom check; generated tables are
     spot-checked with 10n random associativity triples.
     """
-    table = _table_for(spec, element_budget)
-    check = "full" if isinstance(spec, FromTable) else "spot"
-    return Group(table, spec=spec, check=check)
+    return Group(_table_for(spec, element_budget), spec)
 
 
 def _check_action(m: int, k: int, a: int) -> int:

@@ -674,15 +674,9 @@ def exact_to_json(v):
     return int(v)
 
 
-def _params_to_json(params: dict) -> dict:
-    return {
-        k: exact_to_json(v) if isinstance(v, Fraction) else v for k, v in params.items()
-    }
-
-
 def case_to_dict(case: Case) -> dict:
     return {
-        "params": _params_to_json(case.params),
+        "params": case.params,
         "lhs": exact_to_json(case.lhs),
         "rhs": exact_to_json(case.rhs),
         "verdict": case.verdict,
@@ -695,7 +689,7 @@ def case_to_dict(case: Case) -> dict:
 def report_to_dict(report: VerificationReport) -> dict:
     return {
         "claim_id": report.claim_id,
-        "params": _params_to_json(report.params),
+        "params": report.params,
         "verdict": report.verdict,
         "lhs": exact_to_json(report.lhs),
         "rhs": exact_to_json(report.rhs),
@@ -707,7 +701,7 @@ def report_to_dict(report: VerificationReport) -> dict:
 
 def reports_to_csv(reports: list[VerificationReport]) -> str:
     def fmt_params(d: dict) -> str:
-        return ";".join(f"{k}={v}" for k, v in _params_to_json(d).items())
+        return ";".join(f"{k}={v}" for k, v in d.items())
 
     def fmt_val(v) -> str:
         out = exact_to_json(v)
@@ -728,7 +722,7 @@ def reports_to_csv(reports: list[VerificationReport]) -> str:
 def reports_to_text(reports: list[VerificationReport]) -> str:
     out = []
     for r in reports:
-        out.append(f"[{r.verdict.upper()}] {r.claim_id}  {_params_to_json(r.params)}")
+        out.append(f"[{r.verdict.upper()}] {r.claim_id}  {r.params}")
         if r.note:
             out.append(f"    note: {r.note}")
         if r.lhs is not None:
@@ -743,5 +737,5 @@ def reports_to_text(reports: list[VerificationReport]) -> str:
             if c.lhs is not None or c.rhs is not None:
                 vals = f"  lhs={c.lhs}  rhs={c.rhs}"
             note = f"  ({c.note})" if c.note else ""
-            out.append(f"    {mark} {_params_to_json(c.params)}  {c.verdict}{vals}{note}")
+            out.append(f"    {mark} {c.params}  {c.verdict}{vals}{note}")
     return "\n".join(out) + "\n"

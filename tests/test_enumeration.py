@@ -53,7 +53,7 @@ def relabel(g: Group, perm) -> Group:
         raise ValueError("relabelings must fix the identity at index 0")
     perm = np.asarray(perm)
     old = np.argsort(perm)  # old[new] is the element renamed to new
-    return Group(perm[g.table][np.ix_(old, old)], check="full")
+    return Group(perm[g.table][np.ix_(old, old)])
 
 
 class TestAllGroups:
@@ -271,6 +271,17 @@ class TestCompleteness:
             assert entries[0].count == 1
 
 
+def _relabel_q8(data: dict) -> None:
+    """Swap elements 1 and 2 of Q8, the last class of order 8.
+
+    The table stays a group, in flatten order after the others, with the
+    same psi and order profile; only the canonicity check can reject it.
+    """
+    entry = data["classes"][4]
+    assert entry["description"] == "Q8"
+    entry["table"] = relabel(Group(entry["table"]), [0, 2, 1, 3, 4, 5, 6, 7]).table.tolist()
+
+
 class TestCatalogCache:
     def test_roundtrip(self, tmp_path):
         first = catalog(8, cache_dir=tmp_path)
@@ -307,6 +318,9 @@ class TestCatalogCache:
             lambda d: d["classes"][1].pop("psi"),
             lambda d: d.pop("classes"),
             lambda d: d.update(n=6),
+            lambda d: d["classes"].__setitem__(2, d["classes"][1]),  # a class twice
+            lambda d: d["classes"].insert(1, d["classes"].pop(2)),  # two classes swapped
+            _relabel_q8,
         ],
     )
     def test_invalid_cache_recomputed_and_rewritten(self, tmp_path, tamper):
