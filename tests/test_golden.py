@@ -60,6 +60,10 @@ COMMANDS = {
     "verify_thm4_q5_60": ["verify", "thm4", "--q", "5", "--kmax", "60"],
     "psi_C2048": ["psi", "C2048"],
     "psi_Q2048": ["psi", "Q2048"],
+    "psi_D2048": ["psi", "D2048"],
+    "psi_M2_11": ["psi", "M(2,11)"],
+    "psi_C2xQ1024": ["psi", "C2xQ1024"],
+    "psi_A4_8_64": ["psi", "A[4,8,64]"],
     "verify_lemma7": ["verify", "lemma7", "--nmax", "12", "--cache-dir", CACHE],
     "audit": ["audit"],
     "audit_small": ["audit", "--qmax", "5", "--pmax", "11", "--smax", "2"],
