@@ -2,7 +2,7 @@
 
 The package computes psi(G), the sum of the orders of all elements of a
 finite group G, three independent ways (closed forms, a divisor-sum oracle,
-and brute force over realized multiplication tables), enumerates every group
+and brute force over each group's multiplication law), enumerates every group
 of a small order up to isomorphism, and machine-checks the classification of
 the groups attaining the largest and second-largest values of psi.
 """

@@ -391,13 +391,6 @@ def _check_bound(n: int, bound: int) -> None:
         raise EnumerationBoundError(
             f"order {n} exceeds the enumeration bound {bound}"
         )
-    if n > DEFAULT_BOUND:
-        warnings.warn(
-            f"enumerating order {n} groups above the default bound "
-            f"{DEFAULT_BOUND} may take a long time",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
 
 def _family_candidates(n: int):
@@ -502,6 +495,13 @@ def catalog(
         cached = _load_catalog(path, n)
         if cached is not None:
             return cached
+    if n > DEFAULT_BOUND:
+        warnings.warn(
+            f"enumerating order {n} groups above the default bound "
+            f"{DEFAULT_BOUND} may take a long time",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     found = _enumerate(n)
     classes = [CatalogClass(g, desc) for g, desc in zip(found, _describe_classes(n, found))]
     if path is not None:

@@ -1,15 +1,22 @@
-"""Finite group realization over index domains 0..n-1.
+"""Finite groups over index domains 0..n-1, each given by its multiplication law.
 
-Every group, however it is specified, is realized as an explicit n x n
-multiplication table on element indices with the identity at index 0.  One
-uniform engine then computes element orders, psi (the sum of element
-orders), order profiles and the structural predicates the verification
-suites need.  There are no per-family order formulas to trust: orders come
-from powers taken in the table, split by prime.  For each p**a exactly
-dividing n, all n elements are raised to the power n / p**a by repeated
-squaring and then to successive p-th powers until they reach the identity,
-so the walk costs about sum_p 2 * (log2 n + a * log2 p) table gathers
-rather than one per power up to the largest element order.
+Every group is a law mul(x, y) on element indices, with the identity at
+index 0, that multiplies integer arrays elementwise.  A generated group
+(cyclic, abelian, direct product, semidirect, dihedral, quaternion, modular)
+has a closed-form law on mixed-radix coordinates; a group read from outside
+(a table: file, a perm: closure, a catalog class, a canonical form) has a
+table, and its law gathers from it.  One engine then computes element
+orders, psi (the sum of element orders), order profiles and the structural
+predicates the verification suites need.  There are no per-family order
+formulas to trust: orders come from powers taken by the law, split by prime.
+For each p**a exactly dividing n, all n elements are raised to the power
+n / p**a and then to successive p-th powers until they reach the identity.
+Powers are taken by power maps x -> x**e over all elements: squarings are
+gathers from the squaring map, so the law is called about once per set bit
+of each exponent, and the walk holds O(n) memory.  An n x n table of a
+generated group is built only where one is read: canonical forms,
+is_abelian, equality and hashing, and catalog JSON.  Every spec has an
+element budget, checked from its parameters before anything is allocated.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import arith
 
@@ -159,49 +165,106 @@ GroupSpec = Union[
 
 
 # ---------------------------------------------------------------------------
-# Table builders (identity is always element 0)
+# Group laws (identity is always element 0)
 # ---------------------------------------------------------------------------
 
+# Largest order whose n x n table is built (32 MB of int64): perm: closures,
+# table: files, and the grid of a law where a table is read.
+TABLE_BUDGET = 2048
+# Largest order a law is walked at: the walk holds a few n-element arrays.
+LAW_BUDGET = 1 << 20
 
-def _cyclic_table(n: int) -> np.ndarray:
-    """Row i is 0..n-1 rotated left by i: windows of 0..n-1 repeated twice."""
-    r = np.arange(n, dtype=np.int64)
-    return sliding_window_view(np.concatenate([r, r]), n)[:n].copy()
+
+class Law:
+    """A group law on element indices 0..n-1, with the identity at 0.
+
+    ``law(x, y)`` multiplies integer arrays that broadcast together,
+    elementwise; ``len(law)`` is the group order.  A law read from a table
+    keeps it as ``law.table`` and multiplies by gathering from it.
+    """
+
+    __slots__ = ("n", "mul", "table")
+
+    def __init__(self, n: int, mul, table: np.ndarray | None = None):
+        self.n = n
+        self.mul = mul
+        self.table = table
+
+    @classmethod
+    def of_table(cls, table: np.ndarray) -> "Law":
+        n, flat = len(table), table.ravel()
+        return cls(n, lambda x, y: flat[x * n + y], table)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __call__(self, x, y):
+        return self.mul(x, y)
 
 
-def _product_table(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
+def _walkable(n: int) -> int:
+    """n, once it is known to be within the budget of a law walk."""
+    _require(n <= LAW_BUDGET, f"order {n} exceeds the element budget {LAW_BUDGET} of a group law")
+    return n
+
+
+def _require_table(n: int, budget: int) -> None:
+    _require(n <= budget, f"an order-{n} table exceeds the element budget {budget}")
+
+
+def _cyclic_law(n: int) -> Law:
+    sums = np.arange(2 * _walkable(n), dtype=np.int64) % n  # sums[x + y] = x + y mod n
+    return Law(n, lambda x, y: sums[x + y])
+
+
+def _product_law(la: Law, lb: Law) -> Law:
     """Direct product on mixed-radix indices (a, b) -> a * nb + b."""
-    na, nb = len(ta), len(tb)
-    out = ta[:, None, :, None] * nb + tb[None, :, None, :]
-    return out.reshape(na * nb, na * nb)
+    nb = lb.n
+    hi, lo = divmod(np.arange(_walkable(la.n * nb), dtype=np.int64), nb)
+    return Law(la.n * nb, lambda x, y: la(hi[x], hi[y]) * nb + lb(lo[x], lo[y]))
 
 
-def _semidirect_table(m: int, k: int, a: int) -> np.ndarray:
-    """Table of C_m x| C_k on indices i*k + j.
+def _semidirect_law(m: int, k: int, a: int) -> Law:
+    """C_m x| C_k on indices i*k + j.
 
     (i1, j1) * (i2, j2) = (i1 + a**j1 * i2 mod m, j1 + j2 mod k), which makes
-    conjugation by the C_k generator send the C_m generator x to x**a.
+    conjugation by the C_k generator send the C_m generator x to x**a.  The
+    law gathers from arrays of O(n) entries instead of dividing: the
+    coordinates of each index, a**j * i mod m at j*m + i, and sums mod m and k.
     """
+    n = _walkable(m * k)
     apow = np.array([pow(a, j, m) for j in range(k)], dtype=np.int64)
-    e = np.arange(m * k, dtype=np.int64)
-    i, j = e // k, e % k
-    i1, j1 = i[:, None], j[:, None]
-    i2, j2 = i[None, :], j[None, :]
-    return ((i1 + apow[j][:, None] * i2) % m) * k + (j1 + j2) % k
+    act = (apow[:, None] * np.arange(m, dtype=np.int64) % m).ravel()
+    i, j = divmod(np.arange(n, dtype=np.int64), k)
+    jm = j * m
+    sum_m = np.arange(2 * m, dtype=np.int64) % m * k  # (i1 + i2 mod m) * k
+    sum_k = np.arange(2 * k, dtype=np.int64) % k
+
+    def mul(x, y):
+        return sum_m[i[x] + act[jm[x] + i[y]]] + sum_k[j[x] + j[y]]
+
+    return Law(n, mul)
 
 
-def _dicyclic_table(h: int) -> np.ndarray:
+def _dicyclic_law(h: int) -> Law:
     """Dicyclic group of order 4h: <a, b | a^(2h) = 1, b^2 = a^h, bab^-1 = a^-1>.
 
     Indices encode (i, j) with i in Z_(2h), j in {0, 1} as i*2 + j.
     """
     n2 = 2 * h
-    e = np.arange(4 * h, dtype=np.int64)
-    i, j = e // 2, e % 2
-    i1, j1 = i[:, None], j[:, None]
-    i2, j2 = i[None, :], j[None, :]
-    sign = 1 - 2 * j1
-    return ((i1 + sign * i2 + h * (j1 & j2)) % n2) * 2 + (j1 ^ j2)
+
+    def mul(x, y):
+        i1, j1, i2, j2 = x >> 1, x & 1, y >> 1, y & 1
+        return (i1 + (1 - 2 * j1) * i2 + h * (j1 & j2)) % n2 * 2 + (j1 ^ j2)
+
+    return Law(_walkable(4 * h), mul)
+
+
+def _table_for(law: Law) -> np.ndarray:
+    """The n x n table of a law: the law applied to the grid of all pairs."""
+    _require_table(law.n, TABLE_BUDGET)
+    r = np.arange(law.n, dtype=np.int64)
+    return law(r[:, None], r[None, :])
 
 
 def _perm_closure(degree: int, gens, budget: int) -> list[tuple[int, ...]]:
@@ -258,59 +321,74 @@ def validate_table(rows: np.ndarray) -> None:
             raise TableError(f"associativity fails at ({a}, {int(b)}, {int(c)})")
 
 
-def _spot_check_associativity(rows: np.ndarray, spec: GroupSpec) -> None:
-    """Probabilistic associativity check for generated tables: 10n triples.
+# Triples drawn and checked at a time, so the check holds O(1) extra memory.
+_SPOT_CHUNK = 1 << 16
 
-    The triples come from one draw of random bytes, seeded by the spec's
-    repr, so every spec is always checked on the same triples.  (The stdlib
-    generator is used because importing numpy.random costs more than a
-    typical check.)
+
+def _spot_check_associativity(law: Law, spec: GroupSpec) -> None:
+    """Probabilistic associativity check of a law: 10n triples.
+
+    Triple t is (u[3t], u[3t+1], u[3t+2]), where u is splitmix64 over the
+    counter, seeded by 64 bits that the spec's repr seeds, and scaled to
+    0..n-1 by its top 32 bits (n <= LAW_BUDGET < 2**32): every spec is
+    always checked on the same triples, drawn in vectorized chunks.  (Only
+    the seed comes from the stdlib generator; importing hashlib or
+    numpy.random would cost more memory or time than a typical check.)
     """
-    n = len(rows)
-    draw = random.Random(repr(spec)).randbytes(8 * 3 * 10 * n)
-    a, b, c = (np.frombuffer(draw, dtype=np.uint64) % n).astype(np.int64).reshape(3, -1)
-    if not np.array_equal(rows[rows[a, b], c], rows[a, rows[b, c]]):
-        raise TableError(f"generated table for {spec!r} failed an associativity spot check")
+    n = law.n
+    seed = np.uint64(random.Random(repr(spec)).getrandbits(64))
+    for start in range(0, 10 * n, _SPOT_CHUNK):
+        stop = min(start + _SPOT_CHUNK, 10 * n)
+        u = np.arange(3 * start, 3 * stop, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) + seed
+        u = (u ^ (u >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        u = (u ^ (u >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        u = ((u ^ (u >> np.uint64(31))) >> np.uint64(32)) * np.uint64(n) >> np.uint64(32)
+        a, b, c = u.astype(np.int64).reshape(-1, 3).T
+        if not np.array_equal(law(law(a, b), c), law(a, law(b, c))):
+            raise TableError(f"the law of {spec!r} failed an associativity spot check")
 
 
-def _powers(flat: np.ndarray, n: int, base: np.ndarray, e: int) -> np.ndarray:
-    """base[i] ** e for every i (e >= 1), by repeated squaring.
+def _power_map(law: Law, sq: np.ndarray, e: int) -> np.ndarray:
+    """The map x -> x**e over all elements (e >= 1), by repeated squaring.
 
-    Each product is one gather from the flattened table, flat[x * n + y].
+    ``sq`` is the squaring map, so each square is one gather from it and
+    only the multiplications for the set bits of e call the law.
     """
-    out = None
+    out, base = None, np.arange(law.n, dtype=np.int64)
     while True:
         if e & 1:
-            out = base if out is None else flat[out * n + base]
+            out = base if out is None else law(out, base)
         e >>= 1
         if not e:
             return out
-        base = flat[base * n + base]
+        base = sq[base]
 
 
-def element_orders_of_table(rows: np.ndarray) -> np.ndarray:
-    """Orders of all elements, found prime by prime from powers in the table.
+def element_orders_of_table(law: Law) -> np.ndarray:
+    """Orders of all elements, found prime by prime from power maps of a law.
 
-    For each p**a exactly dividing n, y = x**(n / p**a) has order the p-part
-    of ord(x); taking p-th powers of all the y at once, the p-part is p to
-    the number of steps before y reaches the identity 0.  ord(x) is the
+    For each p**a exactly dividing n, y = x**(n / p**a) has order the p-part of
+    ord(x); applying the p-th power map to all the y at once, the p-part is
+    p to the number of steps before y reaches the identity 0.  ord(x) is the
     product of its p-parts.  An element still not at 0 after a steps has
-    x**n != e, so the table is not a group.  The walk costs about
-    sum_p 2 * (log2 n + a * log2 p) gathers of n elements, not one per power
-    up to the largest order.
+    x**n != e, so the law is not a group's.  A power map x -> x**e costs one
+    law call per set bit of e, its squarings being gathers from the squaring
+    map, and each p-th power step is one gather: the walk holds O(n) memory
+    and calls the law a few times per prime, not once per power.
     """
-    n = len(rows)
-    flat = rows.ravel()
+    n = law.n
     idx = np.arange(n, dtype=np.int64)
+    sq = law(idx, idx)
     orders = np.ones(n, dtype=np.int64)
     for p, a in arith.factorize(n):
-        cur = _powers(flat, n, idx, n // p**a)
+        cur = _power_map(law, sq, n // p**a)
+        pth = _power_map(law, sq, p)
         for _ in range(a):
             live = cur != 0
             if not live.any():
                 break
             orders[live] *= p
-            cur = _powers(flat, n, cur, p)
+            cur = pth[cur]
         if cur.any():
             x = int(np.flatnonzero(cur)[0])
             raise TableError(f"element {x} to the power {n} is not the identity: not a group")
@@ -318,32 +396,46 @@ def element_orders_of_table(rows: np.ndarray) -> np.ndarray:
 
 
 class Group:
-    """A realized finite group: order, table, and cached element orders.
+    """A realized finite group: order, law, and cached element orders.
 
-    A table with no spec, or from a FromTable spec, came from outside and gets
-    the full axiom check; a generated table is spot-checked.  Immutable after
-    construction; the element-order cache is filled eagerly so instances are
-    safe to share across threads.
+    A group is given by a table or by a Law.  A table with no spec, or from a
+    FromTable spec, came from outside and gets the full axiom check; any
+    other law is spot-checked.  The n x n table of a group given by a law is
+    built from the law on first use of ``table``.  Element orders are filled
+    eagerly, and a table built later is the same whichever thread builds it,
+    so instances are safe to share across threads.
     """
 
-    __slots__ = ("order", "table", "spec", "element_orders")
+    __slots__ = ("order", "law", "spec", "element_orders", "_table")
 
-    def __init__(self, table: np.ndarray, spec: GroupSpec | None = None):
-        table = np.asarray(table, dtype=np.int64)
-        if spec is None or isinstance(spec, FromTable):
+    def __init__(self, law: Law | np.ndarray, spec: GroupSpec | None = None):
+        if not isinstance(law, Law):
+            law = Law.of_table(np.asarray(law, dtype=np.int64))
+        table = law.table
+        if table is not None and (spec is None or isinstance(spec, FromTable)):
             validate_table(table)
         else:
-            n = len(table)
-            if table.shape != (n, n):
+            if table is not None and table.shape != (law.n, law.n):
                 raise TableError(f"table is not square: shape {table.shape}")
-            if n > 0:
-                _spot_check_associativity(table, spec)
-        table.setflags(write=False)
-        self.table = table
-        self.order = len(table)
+            if law.n > 0:
+                _spot_check_associativity(law, spec)
+        if table is not None:
+            table.setflags(write=False)
+        self._table = table
+        self.law = law
+        self.order = law.n
         self.spec = spec
-        self.element_orders = element_orders_of_table(table)
+        self.element_orders = element_orders_of_table(law)
         self.element_orders.setflags(write=False)
+
+    @property
+    def table(self) -> np.ndarray:
+        """The n x n multiplication table, built from the law on first use."""
+        if self._table is None:
+            table = _table_for(self.law)
+            table.setflags(write=False)
+            self._table = table
+        return self._table
 
     def __len__(self) -> int:
         return self.order
@@ -356,7 +448,7 @@ class Group:
         """Groups are equal when their tables are; the spec is not compared."""
         if not isinstance(other, Group):
             return NotImplemented
-        return np.array_equal(self.table, other.table)
+        return self.order == other.order and np.array_equal(self.table, other.table)
 
     def __hash__(self) -> int:
         return hash(self.table.tobytes())
@@ -392,26 +484,30 @@ def _require(cond: bool, message: str) -> None:
         raise GroupSpecError(message)
 
 
-def _table_for(spec: GroupSpec, element_budget: int) -> np.ndarray:
+def _law_for(spec: GroupSpec, element_budget: int) -> Law:
+    """The law of a spec, its order checked against the budgets first."""
     if isinstance(spec, Cyclic):
         _require(spec.n >= 1, f"cyclic order must be >= 1, got {spec.n}")
-        return _cyclic_table(spec.n)
+        return _cyclic_law(spec.n)
 
     if isinstance(spec, Abelian):
         factors = [d for d in spec.factors if d != 1]
         _require(all(d >= 1 for d in spec.factors), f"invalid invariant factors {spec.factors}")
         for d1, d2 in zip(factors, factors[1:]):
             _require(d2 % d1 == 0, f"invariant factors must form a divisibility chain: {factors}")
-        return _table_for(DirectProduct(Cyclic(d) for d in factors), element_budget)
+        return _law_for(DirectProduct(Cyclic(d) for d in factors), element_budget)
 
     if isinstance(spec, DirectProduct):
-        table = _cyclic_table(1)
+        # Folded part by part, so an oversized product is refused after at
+        # most one in-budget product and one part have been built.
+        law = None
         for part in spec.parts:
-            table = _product_table(table, _table_for(part, element_budget))
-        return table
+            part_law = _law_for(part, element_budget)
+            law = part_law if law is None else _product_law(law, part_law)
+        return _cyclic_law(1) if law is None else law
 
     if isinstance(spec, SemidirectCyclic):
-        return _semidirect_table(spec.m, spec.k, _check_action(spec.m, spec.k, spec.a))
+        return _semidirect_law(spec.m, spec.k, _check_action(spec.m, spec.k, spec.a))
 
     if isinstance(spec, Dihedral):
         _require(
@@ -419,7 +515,7 @@ def _table_for(spec: GroupSpec, element_budget: int) -> np.ndarray:
             f"dihedral order must be even and >= 2, got {spec.order}",
         )
         m = spec.order // 2
-        return _semidirect_table(m, 2, (m - 1) % m if m > 1 else 0)
+        return _semidirect_law(m, 2, (m - 1) % m if m > 1 else 0)
 
     if isinstance(spec, GeneralizedQuaternion):
         n = spec.order
@@ -427,7 +523,7 @@ def _table_for(spec: GroupSpec, element_budget: int) -> np.ndarray:
             n >= 8 and n & (n - 1) == 0,
             f"generalized quaternion order must be a power of two >= 8, got {n}",
         )
-        return _dicyclic_table(n // 4)
+        return _dicyclic_law(n // 4)
 
     if isinstance(spec, Modular):
         q, r = spec.q, spec.r
@@ -436,10 +532,11 @@ def _table_for(spec: GroupSpec, element_budget: int) -> np.ndarray:
             r >= 4 or (r == 3 and q > 2),
             f"modular group needs r >= 4, or r = 3 with q > 2; got (q={q}, r={r})",
         )
-        return _semidirect_table(q ** (r - 1), q, q ** (r - 2) + 1)
+        return _semidirect_law(q ** (r - 1), q, q ** (r - 2) + 1)
 
     if isinstance(spec, FromTable):
-        return np.array(spec.rows, dtype=np.int64)
+        _require_table(len(spec.rows), element_budget)
+        return Law.of_table(np.array(spec.rows, dtype=np.int64))
 
     if isinstance(spec, FromPermutations):
         _require(spec.degree >= 1, f"degree must be >= 1, got {spec.degree}")
@@ -455,18 +552,20 @@ def _table_for(spec: GroupSpec, element_budget: int) -> np.ndarray:
         for i, x in enumerate(elems):
             for j, y in enumerate(elems):
                 table[i, j] = index[tuple(x[y[t]] for t in range(spec.degree))]
-        return table
+        return Law.of_table(table)
 
     raise GroupSpecError(f"unknown group spec {spec!r}")
 
 
-def build_group(spec: GroupSpec, *, element_budget: int = 2048) -> Group:
+def build_group(spec: GroupSpec, *, element_budget: int = TABLE_BUDGET) -> Group:
     """Realize a GroupSpec as a Group.
 
-    Explicit tables get the full O(n^3) axiom check; generated tables are
-    spot-checked with 10n random associativity triples.
+    Explicit tables get the full O(n^3) axiom check; every other law is
+    spot-checked with 10n random associativity triples.  ``element_budget``
+    caps the tables of table: and perm: specs; a generated group is walked
+    by its law up to LAW_BUDGET elements.
     """
-    return Group(_table_for(spec, element_budget), spec)
+    return Group(_law_for(spec, element_budget), spec)
 
 
 def _check_action(m: int, k: int, a: int) -> int:

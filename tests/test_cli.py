@@ -66,6 +66,15 @@ class TestPsiCommand:
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+    @pytest.mark.parametrize("spec", ["C2000000", "A[1024,2048]", "SD(1,1000000000000,0)"])
+    def test_over_element_budget(self, capsys, spec):
+        # Rejected from the spec's parameters, before anything is allocated.
+        code, out, err = run(capsys, "psi", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "element budget" in err
+        assert len(err.splitlines()) == 1
+
+
 class TestSpectrumAndCatalog:
     def test_spectrum_table(self, capsys):
         code, out, _ = run(capsys, "spectrum", "8")

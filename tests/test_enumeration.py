@@ -1,5 +1,6 @@
 import json
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,13 @@ class TestAllGroups:
     def test_warning_above_default(self):
         with pytest.warns(RuntimeWarning):
             catalog(13, bound=13)
+
+    def test_no_warning_on_cache_hit(self, tmp_path):
+        with pytest.warns(RuntimeWarning):
+            catalog(13, bound=13, cache_dir=tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(catalog(13, bound=13, cache_dir=tmp_path)) == 1
 
 
 class TestCanonicalForm:

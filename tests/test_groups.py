@@ -1,13 +1,19 @@
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ordersum import arith, groups
-from ordersum.enumeration import catalog
+from ordersum.enumeration import canonical_form, catalog
 from ordersum.groups import (
+    LAW_BUDGET,
+    TABLE_BUDGET,
     Abelian,
     Cyclic,
     Dihedral,
@@ -17,6 +23,7 @@ from ordersum.groups import (
     GeneralizedQuaternion,
     Group,
     GroupSpecError,
+    Law,
     Modular,
     SemidirectCyclic,
     TableError,
@@ -63,6 +70,98 @@ def _definitional_orders(rows: np.ndarray) -> np.ndarray:
         cur[active] = rows[idx[active], cur[active]]
         orders[(cur == 0) & active] = t
     return orders
+
+
+# The table builders the package used before it multiplied by laws, kept
+# here as the oracle for the laws' grids and walks.
+
+
+def _cyclic_table(n: int) -> np.ndarray:
+    """Row i is 0..n-1 rotated left by i: windows of 0..n-1 repeated twice."""
+    r = np.arange(n, dtype=np.int64)
+    return sliding_window_view(np.concatenate([r, r]), n)[:n].copy()
+
+
+def _product_table(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
+    """Direct product on mixed-radix indices (a, b) -> a * nb + b."""
+    na, nb = len(ta), len(tb)
+    out = ta[:, None, :, None] * nb + tb[None, :, None, :]
+    return out.reshape(na * nb, na * nb)
+
+
+def _semidirect_table(m: int, k: int, a: int) -> np.ndarray:
+    """C_m x| C_k on indices i*k + j: (i1 + a**j1 * i2 mod m, j1 + j2 mod k)."""
+    apow = np.array([pow(a, j, m) for j in range(k)], dtype=np.int64)
+    e = np.arange(m * k, dtype=np.int64)
+    i, j = e // k, e % k
+    i1, j1 = i[:, None], j[:, None]
+    i2, j2 = i[None, :], j[None, :]
+    return ((i1 + apow[j][:, None] * i2) % m) * k + (j1 + j2) % k
+
+
+def _dicyclic_table(h: int) -> np.ndarray:
+    """Dicyclic group of order 4h on indices i*2 + j."""
+    n2 = 2 * h
+    e = np.arange(4 * h, dtype=np.int64)
+    i, j = e // 2, e % 2
+    i1, j1 = i[:, None], j[:, None]
+    i2, j2 = i[None, :], j[None, :]
+    sign = 1 - 2 * j1
+    return ((i1 + sign * i2 + h * (j1 & j2)) % n2) * 2 + (j1 ^ j2)
+
+
+def _builder_table(spec) -> np.ndarray:
+    """The table the old builders gave a family spec or a product of them."""
+    if isinstance(spec, Cyclic):
+        return _cyclic_table(spec.n)
+    if isinstance(spec, Abelian):
+        return _builder_table(DirectProduct(Cyclic(d) for d in spec.factors if d != 1))
+    if isinstance(spec, DirectProduct):
+        table = _cyclic_table(1)
+        for part in spec.parts:
+            table = _product_table(table, _builder_table(part))
+        return table
+    if isinstance(spec, SemidirectCyclic):
+        return _semidirect_table(spec.m, spec.k, spec.a % spec.m)
+    if isinstance(spec, Dihedral):
+        m = spec.order // 2
+        return _semidirect_table(m, 2, (m - 1) % m if m > 1 else 0)
+    if isinstance(spec, GeneralizedQuaternion):
+        return _dicyclic_table(spec.order // 4)
+    if isinstance(spec, Modular):
+        return _semidirect_table(spec.q ** (spec.r - 1), spec.q, spec.q ** (spec.r - 2) + 1)
+    raise AssertionError(f"no builder for {spec!r}")
+
+
+@st.composite
+def family_specs(draw, limit: int = 2048):
+    """A valid spec of order <= limit from one family; C_n where none fits."""
+    kind = draw(st.sampled_from("CADQMS"))
+    if kind == "A" and limit >= 4:
+        factors = [draw(st.integers(2, math.isqrt(limit)))]
+        while math.prod(factors) * factors[-1] <= limit and draw(st.booleans()):
+            room = limit // (math.prod(factors) * factors[-1])
+            factors.append(factors[-1] * draw(st.integers(1, room)))
+        return Abelian(factors)
+    if kind == "D" and limit >= 2:
+        return Dihedral(2 * draw(st.integers(1, limit // 2)))
+    if kind == "Q" and limit >= 8:
+        return GeneralizedQuaternion(1 << draw(st.integers(3, limit.bit_length() - 1)))
+    modular = [(q, r) for q in (2, 3, 5, 7, 11) for r in range(3, 12)
+               if q**r <= limit and (r >= 4 or q > 2)]
+    if kind == "M" and modular:
+        return Modular(*draw(st.sampled_from(modular)))
+    if kind == "S" and limit >= 2:
+        m = draw(st.integers(2, limit))
+        k = draw(st.integers(1, limit // m))
+        return SemidirectCyclic(m, k, draw(st.sampled_from(semidirect_actions(m, k))))
+    return Cyclic(draw(st.integers(1, limit)))
+
+
+@st.composite
+def products_of_two(draw, limit: int = 2048):
+    a = draw(family_specs(limit // 2))
+    return DirectProduct([a, draw(family_specs(limit // len(build_group(a))))])
 
 
 def _invariant_factors(limit: int, least: int = 2):
@@ -165,9 +264,92 @@ class TestCyclicTable:
     @pytest.mark.parametrize("n", [*range(1, 65), 1500, 2048])
     def test_matches_sum_mod_n(self, n):
         r = np.arange(n, dtype=np.int64)
-        table = groups._cyclic_table(n)
+        table = groups._table_for(groups._cyclic_law(n))
         assert table.dtype == np.int64
         assert np.array_equal(table, (r[:, None] + r[None, :]) % n)
+        assert np.array_equal(table, _cyclic_table(n))
+
+
+class TestLaws:
+    """Each law's grid is the old builder's table, and both walk to the same orders."""
+
+    @staticmethod
+    def check(spec) -> None:
+        g = build_group(spec)
+        table = _builder_table(spec)
+        assert np.array_equal(groups._table_for(g.law), table), spec
+        assert np.array_equal(g.element_orders, element_orders_of_table(Law.of_table(table))), spec
+
+    def test_family_specs(self):
+        for spec in _family_specs(64):
+            self.check(spec)
+
+    def test_products_of_two(self):
+        pool = [s for s in _family_specs(12) if len(build_group(s)) > 1]
+        for i, a in enumerate(pool):
+            for b in pool[i:]:
+                self.check(DirectProduct([a, b]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(family_specs(), products_of_two()))
+    def test_random_specs_to_2048(self, spec):
+        self.check(spec)
+
+    @settings(deadline=None)
+    @given(products_of_two())
+    def test_psi_multiplicative_over_coprime_orders(self, spec):
+        a, b = (build_group(part) for part in spec.parts)
+        assume(math.gcd(a.order, b.order) == 1)
+        assert build_group(spec).psi() == a.psi() * b.psi()
+
+    @settings(deadline=None)
+    @given(st.integers(1, 50_000))
+    def test_psi_cyclic_three_ways(self, n):
+        assert arith.psi_cyclic(n) == arith.psi_cyclic_oracle(n) == build_group(Cyclic(n)).psi()
+
+    @given(st.one_of(family_specs(), products_of_two(),
+                     st.lists(family_specs(100), min_size=3, max_size=4).map(DirectProduct)))
+    def test_format_parse_roundtrip(self, spec):
+        assert parse_spec(format_spec(spec)) == spec
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("spec", [
+        Cyclic(LAW_BUDGET + 1),
+        Abelian([1024, 2048]),
+        SemidirectCyclic(1, 10**12, 0),
+        Dihedral(2 * LAW_BUDGET + 2),
+        GeneralizedQuaternion(2 * LAW_BUDGET),
+        Modular(2, 22),
+    ])
+    def test_law_budget(self, spec):
+        with pytest.raises(GroupSpecError, match="element budget"):
+            build_group(spec)
+
+    def test_law_walk_at_the_budget(self):
+        g = build_group(GeneralizedQuaternion(LAW_BUDGET))
+        # Q_(2^20): the cyclic half holds phi(2^e) elements of order 2^e, and
+        # all 2^19 elements outside it have order 4.
+        expected = {1: 1, 2: 1, 4: 2**19 + 2, **{2**e: 2**(e - 1) for e in range(3, 20)}}
+        assert g.order == LAW_BUDGET and g.order_profile() == expected
+
+    def test_table_budget_raises_before_allocating(self):
+        g = build_group(Cyclic(2 * TABLE_BUDGET))
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupSpecError, match="element budget"):
+                canonical_form(g)
+            with pytest.raises(GroupSpecError, match="element budget"):
+                g.is_abelian()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_table_file_budget(self):
+        rows = [[(i + j) % 5 for j in range(5)] for i in range(5)]
+        with pytest.raises(GroupSpecError, match="element budget 4"):
+            build_group(FromTable(rows), element_budget=4)
 
 
 class TestOrderWalk:
@@ -347,9 +529,12 @@ class TestExplicitTables:
             build_group(FromTable(NON_ASSOCIATIVE))
 
     def test_spot_check_rejects_non_associative(self):
-        # The same square, passed off as a generated table.
+        # The same square, passed off as a generated table, and as a law.
         with pytest.raises(TableError, match="spot check"):
             Group(NON_ASSOCIATIVE, spec=Cyclic(5))
+        flat = np.array(NON_ASSOCIATIVE).ravel()
+        with pytest.raises(TableError, match="spot check"):
+            Group(Law(5, lambda x, y: flat[x * 5 + y]), spec=Cyclic(5))
 
     def test_bare_table_is_validated(self):
         # With no spec the table came from outside, so it is checked in full.
@@ -359,7 +544,7 @@ class TestExplicitTables:
     def test_order_walk_rejects_non_group(self):
         # Unchecked, the square still fails in the walk: 1**5 is 1, not 0.
         with pytest.raises(TableError, match="power 5"):
-            element_orders_of_table(np.array(NON_ASSOCIATIVE))
+            element_orders_of_table(Law.of_table(np.array(NON_ASSOCIATIVE)))
 
     def test_rejects_non_latin(self):
         rows = [[0, 1], [1, 1]]
