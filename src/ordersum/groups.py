@@ -1,22 +1,17 @@
 """Finite groups over index domains 0..n-1, each given by its multiplication law.
 
-Every group is a law mul(x, y) on element indices, with the identity at
-index 0, that multiplies integer arrays elementwise.  A generated group
-(cyclic, abelian, direct product, semidirect, dihedral, quaternion, modular)
-has a closed-form law on mixed-radix coordinates; a group read from outside
-(a table: file, a perm: closure, a catalog class, a canonical form) has a
-table, and its law gathers from it.  One engine then computes element
-orders, psi (the sum of element orders), order profiles and the structural
-predicates the verification suites need.  There are no per-family order
-formulas to trust: orders come from powers taken by the law, split by prime.
-For each p**a exactly dividing n, all n elements are raised to the power
-n / p**a and then to successive p-th powers until they reach the identity.
-Powers are taken by power maps x -> x**e over all elements: squarings are
-gathers from the squaring map, so the law is called about once per set bit
-of each exponent, and the walk holds O(n) memory.  An n x n table of a
-generated group is built only where one is read: canonical forms,
-is_abelian, equality and hashing, and catalog JSON.  Every spec has an
-element budget, checked from its parameters before anything is allocated.
+A law mul(x, y) multiplies arrays of element indices elementwise, with the
+identity at index 0.  A generated group (cyclic, abelian, direct product,
+semidirect, dihedral, quaternion, modular) has a closed-form law on
+mixed-radix coordinates; a group read from outside (a table: file, a perm:
+closure, a catalog class, a canonical form) has a table, and its law gathers
+from it.  One engine then computes element orders, psi (the sum of element
+orders), order profiles and the structural predicates the verification
+suites need.  There are no per-family order formulas to trust: orders come
+from power maps of the law, split by prime (element_orders_of_table), in
+O(n) memory.  An n x n table of a generated group is built only where one
+is read: canonical forms, is_abelian, equality and hashing, and catalog
+JSON.  Every spec has an element budget, checked before anything is built.
 """
 
 from __future__ import annotations
@@ -328,12 +323,11 @@ _SPOT_CHUNK = 1 << 16
 def _spot_check_associativity(law: Law, spec: GroupSpec) -> None:
     """Probabilistic associativity check of a law: 10n triples.
 
-    Triple t is (u[3t], u[3t+1], u[3t+2]), where u is splitmix64 over the
-    counter, seeded by 64 bits that the spec's repr seeds, and scaled to
-    0..n-1 by its top 32 bits (n <= LAW_BUDGET < 2**32): every spec is
-    always checked on the same triples, drawn in vectorized chunks.  (Only
-    the seed comes from the stdlib generator; importing hashlib or
-    numpy.random would cost more memory or time than a typical check.)
+    The triples are splitmix64 of a counter, scaled to 0..n-1 by their top
+    32 bits (n <= LAW_BUDGET < 2**32) and seeded from the spec's repr, so
+    every spec is always checked on the same triples.  (Only the seed comes
+    from the stdlib generator: importing hashlib or numpy.random costs more
+    memory or time than a typical check.)
     """
     n = law.n
     seed = np.uint64(random.Random(repr(spec)).getrandbits(64))
