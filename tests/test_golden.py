@@ -1,10 +1,12 @@
-"""Golden gate: CLI output, exit codes and cache files stay byte-identical.
+"""Golden gate: CLI output, exit codes, cache files and demo output stay byte-identical.
 
 `tests/golden/cases.json` lists each recorded command with its exit code;
 `tests/golden/out/<name>.txt` holds its standard output, and
 `tests/golden/catalog/` the cache files the commands wrote.  Every command
 runs with `tests/golden/inputs` as the working directory, so the `table:`
 and `perm:` specs (and the spec echoed in the output) are relative paths.
+`tests/golden/demos/<script>.txt` holds the standard output of each
+`demos/*.py` script, run in a fresh interpreter.
 
 Re-record only after a deliberate output change:
 
@@ -16,13 +18,17 @@ import io
 import json
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from ordersum import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 CACHED_ORDERS = range(2, 17)
 CACHE = "{cache}"  # replaced by a fresh cache directory on every run
 
@@ -97,8 +103,21 @@ def run_all() -> tuple[dict, dict, dict]:
     return codes, outs, caches
 
 
+def run_demo(script: Path) -> str:
+    """Standard output of one demo script, run in a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, str(script)], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def record() -> None:
     codes, outs, caches = run_all()
+    shutil.rmtree(GOLDEN / "demos", ignore_errors=True)
+    (GOLDEN / "demos").mkdir()
+    for script in DEMOS:
+        (GOLDEN / "demos" / f"{script.stem}.txt").write_bytes(run_demo(script).encode())
     shutil.rmtree(GOLDEN / "out", ignore_errors=True)
     shutil.rmtree(GOLDEN / "catalog", ignore_errors=True)
     (GOLDEN / "out").mkdir()
@@ -117,6 +136,11 @@ def test_golden_outputs_byte_identical():
         assert text.encode() == (GOLDEN / "out" / f"{key}.txt").read_bytes(), key
     for n, data in caches.items():
         assert data == (GOLDEN / "catalog" / f"n={n}.json").read_bytes(), n
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
+def test_demo_output_byte_identical(script):
+    assert run_demo(script).encode() == (GOLDEN / "demos" / f"{script.stem}.txt").read_bytes()
 
 
 if __name__ == "__main__":
