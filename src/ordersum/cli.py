@@ -5,35 +5,22 @@ everything checked holds, 1 when some claim fails (reports are still
 emitted), and 2 for usage or environment errors.  JSON output is stable
 ordered and exact: rationals appear as "num/den" strings and the document
 carries a top-level schema version.
+
+Importing this module loads no layer of the package.  Each command imports
+the layers it runs when it runs: ``psi`` the groups, ``catalog`` and
+``spectrum`` the enumerator, ``verify`` and ``audit`` the theorems (which
+load the groups and the enumerator only where a claim needs them).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 import traceback
 
-from . import theorems
-from .enumeration import (
-    DEFAULT_BOUND,
-    HARD_CAP,
-    catalog,
-    class_to_dict,
-    psi_spectrum,
-)
-from .groups import GroupSpecError, build_group, parse_spec
-from .theorems import (
-    lemma5_check,
-    lemma6_check,
-    lemma7_check,
-    mqr_formula_check,
-    proof_inequality_audit,
-    thm4_family_check,
-    verify_equality_classification,
-    verify_max_cyclic,
-    verify_upper_bound,
-)
+from . import DEFAULT_BOUND, HARD_CAP
 
 SCHEMA = 1
 
@@ -122,6 +109,8 @@ def _emit(args, command: str, render: dict) -> None:
 
 
 def _emit_reports(args, reports, command: str, extra: dict) -> int:
+    from . import theorems
+
     ok = all(r.ok for r in reports)
     _emit(args, command, {
         "json": lambda: {**extra, "ok": ok,
@@ -133,6 +122,8 @@ def _emit_reports(args, reports, command: str, extra: dict) -> int:
 
 
 def _orders_in_play(args) -> list[int]:
+    from .groups import GroupSpecError
+
     if args.n is None and args.nmax is None:
         raise GroupSpecError("this claim needs --n or --nmax")
     if args.n is not None:
@@ -141,6 +132,8 @@ def _orders_in_play(args) -> list[int]:
 
 
 def _run_psi(args) -> int:
+    from .groups import build_group, parse_spec
+
     g = build_group(parse_spec(args.spec))
     _emit(args, "psi", {
         "json": lambda: {"spec": args.spec, "order": g.order, "psi": g.psi()},
@@ -151,6 +144,8 @@ def _run_psi(args) -> int:
 
 
 def _run_spectrum(args) -> int:
+    from .enumeration import psi_spectrum
+
     entries = psi_spectrum(args.n, bound=args.enum_bound, cache_dir=args.cache_dir)
     _emit(args, "spectrum", {
         "json": lambda: {"n": args.n, "entries": [
@@ -165,6 +160,8 @@ def _run_spectrum(args) -> int:
 
 
 def _run_catalog(args) -> int:
+    from .enumeration import catalog, class_to_dict
+
     classes = catalog(args.n, bound=args.enum_bound, cache_dir=args.cache_dir)
     profiles = [c.group.order_profile() for c in classes]
     _emit(args, "catalog", {
@@ -180,27 +177,57 @@ def _run_catalog(args) -> int:
 
 
 def _upper_bound(args) -> list:
+    from .groups import GroupSpecError, build_group, parse_spec
+
     if args.spec is None or args.q is None:
         raise GroupSpecError("upper_bound needs --spec and --q")
     return [verify_upper_bound(build_group(parse_spec(args.spec)), args.q)]
 
 
 def _thm4(args) -> list:
+    from .groups import GroupSpecError
+
     if args.q is None or args.kmax is None:
         raise GroupSpecError("thm4 needs --q and --kmax")
     return [thm4_family_check(args.q, args.kmax)]
 
 
 def _mqr(args) -> list:
+    from .groups import GroupSpecError
+
     if (args.q is None) != (args.r is None):
         raise GroupSpecError("mqr needs both --q and --r, or neither")
     pairs = MQR_STOCK if args.q is None else ((args.q, args.r),)
     return [mqr_formula_check(q, r) for q, r in pairs]
 
 
+def _checker(name: str):
+    """The checker ``theorems.<name>``, imported when it is first called.
+
+    It is looked up on its module at every call, so a checker patched there
+    (as benchmark tracing does) is the one that runs.
+    """
+    def check(*args, **kwargs):
+        return getattr(importlib.import_module(".theorems", __package__), name)(*args, **kwargs)
+
+    check.__name__ = check.__qualname__ = name
+    return check
+
+
+verify_max_cyclic = _checker("verify_max_cyclic")
+verify_upper_bound = _checker("verify_upper_bound")
+verify_equality_classification = _checker("verify_equality_classification")
+lemma7_check = _checker("lemma7_check")
+thm4_family_check = _checker("thm4_family_check")
+mqr_formula_check = _checker("mqr_formula_check")
+lemma5_check = _checker("lemma5_check")
+lemma6_check = _checker("lemma6_check")
+proof_inequality_audit = _checker("proof_inequality_audit")
+
+
 # Claim id -> the claim's reports for the parsed arguments.  Entries name their
-# checker in their body, so a checker patched on this module (as benchmark
-# tracing does) is the one that runs.
+# checker in their body, so a checker patched on this module (as a test does)
+# is the one that runs.
 CLAIMS = {
     "max_cyclic": lambda args: [
         verify_max_cyclic(n, bound=args.enum_bound, cache_dir=args.cache_dir)

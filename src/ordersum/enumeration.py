@@ -33,6 +33,9 @@ index 0, using four ingredients:
   pruning any branch whose closed partial subgroup is not itself canonical
   (a prefix of a canonical table is always canonical).  Surviving leaves
   are exactly the canonical tables, one per isomorphism class.
+
+``groups`` (and with it numpy) is imported where a group is built or walked,
+so importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -43,25 +46,13 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import DEFAULT_BOUND, HARD_CAP, arith
 
-from . import arith, groups
-from .groups import (
-    Abelian,
-    Cyclic,
-    Dihedral,
-    FromPermutations,
-    GeneralizedQuaternion,
-    Group,
-    Modular,
-    SemidirectCyclic,
-    build_group,
-    format_spec,
-)
+if TYPE_CHECKING:
+    from .groups import Group
 
-DEFAULT_BOUND = 12
-HARD_CAP = 16
 GENERATOR_VERSION = 1
 
 
@@ -206,6 +197,8 @@ def canonical_form(g: Group) -> Group:
     Invariant under any identity-fixing relabeling of the table; two groups
     have equal canonical forms exactly when they are isomorphic.
     """
+    from .groups import Group
+
     rows = g.table.tolist()
     _, best_order = _scan_labelings(rows)
     posmap = {x: i for i, x in enumerate(best_order)}
@@ -357,6 +350,8 @@ def _search_groups(n: int) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def _enumerate(n: int) -> list[Group]:
+    from .groups import Group
+
     return [Group(rows) for rows in sorted(set(_search_groups(n)), key=flatten)]
 
 
@@ -399,6 +394,18 @@ def _family_candidates(n: int):
     Used to attach a readable description to each enumerated class; classes
     outside the families keep a generic profile-based description.
     """
+    from .groups import (
+        Abelian,
+        Cyclic,
+        Dihedral,
+        FromPermutations,
+        GeneralizedQuaternion,
+        Modular,
+        SemidirectCyclic,
+        format_spec,
+        semidirect_actions,
+    )
+
     cands: list[tuple[str, object]] = [(f"C{n}", Cyclic(n))]
     if n == 12:
         # The alternating group on 4 points; not a cyclic-by-cyclic product.
@@ -424,7 +431,7 @@ def _family_candidates(n: int):
         if n % m:
             continue
         k = n // m
-        for a in groups.semidirect_actions(m, k)[1:]:  # a = 1 is the direct product
+        for a in semidirect_actions(m, k)[1:]:  # a = 1 is the direct product
             cands.append((f"SD({m},{k},{a})", SemidirectCyclic(m, k, a)))
     return cands
 
@@ -465,11 +472,13 @@ def _partitions(e: int) -> list[tuple[int, ...]]:
 
 
 def _describe_classes(n: int, classes: list[Group]) -> list[str]:
+    from .groups import GroupSpecError, build_group
+
     by_canon: dict[Group, str] = {}
     for desc, spec in _family_candidates(n):
         try:
             g = build_group(spec)
-        except groups.GroupSpecError:
+        except GroupSpecError:
             continue
         if g.order != n:
             continue
@@ -516,9 +525,12 @@ def _load_catalog(path: Path, n: int) -> list[CatalogClass] | None:
     validated Group, it must be canonical, and its stored psi and order
     profile must equal the walked ones.  The tables must be in strictly
     increasing flatten order, as _enumerate writes them, so no class is
-    stored twice.  A deleted class is not caught: only a recompute finds it.
-    A file that fails any check is reported in a warning and treated as a
-    miss; a file of another generator version is a plain miss.
+    stored twice.  The abelian classes must be the abelian groups of order
+    n, one for one: for finite abelian groups the order profile fixes the
+    class, so their profiles are compared with those of the invariant-factor
+    chains.  A deleted non-abelian class is not caught: only a recompute
+    finds it.  A file that fails any check is reported in a warning and
+    treated as a miss; a file of another generator version is a plain miss.
     """
     try:
         with open(path) as fh:
@@ -531,6 +543,10 @@ def _load_catalog(path: Path, n: int) -> list[CatalogClass] | None:
         flats = [flatten(cls.group.table) for cls in classes]
         if any(a >= b for a, b in zip(flats, flats[1:])):
             raise ValueError("the stored tables are not in strictly increasing flatten order")
+        abelian = sorted(tuple(c.group.order_profile().items())
+                         for c in classes if c.group.is_abelian())
+        if abelian != _abelian_profiles(n):
+            raise ValueError(f"the stored abelian classes are not the abelian groups of order {n}")
         return classes
     except FileNotFoundError:
         return None
@@ -543,7 +559,19 @@ def _load_catalog(path: Path, n: int) -> list[CatalogClass] | None:
         return None
 
 
+def _abelian_profiles(n: int) -> list[tuple]:
+    """The order profiles of the abelian groups of order n, one per class, sorted."""
+    from .groups import Abelian, build_group
+
+    return sorted(tuple(build_group(Abelian(chain)).order_profile().items())
+                  for chain in abelian_invariant_chains(n))
+
+
 def _load_class(entry: dict, n: int) -> CatalogClass:
+    import numpy as np
+
+    from .groups import Group
+
     table = np.array(entry["table"])
     if table.dtype.kind != "i" or table.shape != (n, n):
         raise TypeError(f"a stored table is not an {n} x {n} array of integers")

@@ -262,27 +262,42 @@ def _table_for(law: Law) -> np.ndarray:
     return law(r[:, None], r[None, :])
 
 
-def _perm_closure(degree: int, gens, budget: int) -> list[tuple[int, ...]]:
-    """BFS closure of the generated permutation group, identity first."""
-    ident = tuple(range(degree))
-    elems = [ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = tuple(x[g[i]] for i in range(degree))
-                if y not in seen:
-                    if len(elems) >= budget:
-                        raise GroupSpecError(
-                            f"permutation closure exceeded the element budget {budget}"
-                        )
-                    seen.add(y)
-                    elems.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    return elems
+def _perm_table(degree: int, gens, budget: int) -> np.ndarray:
+    """The table of the permutation group the generators generate.
+
+    Elements are numbered in breadth-first order from the identity, each
+    product x * y being the composite x(y(t)).  The search records, for each
+    generator g, the map right[g][m] = index of x_m * g, and each new element
+    j as x_j = x_p * g for its parent p.  Then x_i * x_j = (x_i * x_p) * g, so
+    column j of the table is right[g] gathered at column p: n gathers of
+    length n, from columns already filled.
+    """
+    gens = np.array(gens, dtype=np.int64).reshape(len(gens), degree)
+    perms = [np.arange(degree, dtype=np.int64).tobytes()]  # element index -> bytes
+    index = {perms[0]: 0}
+    right = [[] for _ in gens]
+    parent = [(0, 0)]  # element index -> (p, g) with x_j = x_p * gens[g]
+    for m, x in enumerate(perms):  # grows while it is walked: breadth-first order
+        for g, y in enumerate(np.frombuffer(x, dtype=np.int64)[gens]):
+            key = y.tobytes()
+            j = index.get(key)
+            if j is None:
+                if len(perms) >= budget:
+                    raise GroupSpecError(
+                        f"permutation closure exceeded the element budget {budget}"
+                    )
+                j = index[key] = len(perms)
+                perms.append(key)
+                parent.append((m, g))
+            right[g].append(j)
+    n = len(perms)
+    right = np.array(right, dtype=np.int64)
+    columns = np.empty((n, n), dtype=np.int64)
+    columns[0] = np.arange(n)
+    for j in range(1, n):
+        p, g = parent[j]
+        columns[j] = right[g][columns[p]]
+    return np.ascontiguousarray(columns.T)
 
 
 def validate_table(rows: np.ndarray) -> None:
@@ -539,14 +554,7 @@ def _law_for(spec: GroupSpec, element_budget: int) -> Law:
                 len(g) == spec.degree and sorted(g) == list(range(spec.degree)),
                 f"{g} is not a permutation of 0..{spec.degree - 1}",
             )
-        elems = _perm_closure(spec.degree, spec.generators, element_budget)
-        index = {e: i for i, e in enumerate(elems)}
-        n = len(elems)
-        table = np.empty((n, n), dtype=np.int64)
-        for i, x in enumerate(elems):
-            for j, y in enumerate(elems):
-                table[i, j] = index[tuple(x[y[t]] for t in range(spec.degree))]
-        return Law.of_table(table)
+        return Law.of_table(_perm_table(spec.degree, spec.generators, element_budget))
 
     raise GroupSpecError(f"unknown group spec {spec!r}")
 

@@ -30,6 +30,9 @@ The claims of ``ordersum verify``, by id (the keys of ``cli.CLAIMS``):
 standalone numeric inequalities used in the proofs of the two bounding
 propositions, including the q = 2 failure 341 < 336 and the q = 3 near-miss
 4087 < 4375.
+
+``groups`` (and with it numpy) and ``enumeration`` are imported inside the
+checkers that build groups or read a catalog, so the audit loads neither.
 """
 
 from __future__ import annotations
@@ -38,20 +41,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import arith, enumeration, groups
+from . import DEFAULT_BOUND, arith
 from .arith import f_ratio, psi_cyclic
-from .enumeration import DEFAULT_BOUND, canonical_form, catalog
-from .groups import (
-    Abelian,
-    Cyclic,
-    DirectProduct,
-    Group,
-    Modular,
-    SemidirectCyclic,
-    build_group,
-    format_spec,
-)
+
+if TYPE_CHECKING:
+    from .groups import DirectProduct, Group
 
 @dataclass
 class Case:
@@ -108,6 +104,8 @@ def _compare(lhs, rhs) -> str:
 
 
 def _witness_spec(q: int, k: int):
+    from .groups import Cyclic, DirectProduct
+
     parts = [Cyclic(q), Cyclic(q)]
     if k > 1:
         parts.append(Cyclic(k))
@@ -145,6 +143,8 @@ def verify_max_cyclic(
     n: int, *, bound: int = DEFAULT_BOUND, cache_dir: str | Path | None = None
 ) -> VerificationReport:
     """psi(G) < psi(C_n) for every non-cyclic class of order n."""
+    from .enumeration import catalog
+
     classes = catalog(n, bound=bound, cache_dir=cache_dir)
     top = psi_cyclic(n)
     cases = []
@@ -173,6 +173,8 @@ def verify_max_cyclic(
 
 def verify_upper_bound(g: Group, q: int) -> VerificationReport:
     """psi(G) <= f(q) * psi(C_n) for one non-cyclic group, exactly."""
+    from .groups import format_spec
+
     if g.is_cyclic():
         raise ValueError("the upper bound claim concerns non-cyclic groups only")
     _require_least_prime(g.order, q)
@@ -205,6 +207,9 @@ def verify_equality_classification(
     below.  Above the bound, family_only restricts the check to the predicted
     construction and the report is flagged family-restricted.
     """
+    from .enumeration import EnumerationBoundError, canonical_form, catalog
+    from .groups import build_group, format_spec
+
     if q is None:
         q = arith.least_prime_factor(n)
     _require_least_prime(n, q)
@@ -237,7 +242,7 @@ def verify_equality_classification(
             )
         )
     elif n > bound:
-        raise enumeration.EnumerationBoundError(
+        raise EnumerationBoundError(
             f"order {n} exceeds the enumeration bound {bound}; "
             "pass family_only=True for a family-restricted check"
         )
@@ -281,6 +286,9 @@ def lemma7_check(
     [C_k : kernel] = multiplicative order of a mod m equal to a prime.  The
     clause is vacuous for classes without such a realization.
     """
+    from .enumeration import canonical_form, catalog
+    from .groups import SemidirectCyclic, build_group, semidirect_actions
+
     classes = catalog(n, bound=bound, cache_dir=cache_dir)
     values = sorted({cls.psi for cls in classes}, reverse=True)
     if len(values) < 2:
@@ -299,7 +307,7 @@ def lemma7_check(
         for p, e in arith.factorize(n):
             m = p**e
             k = n // m
-            for a in groups.semidirect_actions(m, k):
+            for a in semidirect_actions(m, k):
                 sd = build_group(SemidirectCyclic(m, k, a))
                 if canonical_form(sd) == cls.group:
                     matches.append((m, k, a))
@@ -350,6 +358,8 @@ def thm4_family_check(q: int, k_max: int) -> VerificationReport:
     psi must differ from f(q*) * psi(C_n), where q* is the least prime
     divisor of n = q^2 k.  Family-restricted by construction.
     """
+    from .groups import Cyclic, build_group, format_spec
+
     if not arith.is_prime(q):
         raise ValueError(f"{q} is not prime")
     cases = []
@@ -397,6 +407,8 @@ def mqr_formula_check(q: int, r: int) -> VerificationReport:
     C_q x C_{q^(r-1)} both equal (q^(2r) + q^3 - q^2 + 1) / (q + 1), and the
     value stays strictly below f(q) * psi(C_{q^r}).
     """
+    from .groups import Abelian, Modular, build_group, format_spec
+
     num = q ** (2 * r) + q**3 - q * q + 1
     assert num % (q + 1) == 0
     closed = num // (q + 1)
@@ -433,13 +445,15 @@ def mqr_formula_check(q: int, r: int) -> VerificationReport:
 
 def _sylow_semidirect_parameters(mk_max: int):
     """All (m, k, a) with m a prime power coprime to k, mk <= mk_max, valid a."""
+    from .groups import semidirect_actions
+
     for m in range(2, mk_max + 1):
         if len(arith.factorize(m)) != 1:
             continue
         for k in range(1, mk_max // m + 1):
             if math.gcd(m, k) != 1:
                 continue
-            for a in groups.semidirect_actions(m, k):
+            for a in semidirect_actions(m, k):
                 yield m, k, a
 
 
@@ -463,6 +477,8 @@ def lemma5_check(mk_max: int = 200) -> VerificationReport:
     to k and mk <= mk_max, so that C_m is a cyclic normal Sylow subgroup and
     the quotient is C_k.
     """
+    from .groups import SemidirectCyclic, build_group
+
     cases = []
     for m, k, a in _sylow_semidirect_parameters(mk_max):
         lhs = build_group(SemidirectCyclic(m, k, a)).psi()
@@ -497,11 +513,13 @@ def lemma6_check(mk_max: int = 200) -> VerificationReport:
 
     exactly, in rational arithmetic.
     """
+    from .groups import SemidirectCyclic, build_group, kernel_of_action
+
     cases = []
     for m, k, a in _sylow_semidirect_parameters(mk_max):
         if k == 1 or a == 1:
             continue
-        z = groups.kernel_of_action(m, k, a)
+        z = kernel_of_action(m, k, a)
         lhs = build_group(SemidirectCyclic(m, k, a)).psi()
         rhs = (
             psi_cyclic(m)

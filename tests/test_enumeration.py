@@ -290,6 +290,12 @@ def _relabel_q8(data: dict) -> None:
     entry["table"] = relabel(Group(entry["table"]), [0, 2, 1, 3, 4, 5, 6, 7]).table.tolist()
 
 
+def _delete_class(data: dict, description: str) -> None:
+    """Drop one class; the rest stay canonical, in order and correctly valued."""
+    classes = data["classes"]
+    classes.remove(next(c for c in classes if c["description"] == description))
+
+
 class TestCatalogCache:
     def test_roundtrip(self, tmp_path):
         first = catalog(8, cache_dir=tmp_path)
@@ -329,6 +335,8 @@ class TestCatalogCache:
             lambda d: d["classes"].__setitem__(2, d["classes"][1]),  # a class twice
             lambda d: d["classes"].insert(1, d["classes"].pop(2)),  # two classes swapped
             _relabel_q8,
+            pytest.param(lambda d: _delete_class(d, "C8"), id="C8 deleted"),
+            pytest.param(lambda d: _delete_class(d, "A[2,4]"), id="A[2,4] deleted"),
         ],
     )
     def test_invalid_cache_recomputed_and_rewritten(self, tmp_path, tamper):

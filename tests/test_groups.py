@@ -133,6 +133,43 @@ def _builder_table(spec) -> np.ndarray:
     raise AssertionError(f"no builder for {spec!r}")
 
 
+def _loop_perm_table(degree: int, gens) -> np.ndarray:
+    """The table of a perm: closure as the package built it with a Python loop.
+
+    The breadth-first closure, then every product x * y (the composite
+    x(y(t))) composed entry by entry and looked up: n**2 * degree steps.  It
+    is kept as the oracle for the table built by column gathers.
+    """
+    ident = tuple(range(degree))
+    elems, seen, frontier = [ident], {ident}, [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = tuple(x[g[i]] for i in range(degree))
+                if y not in seen:
+                    seen.add(y)
+                    elems.append(y)
+                    nxt.append(y)
+        frontier = nxt
+    index = {e: i for i, e in enumerate(elems)}
+    return np.array([[index[tuple(x[y[t]] for t in range(degree))] for y in elems]
+                     for x in elems])
+
+
+# Permutation groups as generators in one-line notation, with their orders.
+PERMUTATION_GROUPS = {
+    "A4": (4, ((1, 2, 0, 3), (1, 0, 3, 2)), 12),
+    "S4": (4, ((1, 2, 3, 0), (1, 0, 2, 3)), 24),
+    "S5": (5, ((1, 2, 3, 4, 0), (1, 0, 2, 3, 4)), 120),
+    "D4": (4, ((1, 2, 3, 0), (0, 3, 2, 1)), 8),
+    "C12": (12, (tuple(range(1, 12)) + (0,),), 12),
+    "C2xC3": (5, ((1, 0, 2, 3, 4), (0, 1, 3, 4, 2)), 6),
+    "trivial": (3, ((0, 1, 2),), 1),
+    "S3 on 6 points": (6, ((1, 2, 0, 4, 5, 3), (1, 0, 2, 4, 3, 5)), 6),
+}
+
+
 @st.composite
 def family_specs(draw, limit: int = 2048):
     """A valid spec of order <= limit from one family; C_n where none fits."""
@@ -582,6 +619,19 @@ class TestExplicitTables:
                 FromPermutations(5, ((1, 2, 3, 4, 0), (1, 0, 2, 3, 4))),
                 element_budget=10,
             )
+
+    @pytest.mark.parametrize("name", PERMUTATION_GROUPS)
+    def test_permutation_table_matches_loop(self, name):
+        degree, gens, order = PERMUTATION_GROUPS[name]
+        g = build_group(FromPermutations(degree, gens))
+        assert g.order == order
+        assert np.array_equal(g.table, _loop_perm_table(degree, gens))
+
+    def test_permutation_group_at_table_budget(self):
+        cycle = FromPermutations(2048, (tuple(range(1, 2048)) + (0,),))
+        assert build_group(cycle).psi() == arith.psi_cyclic(2048)
+        with pytest.raises(GroupSpecError, match="element budget 2047"):
+            build_group(cycle, element_budget=2047)
 
     def test_rejects_bad_permutation(self):
         with pytest.raises(GroupSpecError):
