@@ -262,21 +262,18 @@ def _table_for(law: Law) -> np.ndarray:
     return law(r[:, None], r[None, :])
 
 
-def _perm_table(degree: int, gens, budget: int) -> np.ndarray:
-    """The table of the permutation group the generators generate.
+def _perm_closure(degree: int, gens, budget: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Breadth-first closure of the generated permutation group, identity first.
 
-    Elements are numbered in breadth-first order from the identity, each
-    product x * y being the composite x(y(t)).  The search records, for each
-    generator g, the map right[g][m] = index of x_m * g, and each new element
-    j as x_j = x_p * g for its parent p.  Then x_i * x_j = (x_i * x_p) * g, so
-    column j of the table is right[g] gathered at column p: n gathers of
-    length n, from columns already filled.
+    Products are composites, (x * y)(t) = x(y(t)).  Returns (right, parent):
+    right[g][m] is the index of x_m * gens[g], and each element j > 0 was
+    first reached as x_j = x_p * gens[g], where (p, g) = parent[j].
     """
     gens = np.array(gens, dtype=np.int64).reshape(len(gens), degree)
     perms = [np.arange(degree, dtype=np.int64).tobytes()]  # element index -> bytes
     index = {perms[0]: 0}
     right = [[] for _ in gens]
-    parent = [(0, 0)]  # element index -> (p, g) with x_j = x_p * gens[g]
+    parent = [(0, 0)]
     for m, x in enumerate(perms):  # grows while it is walked: breadth-first order
         for g, y in enumerate(np.frombuffer(x, dtype=np.int64)[gens]):
             key = y.tobytes()
@@ -290,14 +287,22 @@ def _perm_table(degree: int, gens, budget: int) -> np.ndarray:
                 perms.append(key)
                 parent.append((m, g))
             right[g].append(j)
-    n = len(perms)
-    right = np.array(right, dtype=np.int64)
-    columns = np.empty((n, n), dtype=np.int64)
-    columns[0] = np.arange(n)
-    for j in range(1, n):
-        p, g = parent[j]
-        columns[j] = right[g][columns[p]]
-    return np.ascontiguousarray(columns.T)
+    return np.array(right, dtype=np.int64), parent
+
+
+def _perm_table(degree: int, gens, budget: int) -> np.ndarray:
+    """The table of a permutation group, filled column by column.
+
+    For x_j = x_p * g, x_i * x_j = (x_i * x_p) * g, so column j is right[g]
+    gathered at column p: n gathers of length n, from columns already filled.
+    """
+    right, parent = _perm_closure(degree, gens, budget)
+    n = len(parent)
+    table = np.empty((n, n), dtype=np.int64)
+    table[:, 0] = np.arange(n)
+    for j, (p, g) in enumerate(parent[1:], 1):
+        table[:, j] = right[g][table[:, p]]
+    return table
 
 
 def validate_table(rows: np.ndarray) -> None:

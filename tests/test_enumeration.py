@@ -1,6 +1,8 @@
 import json
 import random
+import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +305,16 @@ class TestCatalogCache:
         assert path.exists()
         second = catalog(8, cache_dir=tmp_path)
         assert first == second
+
+    def test_recorded_files_load_without_warning(self, tmp_path):
+        """The golden cache files of orders 2-16 pass every check on load."""
+        golden = Path(__file__).resolve().parent / "golden" / "catalog"
+        shutil.copytree(golden, tmp_path / "catalog")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in range(2, 17):
+                assert len(catalog(n, bound=16, cache_dir=tmp_path)) == len(
+                    json.loads((golden / f"n={n}.json").read_text())["classes"])
 
     def test_version_invalidation(self, tmp_path):
         catalog(6, cache_dir=tmp_path)

@@ -69,6 +69,12 @@ def test_import_cli_loads_no_layer():
     assert loaded_after("import ordersum.cli") == {"ordersum", "ordersum.cli"}
 
 
+@pytest.mark.parametrize("layer", ["theorems", "enumeration"])
+def test_import_layer_loads_no_groups(layer):
+    assert loaded_after(f"import ordersum.{layer}") == {
+        "ordersum", "ordersum.arith", f"ordersum.{layer}"}
+
+
 # Command -> (argv, modules it must not load).
 COMMANDS = {
     "audit": (["audit", "--qmax", "5", "--pmax", "11", "--smax", "2"],
