@@ -2,7 +2,7 @@
 
 The enumerator is an independent oracle: it imports no group catalog.  It
 performs orderly generation over Cayley tables with the identity pinned at
-index 0, using four ingredients:
+index 0, using five ingredients:
 
 * a fixed "shell" ordering of the interior table cells: for t = 1, 2, ...
   the cells (t,1),(1,t),(t,2),(2,t),...,(t,t).  A table is flattened to the
@@ -32,7 +32,16 @@ index 0, using four ingredients:
   propagating associativity constraints after every cell assignment and
   pruning any branch whose closed partial subgroup is not itself canonical
   (a prefix of a canonical table is always canonical).  Surviving leaves
-  are exactly the canonical tables, one per isomorphism class.
+  are exactly the canonical tables, one per isomorphism class;
+
+* pruning by partial canonicity, as in orderly generation (Read; Faradzev;
+  McKay, "Isomorph-free exhaustive generation", 1998): between closures,
+  BFS labelings that keep the last closed subgroup, relabeled by one of its
+  recorded automorphisms, and take another next generator are run through
+  the cells the partial table already determines.  Such a run is a prefix
+  of a labeling of every completion, so when it flattens strictly below
+  the table no completion is canonical and the branch dies.  The check at
+  each closure still decides, so the search returns the same tables.
 
 ``groups`` (and with it numpy) is imported where a group is built or walked,
 so importing this module loads neither.
@@ -77,14 +86,18 @@ def flatten(rows) -> tuple[int, ...]:
     return tuple(rows[i][j] for i, j in shell_cells(len(rows)))
 
 
-def _scan_labelings(rows, stop_below_self: bool = False):
+def _scan_labelings(rows, stop_below_self: bool = False, target: tuple | None = None):
     """Depth-first search over the BFS labelings of a complete table.
 
-    Returns (best_flat, best_order): the least flattening found and the
+    Returns (best_flat, best_order, autos): the least flattening found, the
     labeling giving it (best_order lists the original element played by
-    each new label).  With stop_below_self the scan starts from the table's
-    own labeling, the identity, and stops at the first labeling that
-    flattens strictly below it, which is all the canonicity test needs.
+    each new label) and the automorphisms recorded on the way.  With
+    stop_below_self the scan starts from the table's own labeling, the
+    identity, and stops at the first labeling that flattens strictly below
+    it, which is all the canonicity test needs.  With a target flattening
+    the scan compares against it and stops at the first labeling that
+    flattens equal to it or below it; best_order stays None when there is
+    none.
 
     A completed labeling L that flattens equal to the best one is recorded
     as the automorphism best_order[i] -> L[i].  At each choice of the next
@@ -94,8 +107,9 @@ def _scan_labelings(rows, stop_below_self: bool = False):
     """
     n = len(rows)
     cells = shell_cells(n)
-    best_flat = flatten(rows) if stop_below_self else None
+    best_flat = flatten(rows) if stop_below_self else target
     best_order = list(range(n)) if stop_below_self else None
+    stop_below = stop_below_self or target is not None
     autos: list[list[int]] = []  # automorphisms found, as lists of images
     stopped = False
 
@@ -141,6 +155,10 @@ def _scan_labelings(rows, stop_below_self: bool = False):
         if status == "pruned":
             return
         if status == "leaf":
+            if best_order is None:  # the first labeling equal to the target
+                best_order = L
+                stopped = True
+                return
             auto = [0] * n
             for x, y in zip(best_order, L):
                 auto[x] = y
@@ -150,7 +168,7 @@ def _scan_labelings(rows, stop_below_self: bool = False):
             posmap = {x: i for i, x in enumerate(L)}
             best_flat = tuple(posmap[rows[L[i]][L[j]]] for i, j in cells)
             best_order = L
-            stopped = stop_below_self
+            stopped = stop_below
             return
         # Stall: orbits of the unlabeled elements under the automorphisms
         # found that fix every generator, kept as a union-find forest.
@@ -182,12 +200,19 @@ def _scan_labelings(rows, stop_below_self: bool = False):
                 return
 
     rec([])
-    return best_flat, best_order
+    return best_flat, best_order, autos
 
 
-def _is_canonical(rows) -> bool:
-    """True when no BFS relabeling flattens strictly below the table itself."""
-    _, best_order = _scan_labelings(rows, stop_below_self=True)
+def _is_canonical(rows, autos: list | None = None) -> bool:
+    """True when no BFS relabeling flattens strictly below the table itself.
+
+    The automorphisms the scan records are appended to ``autos`` when it is
+    given; for a canonical table each one lists the element that plays each
+    label in a BFS labeling flattening equal to the table.
+    """
+    _, best_order, found = _scan_labelings(rows, stop_below_self=True)
+    if autos is not None:
+        autos.extend(found)
     return best_order == list(range(len(rows)))
 
 
@@ -200,9 +225,24 @@ def canonical_form(g: Group) -> Group:
     from .groups import Group
 
     rows = g.table.tolist()
-    _, best_order = _scan_labelings(rows)
+    _, best_order, _ = _scan_labelings(rows)
     posmap = {x: i for i, x in enumerate(best_order)}
     return Group([[posmap[rows[x][y]] for y in best_order] for x in best_order])
+
+
+def isomorphic_to_canonical(g: Group, canon: Group) -> bool:
+    """Whether ``canonical_form(g) == canon``, for a canonical table ``canon``.
+
+    Groups with different order profiles are not isomorphic.  Otherwise the
+    BFS labelings of g are scanned against the flattening of canon: one
+    equal to it is an isomorphism, and one below it shows that g is not
+    isomorphic to canon, whose flattening is the least of its class.
+    """
+    if g.order != canon.order or g.order_profile() != canon.order_profile():
+        return False
+    target = flatten(canon.table.tolist())
+    flat, order, _ = _scan_labelings(g.table.tolist(), target=target)
+    return order is not None and flat == target
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +258,23 @@ def _search_groups(n: int) -> list[tuple[tuple[int, ...], ...]]:
     propagated to a fixpoint.  Whenever the labeled set closes into a
     subgroup its size must divide n (Lagrange) and its table must be
     canonical, otherwise the branch dies.
+
+    Between closures the partial table is tested against relabelings that
+    keep the last closed subgroup H = {0..h-1}: H is labeled by one of the
+    automorphisms its canonicity scan recorded (or the identity), and label
+    h goes to some label g' >= h other than the table's own choice.  Each
+    such run is the BFS scan of _scan_labelings continued only through
+    determined cells, so in every completion it is a prefix of a real BFS
+    labeling; when it flattens strictly below the table the branch dies.
+    A run is kept per node as (next cell position, labeling, positions);
+    it resumes where a cell it needs was undetermined, and it is dropped
+    once it goes above the table or its labeled set closes.
     """
     if n == 1:
         return [((0,),)]
 
     cells = shell_cells(n)
+    ncells = len(cells)
     T = [[-1] * n for _ in range(n)]
     for i in range(n):
         T[i][0] = i
@@ -232,7 +284,9 @@ def _search_groups(n: int) -> list[tuple[tuple[int, ...], ...]]:
     colmask = [1 << i for i in range(n)]
     rowmask[0] = colmask[0] = full
     preim: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    canon_cache: dict[tuple, bool] = {}
+    # A closed subgroup's table -> its labelings by the automorphisms found,
+    # identity first, each as (labeling, positions); None when not canonical.
+    canon_cache: dict[tuple, list | None] = {}
     results: list[tuple[tuple[int, ...], ...]] = []
     k = 2  # labels in use: identity plus the first generator
 
@@ -311,7 +365,58 @@ def _search_groups(n: int) -> list[tuple[tuple[int, ...], ...]]:
             p += 1
         return p, -1, -1
 
-    def dfs(p: int) -> None:
+    def start(alphas, g: int) -> list:
+        """New runs: H labeled by each of alphas, then g as the next generator.
+
+        Each run resumes at the first cell of shell h, the first that can
+        differ from the table."""
+        runs = []
+        for L, pos in alphas:
+            h = len(L)
+            pos = pos[:]
+            pos[g] = h
+            runs.append(((h - 1) ** 2, L + [g], pos))
+        return runs
+
+    def resume(runs) -> list | None:
+        """The runs still undecided after each is continued through the
+        determined cells; None when one flattens strictly below the table."""
+        live = []
+        for run in runs:
+            q, L, pos = run
+            i, j = cells[q]
+            c = T[i][j]
+            x = T[L[i]][L[j]]
+            if c < 0 or x < 0:
+                live.append(run)
+                continue
+            L = L[:]
+            pos = pos[:]
+            m = len(L)
+            while True:
+                lab = pos[x]
+                if lab < 0:
+                    lab = pos[x] = m
+                    L.append(x)
+                    m += 1
+                if lab != c:
+                    if lab < c:
+                        return None
+                    break
+                q += 1
+                if q == ncells:
+                    break
+                i, j = cells[q]
+                if i == m:
+                    break  # closed: this run needs another generator
+                c = T[i][j]
+                x = T[L[i]][L[j]]
+                if c < 0 or x < 0:
+                    live.append((q, L, pos))
+                    break
+        return live
+
+    def dfs(p: int, alphas, runs) -> None:
         nonlocal k
         p, a, b = next_cell(p)
         if a < 0:
@@ -319,17 +424,26 @@ def _search_groups(n: int) -> list[tuple[tuple[int, ...], ...]]:
             if n % k:
                 return
             sub = tuple(tuple(T[r][:k]) for r in range(k))
-            ok = canon_cache.get(sub)
-            if ok is None:
-                ok = _is_canonical(sub)
-                canon_cache[sub] = ok
-            if not ok:
+            if sub in canon_cache:
+                alphas = canon_cache[sub]
+            else:
+                autos: list[list[int]] = []
+                alphas = None
+                if _is_canonical(sub, autos):
+                    alphas = []
+                    for L in [list(range(k)), *autos]:
+                        pos = [-1] * n
+                        for label, x in enumerate(L):
+                            pos[x] = label
+                        alphas.append((L, pos))
+                canon_cache[sub] = alphas
+            if alphas is None:
                 return
             if k == n:
                 results.append(sub)
                 return
             k += 1
-            dfs(p)
+            dfs(p, alphas, start(alphas[1:], k - 1))
             k -= 1
             return
         for v in range(k + 1 if k < n else k):
@@ -340,12 +454,14 @@ def _search_groups(n: int) -> list[tuple[tuple[int, ...], ...]]:
                 k += 1
             trail: list[tuple[int, int, int]] = []
             if propagate(a, b, v, trail):
-                dfs(p + 1)
+                live = resume(runs + start(alphas, v) if fresh else runs)
+                if live is not None:
+                    dfs(p + 1, alphas, live)
             undo(trail)
             if fresh:
                 k -= 1
 
-    dfs(0)
+    dfs(0, [([0], [0] + [-1] * (n - 1))], [])
     return results
 
 
@@ -472,20 +588,26 @@ def _partitions(e: int) -> list[tuple[int, ...]]:
 
 
 def _describe_classes(n: int, classes: list[Group]) -> list[str]:
+    """Each class is named by the first family candidate isomorphic to it."""
     from .groups import GroupSpecError, build_group
 
-    by_canon: dict[Group, str] = {}
+    descs: list[str | None] = [None] * len(classes)
     for desc, spec in _family_candidates(n):
+        if None not in descs:
+            break
         try:
             g = build_group(spec)
         except GroupSpecError:
             continue
         if g.order != n:
             continue
-        by_canon.setdefault(canonical_form(g), desc)
+        for idx, cls in enumerate(classes):
+            if descs[idx] is None and isomorphic_to_canonical(g, cls):
+                descs[idx] = desc
+                break
     return [
-        by_canon.get(g) or f"order-{n} class #{idx} with order profile {g.order_profile()}"
-        for idx, g in enumerate(classes)
+        desc or f"order-{n} class #{idx} with order profile {g.order_profile()}"
+        for idx, (g, desc) in enumerate(zip(classes, descs))
     ]
 
 

@@ -268,25 +268,41 @@ def _perm_closure(degree: int, gens, budget: int) -> tuple[np.ndarray, list[tupl
     Products are composites, (x * y)(t) = x(y(t)).  Returns (right, parent):
     right[g][m] is the index of x_m * gens[g], and each element j > 0 was
     first reached as x_j = x_p * gens[g], where (p, g) = parent[j].
+
+    The elements are the rows of one array, in the narrowest dtype that
+    holds degree - 1 and grown by doubling, and they are looked up by the
+    hash of their bytes, every hit checked against the stored row.  The
+    closure then holds no per-element buffer that outlives it, so its
+    memory is free again before the table is built.
     """
     gens = np.array(gens, dtype=np.int64).reshape(len(gens), degree)
-    perms = [np.arange(degree, dtype=np.int64).tobytes()]  # element index -> bytes
-    index = {perms[0]: 0}
+    perms = np.empty((64, degree), dtype=np.min_scalar_type(max(degree - 1, 0)))
+    perms[0] = np.arange(degree)
+    count = 1
+    index = {hash(perms[0].tobytes()): [0]}  # hash -> indices of the rows with it
     right = [[] for _ in gens]
     parent = [(0, 0)]
-    for m, x in enumerate(perms):  # grows while it is walked: breadth-first order
-        for g, y in enumerate(np.frombuffer(x, dtype=np.int64)[gens]):
-            key = y.tobytes()
-            j = index.get(key)
+    m = 0
+    while m < count:  # rows are added while they are walked: breadth-first order
+        for g, y in enumerate(perms[m][gens]):
+            bucket = index.setdefault(hash(y.tobytes()), [])
+            j = next((j for j in bucket if np.array_equal(perms[j], y)), None)
             if j is None:
-                if len(perms) >= budget:
+                if count >= budget:
                     raise GroupSpecError(
                         f"permutation closure exceeded the element budget {budget}"
                     )
-                j = index[key] = len(perms)
-                perms.append(key)
+                if count == len(perms):
+                    grown = np.empty((2 * count, degree), dtype=perms.dtype)
+                    grown[:count] = perms
+                    perms = grown
+                j = count
+                count += 1
+                perms[j] = y
+                bucket.append(j)
                 parent.append((m, g))
             right[g].append(j)
+        m += 1
     return np.array(right, dtype=np.int64), parent
 
 

@@ -286,7 +286,7 @@ def lemma7_check(
     [C_k : kernel] = multiplicative order of a mod m equal to a prime.  The
     clause is vacuous for classes without such a realization.
     """
-    from .enumeration import canonical_form, catalog
+    from .enumeration import catalog, isomorphic_to_canonical
     from .groups import SemidirectCyclic, build_group, semidirect_actions
 
     classes = catalog(n, bound=bound, cache_dir=cache_dir)
@@ -309,7 +309,7 @@ def lemma7_check(
             k = n // m
             for a in semidirect_actions(m, k):
                 sd = build_group(SemidirectCyclic(m, k, a))
-                if canonical_form(sd) == cls.group:
+                if isomorphic_to_canonical(sd, cls.group):
                     matches.append((m, k, a))
         if not matches:
             cases.append(

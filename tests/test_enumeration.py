@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ordersum import arith
+from ordersum import arith, enumeration
 from ordersum.enumeration import (
     DEFAULT_BOUND,
     GENERATOR_VERSION,
@@ -15,11 +15,13 @@ from ordersum.enumeration import (
     canonical_form,
     catalog,
     flatten,
+    isomorphic_to_canonical,
     psi_spectrum,
     shell_cells,
     _family_candidates,
     _is_canonical,
     _scan_labelings,
+    _search_groups,
 )
 from ordersum.groups import (
     Abelian,
@@ -154,6 +156,38 @@ class TestCanonicalForm:
             assert len(seen) == len(classes)
 
 
+class TestIsomorphicToCanonical:
+    def test_agrees_with_canonical_form(self, cache_dir):
+        # Every family candidate, and a relabeling of each, against every class.
+        rng = random.Random(3)
+        for n in range(1, 13):
+            classes = [cls.group for cls in catalog(n, cache_dir=cache_dir)]
+            for _, spec in _family_candidates(n):
+                try:
+                    g = build_group(spec)
+                except GroupSpecError:
+                    continue
+                for h in [g, *_relabelings(g, 1, rng)]:
+                    canon = canonical_form(h)
+                    for cls in classes:
+                        assert isomorphic_to_canonical(h, cls) is (canon == cls), (n, spec)
+
+    @ABOVE_DEFAULT
+    def test_equal_order_profiles(self, cache_dir):
+        # Order 16 is the least with non-isomorphic classes of equal order
+        # profile: only the labeling scan tells them apart.
+        rng = random.Random(16)
+        classes = [cls.group for cls in catalog(16, bound=16, cache_dir=cache_dir)]
+        for g in classes:
+            h = next(_relabelings(g, 1, rng))
+            for cls in classes:
+                assert isomorphic_to_canonical(h, cls) is (g == cls)
+
+    def test_other_order(self):
+        c4 = canonical_form(build_group(Cyclic(4)))
+        assert not isomorphic_to_canonical(build_group(Cyclic(6)), c4)
+
+
 def _unpruned_scan(rows, ref=None, stop_below_ref=False):
     """The labeling scan without automorphism pruning, kept as a reference.
 
@@ -258,6 +292,33 @@ class TestPrunedScan:
         unpruned, reads[0] = reads[0], 0
         assert _scan_labelings(rows)[0] == flatten(rows)
         assert reads[0] * 10 < unpruned
+
+
+class TestSearchPruning:
+    def test_partial_canonicity_prunes_order_16(self, monkeypatch):
+        # Without pruning partial tables, 241 complete order-16 tables reach
+        # the final canonicity check and 227 of them fail it.
+        handed = []
+        real = enumeration._is_canonical
+
+        def counting(rows, *args):
+            if len(rows) == 16:
+                handed.append(rows)
+            return real(rows, *args)
+
+        monkeypatch.setattr(enumeration, "_is_canonical", counting)
+        assert len(_search_groups(16)) == 14
+        assert len(handed) <= 60
+
+    def test_subgroup_automorphisms_are_recorded(self):
+        autos = []
+        rows = build_group(Abelian([2, 2, 2])).table.tolist()
+        assert _is_canonical(rows, autos)
+        assert autos
+        for auto in autos:
+            assert sorted(auto) == list(range(8)) and auto[0] == 0
+            assert all(auto[rows[x][y]] == rows[auto[x]][auto[y]]
+                       for x in range(8) for y in range(8))
 
 
 class TestCompleteness:

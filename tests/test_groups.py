@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +171,8 @@ PERMUTATION_GROUPS = {
     "C2xC3": (5, ((1, 0, 2, 3, 4), (0, 1, 3, 4, 2)), 6),
     "trivial": (3, ((0, 1, 2),), 1),
     "S3 on 6 points": (6, ((1, 2, 0, 4, 5, 3), (1, 0, 2, 4, 3, 5)), 6),
+    # Rows stored as uint16, past the 64 rows the closure starts with.
+    "S5 on 260 points": (260, ((1, 2, 3, 4, 0, *range(5, 260)), (1, 0, *range(2, 260))), 120),
 }
 
 
@@ -627,11 +633,43 @@ class TestExplicitTables:
         assert g.order == order
         assert np.array_equal(g.table, _loop_perm_table(degree, gens))
 
+    @pytest.mark.parametrize("name", ["A4", "S4", "S5"])
+    def test_permutation_closure_checks_hash_hits(self, name, monkeypatch):
+        # With every element hashing alike, the closure tells them apart by
+        # their rows alone.
+        monkeypatch.setattr(groups, "hash", lambda key: 0, raising=False)
+        degree, gens, _ = PERMUTATION_GROUPS[name]
+        g = build_group(FromPermutations(degree, gens))
+        assert np.array_equal(g.table, _loop_perm_table(degree, gens))
+
     def test_permutation_group_at_table_budget(self):
         cycle = FromPermutations(2048, (tuple(range(1, 2048)) + (0,),))
         assert build_group(cycle).psi() == arith.psi_cyclic(2048)
         with pytest.raises(GroupSpecError, match="element budget 2047"):
             build_group(cycle, element_budget=2047)
+
+    def test_permutation_closure_peak_memory(self, tmp_path):
+        # A fresh `psi perm:` process for a 2048-cycle: numpy and the
+        # interpreter take about 30 MB and the table 32 MB.  The peak is read
+        # from VmHWM, which starts afresh at exec; ru_maxrss would carry over
+        # the RSS of this forking test process.
+        status = Path("/proc/self/status")
+        if not status.exists():
+            pytest.skip("no /proc/self/status to read the peak RSS from")
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps([[*range(1, 2048), 0]]))
+        code = ("import contextlib, io\n"
+                "from ordersum import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert cli.main(['psi', 'perm:{path}']) == 0\n"
+                f"print(next(line.split()[1] for line in open({str(status)!r})\n"
+                "           if line.startswith('VmHWM:')))\n")
+        src = str(Path(groups.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert int(out) <= 70 * 1024  # VmHWM is in kB
 
     def test_rejects_bad_permutation(self):
         with pytest.raises(GroupSpecError):
