@@ -9,7 +9,10 @@ carries a top-level schema version.
 Importing this module loads no layer of the package.  Each command imports
 the layers it runs when it runs: ``psi`` the groups, ``catalog`` and
 ``spectrum`` the enumerator, ``verify`` and ``audit`` the theorems (which
-load the groups and the enumerator only where a claim needs them).
+load the groups and the enumerator only where a claim needs them).  The
+enumerator checks and walks catalog classes without numpy, so ``catalog``,
+``spectrum`` and ``verify max_cyclic`` on a cached catalog load neither the
+groups nor numpy; a cache miss loads both to name the classes.
 """
 
 from __future__ import annotations
@@ -122,13 +125,19 @@ def _emit_reports(args, reports, command: str, extra: dict) -> int:
 
 
 def _orders_in_play(args) -> list[int]:
-    from .groups import GroupSpecError
-
     if args.n is None and args.nmax is None:
-        raise GroupSpecError("this claim needs --n or --nmax")
+        raise ValueError("this claim needs --n or --nmax")
     if args.n is not None:
         return [args.n]
+    if args.nmax < 2:
+        raise ValueError(f"--nmax {args.nmax} leaves no order to check: it must be at least 2")
     return list(range(2, args.nmax + 1))
+
+
+def _mk_max(args) -> int:
+    if args.mkmax < 2:
+        raise ValueError(f"--mkmax {args.mkmax} leaves no (m, k) to check: it must be at least 2")
+    return args.mkmax
 
 
 def _run_psi(args) -> int:
@@ -163,7 +172,7 @@ def _run_catalog(args) -> int:
     from .enumeration import catalog, class_to_dict
 
     classes = catalog(args.n, bound=args.enum_bound, cache_dir=args.cache_dir)
-    profiles = [c.group.order_profile() for c in classes]
+    profiles = [c.order_profile() for c in classes]
     _emit(args, "catalog", {
         "json": lambda: {"n": args.n, "classes": [class_to_dict(c) for c in classes]},
         "csv": lambda: "index,psi,order_profile,description\n" + "".join(
@@ -189,6 +198,8 @@ def _thm4(args) -> list:
 
     if args.q is None or args.kmax is None:
         raise GroupSpecError("thm4 needs --q and --kmax")
+    if args.kmax < 1:
+        raise GroupSpecError(f"--kmax {args.kmax} leaves no k to check: it must be at least 1")
     return [thm4_family_check(args.q, args.kmax)]
 
 
@@ -240,8 +251,8 @@ CLAIMS = {
         for n in _orders_in_play(args)],
     "thm4": _thm4,
     "mqr": _mqr,
-    "lemma5": lambda args: [lemma5_check(args.mkmax)],
-    "lemma6": lambda args: [lemma6_check(args.mkmax)],
+    "lemma5": lambda args: [lemma5_check(_mk_max(args))],
+    "lemma6": lambda args: [lemma6_check(_mk_max(args))],
     "lemma7": lambda args: [
         lemma7_check(n, bound=args.enum_bound, cache_dir=args.cache_dir)
         for n in _orders_in_play(args)],

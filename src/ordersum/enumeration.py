@@ -43,17 +43,23 @@ index 0, using five ingredients:
   the table no completion is canonical and the branch dies.  The check at
   each closure still decides, so the search returns the same tables.
 
-``groups`` (and with it numpy) is imported where a group is built or walked,
-so importing this module loads neither.
+A catalog class is its canonical table as a tuple of tuples, checked and
+walked in pure Python (``_checked_class``): the tables are at most
+``HARD_CAP`` square, and the search and the scan already read them as
+lists.  ``groups`` (and with it numpy) is imported only to name the classes
+on a cache miss, by building the construction families, and for
+``cls.group``; importing this module, or reading a valid cache file, loads
+neither.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -230,17 +236,17 @@ def canonical_form(g: Group) -> Group:
     return Group([[posmap[rows[x][y]] for y in best_order] for x in best_order])
 
 
-def isomorphic_to_canonical(g: Group, canon: Group) -> bool:
-    """Whether ``canonical_form(g) == canon``, for a canonical table ``canon``.
+def isomorphic_to_canonical(g: Group, canon: CatalogClass) -> bool:
+    """Whether ``g`` is isomorphic to the catalog class ``canon``.
 
     Groups with different order profiles are not isomorphic.  Otherwise the
-    BFS labelings of g are scanned against the flattening of canon: one
-    equal to it is an isomorphism, and one below it shows that g is not
+    BFS labelings of g are scanned against the flattening of canon's table:
+    one equal to it is an isomorphism, and one below it shows that g is not
     isomorphic to canon, whose flattening is the least of its class.
     """
-    if g.order != canon.order or g.order_profile() != canon.order_profile():
+    if g.order != len(canon.table) or g.order_profile() != canon.order_profile():
         return False
-    target = flatten(canon.table.tolist())
+    target = flatten(canon.table)
     flat, order, _ = _scan_labelings(g.table.tolist(), target=target)
     return order is not None and flat == target
 
@@ -465,30 +471,121 @@ def _search_groups(n: int) -> list[tuple[tuple[int, ...], ...]]:
     return results
 
 
-def _enumerate(n: int) -> list[Group]:
-    from .groups import Group
-
-    return [Group(rows) for rows in sorted(set(_search_groups(n)), key=flatten)]
+def _enumerate(n: int) -> list[CatalogClass]:
+    """The classes of order n in flatten order, checked and walked, not yet named."""
+    return [_checked_class(rows, n) for rows in sorted(set(_search_groups(n)), key=flatten)]
 
 
 # ---------------------------------------------------------------------------
-# Catalog with persistence
+# Catalog classes and their check
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CatalogClass:
-    """One isomorphism class of a given order: its canonical table and a name.
+    """One isomorphism class of a given order: its canonical table, a name, and
+    the order of each element, walked on the table.
 
-    psi and the order profile are read from the group's walked orders.
+    Build one with ``_checked_class``, which checks the table and walks the
+    orders.  psi, the order profile and the predicates read those fields;
+    ``group`` is the class as a numpy ``Group``, built on first use.
     """
 
-    group: Group
+    table: tuple[tuple[int, ...], ...]
     description: str
+    orders: tuple[int, ...]
 
     @property
     def psi(self) -> int:
-        return self.group.psi()
+        """Sum of the orders of all elements."""
+        return sum(self.orders)
+
+    def order_profile(self) -> dict[int, int]:
+        """Map from element order d to the number of elements of that order."""
+        return {d: self.orders.count(d) for d in sorted(set(self.orders))}
+
+    def is_cyclic(self) -> bool:
+        return max(self.orders) == len(self.table)
+
+    def is_abelian(self) -> bool:
+        return self.table == tuple(zip(*self.table))
+
+    @cached_property
+    def group(self) -> Group:
+        from .groups import Group
+
+        return Group(self.table)
+
+
+def _generating_set(table) -> list[int]:
+    """Generators of a Latin table with identity 0, whatever its labeling.
+
+    Each generator is the least element outside the closure of the ones
+    before it under right products, so every element is a product of
+    generators.
+    """
+    n = len(table)
+    gens, members, inside = [], [0], [True] + [False] * (n - 1)
+    while len(members) < n:
+        gens.append(inside.index(False))
+        for x in members:  # members grows while it is read
+            for s in gens:
+                y = table[x][s]
+                if not inside[y]:
+                    inside[y] = True
+                    members.append(y)
+    return gens
+
+
+def _checked_class(rows, n: int, description: str = "") -> CatalogClass:
+    """The class of an order-n table that is a group's, with its element orders.
+
+    The one check of catalog tables, computed or read from a cache file:
+
+    * rows is n lists of n entries, each an int (not a bool) in 0..n-1;
+    * element 0 is a two-sided identity;
+    * every row and every column is a permutation of 0..n-1;
+    * Light's associativity test: (x*s)*y = x*(s*y) for all x, y and each s
+      in a generating set S (Clifford & Preston 1961, section 1.2).  It
+      suffices because the elements that pass it are closed under products.
+      It costs n^2 |S| products, with |S| <= log2 n for a group;
+    * a brute-force walk of each element's powers: an x with x^n != e
+      rejects the table.
+
+    Raises TypeError for a table of the wrong shape or entries, ValueError
+    for a violated axiom.
+    """
+    if not (isinstance(rows, (list, tuple)) and len(rows) == n and all(
+            isinstance(row, (list, tuple)) and len(row) == n
+            and all(type(v) is int and 0 <= v < n for v in row) for row in rows)):
+        raise TypeError(f"a table is not {n} rows of {n} integers in 0..{n - 1}")
+    table = tuple(map(tuple, rows))
+    identity = tuple(range(n))
+    if table[0] != identity or tuple(row[0] for row in table) != identity:
+        raise ValueError("element 0 is not a two-sided identity")
+    if any(len(set(line)) != n for line in (*table, *zip(*table))):
+        raise ValueError("some row or column is not a permutation of 0..n-1")
+    for s in _generating_set(table):
+        right = table[s]
+        for x, row in enumerate(table):
+            left = table[row[s]]
+            if left != tuple(map(row.__getitem__, right)):
+                y = next(y for y in range(n) if left[y] != row[right[y]])
+                raise ValueError(f"associativity fails at ({x}, {s}, {y})")
+    orders = []
+    for x in range(n):
+        y, k = x, 1  # y = x^k
+        while y and k < n:
+            y, k = table[y][x], k + 1
+        if y or n % k:
+            raise ValueError(f"element {x} to the power {n} is not the identity: not a group")
+        orders.append(k)
+    return CatalogClass(table, description, tuple(orders))
+
+
+# ---------------------------------------------------------------------------
+# Catalog with persistence
+# ---------------------------------------------------------------------------
 
 
 def _check_bound(n: int, bound: int) -> None:
@@ -587,7 +684,7 @@ def _partitions(e: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _describe_classes(n: int, classes: list[Group]) -> list[str]:
+def _describe_classes(n: int, classes: list[CatalogClass]) -> list[str]:
     """Each class is named by the first family candidate isomorphic to it."""
     from .groups import GroupSpecError, build_group
 
@@ -606,8 +703,8 @@ def _describe_classes(n: int, classes: list[Group]) -> list[str]:
                 descs[idx] = desc
                 break
     return [
-        desc or f"order-{n} class #{idx} with order profile {g.order_profile()}"
-        for idx, (g, desc) in enumerate(zip(classes, descs))
+        desc or f"order-{n} class #{idx} with order profile {cls.order_profile()}"
+        for idx, (cls, desc) in enumerate(zip(classes, descs))
     ]
 
 
@@ -634,7 +731,8 @@ def catalog(
             stacklevel=2,
         )
     found = _enumerate(n)
-    classes = [CatalogClass(g, desc) for g, desc in zip(found, _describe_classes(n, found))]
+    classes = [replace(cls, description=desc)
+               for cls, desc in zip(found, _describe_classes(n, found))]
     if path is not None:
         _save_catalog(path, n, classes)
     return classes
@@ -643,8 +741,8 @@ def catalog(
 def _load_catalog(path: Path, n: int) -> list[CatalogClass] | None:
     """The catalog cached at ``path``, or None when it has to be computed.
 
-    Cache files are untrusted: every stored table is rebuilt as a fully
-    validated Group, it must be canonical, and its stored psi and order
+    Cache files are untrusted: every stored table must pass
+    ``_checked_class`` and be canonical, and its stored psi and order
     profile must equal the walked ones.  The tables must be in strictly
     increasing flatten order, as _enumerate writes them, so no class is
     stored twice.  The abelian classes must be the abelian groups of order
@@ -662,11 +760,10 @@ def _load_catalog(path: Path, n: int) -> list[CatalogClass] | None:
         if data["n"] != n:
             raise ValueError(f"it holds order {data['n']}")
         classes = [_load_class(entry, n) for entry in data["classes"]]
-        flats = [flatten(cls.group.table) for cls in classes]
+        flats = [flatten(cls.table) for cls in classes]
         if any(a >= b for a, b in zip(flats, flats[1:])):
             raise ValueError("the stored tables are not in strictly increasing flatten order")
-        abelian = sorted(tuple(c.group.order_profile().items())
-                         for c in classes if c.group.is_abelian())
+        abelian = sorted(tuple(c.order_profile().items()) for c in classes if c.is_abelian())
         if abelian != _abelian_profiles(n):
             raise ValueError(f"the stored abelian classes are not the abelian groups of order {n}")
         return classes
@@ -682,26 +779,28 @@ def _load_catalog(path: Path, n: int) -> list[CatalogClass] | None:
 
 
 def _abelian_profiles(n: int) -> list[tuple]:
-    """The order profiles of the abelian groups of order n, one per class, sorted."""
-    from .groups import Abelian, build_group
+    """The order profiles of the abelian groups of order n, one per class, sorted.
 
-    return sorted(tuple(build_group(Abelian(chain)).order_profile().items())
-                  for chain in abelian_invariant_chains(n))
+    C_d1 x ... x C_dr has gcd(m, d1) ... gcd(m, dr) elements of order
+    dividing m; those of order exactly m are the rest once the elements of
+    each smaller order dividing m are taken out.
+    """
+    profiles = []
+    for chain in abelian_invariant_chains(n):
+        exact: dict[int, int] = {}
+        for m in arith.divisors(n):
+            exact[m] = (math.prod(math.gcd(m, d) for d in chain)
+                        - sum(c for e, c in exact.items() if m % e == 0))
+        profiles.append(tuple((m, c) for m, c in exact.items() if c))
+    return sorted(profiles)
 
 
 def _load_class(entry: dict, n: int) -> CatalogClass:
-    import numpy as np
-
-    from .groups import Group
-
-    table = np.array(entry["table"])
-    if table.dtype.kind != "i" or table.shape != (n, n):
-        raise TypeError(f"a stored table is not an {n} x {n} array of integers")
-    cls = CatalogClass(Group(table), entry["description"])
-    if not _is_canonical(table.tolist()):
-        raise ValueError("a stored table is not canonical")
+    cls = _checked_class(entry["table"], n, entry["description"])
     if not isinstance(cls.description, str):
         raise TypeError("a stored description is not a string")
+    if not _is_canonical(cls.table):
+        raise ValueError("a stored table is not canonical")
     if entry != class_to_dict(cls):
         raise ValueError("a stored psi or order profile differs from the walked one")
     return cls
@@ -710,9 +809,9 @@ def _load_class(entry: dict, n: int) -> CatalogClass:
 def class_to_dict(cls: CatalogClass) -> dict:
     """One class as cache files and ``catalog --format json`` hold it."""
     return {
-        "table": cls.group.table.tolist(),
+        "table": [list(row) for row in cls.table],
         "psi": cls.psi,
-        "order_profile": [[d, c] for d, c in cls.group.order_profile().items()],
+        "order_profile": [[d, c] for d, c in cls.order_profile().items()],
         "description": cls.description,
     }
 

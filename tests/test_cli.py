@@ -142,6 +142,25 @@ class TestVerifyCommand:
         assert code == 0
         assert out.splitlines()[0] == "claim_id,params,lhs,rhs,verdict,witness"
 
+    @pytest.mark.parametrize("argv", [
+        ["max_cyclic", "--nmax", "1"],
+        ["equality", "--nmax", "0"],
+        ["lemma7", "--nmax", "-4"],
+        ["thm4", "--q", "2", "--kmax", "0"],
+        ["lemma5", "--mkmax", "1"],
+        ["lemma6", "--mkmax", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_empty_range_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_order_one_stays_vacuous(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "verify", "max_cyclic", "--n", "1",
+                           "--cache-dir", str(tmp_path), "--format", "json")
+        report = json.loads(out)["reports"][0]
+        assert code == 0 and report["verdict"] == "holds" and report["cases"] == []
+
     def test_equality_needs_n(self, capsys):
         code, _, err = run(capsys, "verify", "equality")
         assert code == 2 and "--n" in err

@@ -161,7 +161,7 @@ class TestIsomorphicToCanonical:
         # Every family candidate, and a relabeling of each, against every class.
         rng = random.Random(3)
         for n in range(1, 13):
-            classes = [cls.group for cls in catalog(n, cache_dir=cache_dir)]
+            classes = catalog(n, cache_dir=cache_dir)
             for _, spec in _family_candidates(n):
                 try:
                     g = build_group(spec)
@@ -170,21 +170,21 @@ class TestIsomorphicToCanonical:
                 for h in [g, *_relabelings(g, 1, rng)]:
                     canon = canonical_form(h)
                     for cls in classes:
-                        assert isomorphic_to_canonical(h, cls) is (canon == cls), (n, spec)
+                        assert isomorphic_to_canonical(h, cls) is (canon == cls.group), (n, spec)
 
     @ABOVE_DEFAULT
     def test_equal_order_profiles(self, cache_dir):
         # Order 16 is the least with non-isomorphic classes of equal order
         # profile: only the labeling scan tells them apart.
         rng = random.Random(16)
-        classes = [cls.group for cls in catalog(16, bound=16, cache_dir=cache_dir)]
+        classes = catalog(16, bound=16, cache_dir=cache_dir)
         for g in classes:
-            h = next(_relabelings(g, 1, rng))
+            h = next(_relabelings(g.group, 1, rng))
             for cls in classes:
                 assert isomorphic_to_canonical(h, cls) is (g == cls)
 
     def test_other_order(self):
-        c4 = canonical_form(build_group(Cyclic(4)))
+        c4 = next(cls for cls in catalog(4) if cls.is_cyclic())
         assert not isomorphic_to_canonical(build_group(Cyclic(6)), c4)
 
 
@@ -353,6 +353,27 @@ def _relabel_q8(data: dict) -> None:
     entry["table"] = relabel(Group(entry["table"]), [0, 2, 1, 3, 4, 5, 6, 7]).table.tolist()
 
 
+def _set_entry(data: dict, row: int, col: int, value) -> None:
+    """Set one entry of the table of D8."""
+    next(c for c in data["classes"] if c["description"] == "D8")["table"][row][col] = value
+
+
+def _swap_intercalate(data: dict) -> None:
+    """Swap one 2 x 2 subsquare a b / b a of C8 off row and column 0.
+
+    The table stays a Latin square with identity 0, so only the
+    associativity test can reject it."""
+    table = next(c for c in data["classes"] if c["description"] == "C8")["table"]
+    n = len(table)
+    a, b, c, d = next((a, b, c, d) for a in range(1, n) for b in range(a + 1, n)
+                      for c in range(1, n) for d in range(c + 1, n)
+                      if table[a][c] == table[b][d] and table[a][d] == table[b][c])
+    table[a][c], table[a][d], table[b][c], table[b][d] = (
+        table[a][d], table[a][c], table[b][d], table[b][c])
+    assert any(table[table[x][y]][z] != table[x][table[y][z]]
+               for x in range(n) for y in range(n) for z in range(n))
+
+
 def _delete_class(data: dict, description: str) -> None:
     """Drop one class; the rest stay canonical, in order and correctly valued."""
     classes = data["classes"]
@@ -410,6 +431,15 @@ class TestCatalogCache:
             _relabel_q8,
             pytest.param(lambda d: _delete_class(d, "C8"), id="C8 deleted"),
             pytest.param(lambda d: _delete_class(d, "A[2,4]"), id="A[2,4] deleted"),
+            # true and 1.0 compare equal to the 1 they replace, but are no ints.
+            pytest.param(lambda d: _set_entry(d, 1, 0, True), id="true entry"),
+            pytest.param(lambda d: _set_entry(d, 1, 0, 1.0), id="1.0 entry"),
+            pytest.param(lambda d: _set_entry(d, 1, 1, None), id="null entry"),
+            pytest.param(lambda d: _set_entry(d, 1, 1, 8), id="entry 8"),
+            pytest.param(lambda d: _set_entry(d, 1, 1, -1), id="entry -1"),
+            pytest.param(lambda d: _set_entry(d, 1, 1, 2**70), id="entry 2**70"),
+            pytest.param(lambda d: d["classes"][1]["table"][3].pop(), id="ragged row"),
+            pytest.param(_swap_intercalate, id="non-associative loop"),
         ],
     )
     def test_invalid_cache_recomputed_and_rewritten(self, tmp_path, tamper):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ordersum import arith, groups
-from ordersum.enumeration import canonical_form, catalog
+from ordersum.enumeration import _checked_class, canonical_form, catalog
 from ordersum.groups import (
     LAW_BUDGET,
     TABLE_BUDGET,
@@ -37,6 +37,7 @@ from ordersum.groups import (
     kernel_of_action,
     parse_spec,
     semidirect_actions,
+    validate_table,
 )
 from ordersum.theorems import _witness_spec
 from test_enumeration import ABOVE_DEFAULT, relabel
@@ -674,6 +675,75 @@ class TestExplicitTables:
     def test_rejects_bad_permutation(self):
         with pytest.raises(GroupSpecError):
             build_group(FromPermutations(3, ((0, 0, 1),)))
+
+
+def _intercalate_swaps(rows, rng: random.Random, count: int):
+    """Up to count Latin squares, each rows with one 2 x 2 subsquare a b / b a
+    off row and column 0 swapped to b a / a b; the identity stays at 0."""
+    n = len(rows)
+    cells = [(a, b, c, d) for a in range(1, n) for b in range(a + 1, n)
+             for c in range(1, n) for d in range(c + 1, n)
+             if rows[a][c] == rows[b][d] and rows[a][d] == rows[b][c]]
+    for a, b, c, d in rng.sample(cells, min(count, len(cells))):
+        t = [list(r) for r in rows]
+        t[a][c], t[a][d], t[b][c], t[b][d] = t[a][d], t[a][c], t[b][d], t[b][c]
+        yield t
+
+
+class TestCatalogTableCheck:
+    """The pure-Python check and walk of catalog tables (`_checked_class`)
+    agrees with the numpy engine's `validate_table` and order walk."""
+
+    @staticmethod
+    def engines(rows) -> tuple:
+        """Each engine's element orders of rows, or None where it rejects them."""
+        try:
+            validate_table(np.array(rows))
+            walked = tuple(element_orders_of_table(Law.of_table(np.array(rows))).tolist())
+        except TableError:
+            walked = None
+        try:
+            checked = _checked_class(rows, len(rows)).orders
+        except ValueError:
+            checked = None
+        return walked, checked
+
+    @ABOVE_DEFAULT
+    def test_catalog_relabelings(self, cache_dir):
+        rng = random.Random(11)
+        for n in range(2, 17):
+            for cls in catalog(n, bound=16, cache_dir=cache_dir):
+                for _ in range(3):
+                    perm = [0] + rng.sample(range(1, n), n - 1)
+                    rows = relabel(cls.group, perm).table.tolist()
+                    walked, checked = self.engines(rows)
+                    assert walked is not None and checked == walked, (n, cls.description)
+
+    @ABOVE_DEFAULT
+    def test_latin_squares_off_catalog(self, cache_dir):
+        # Swapping one intercalate keeps a Latin square with identity 0; some
+        # swaps give a group again (in C2 x C2 one gives C4), most do not.
+        rng = random.Random(12)
+        accepted = rejected = 0
+        for n in range(4, 17):
+            for cls in catalog(n, bound=16, cache_dir=cache_dir):
+                for rows in _intercalate_swaps(cls.table, rng, 4):
+                    walked, checked = self.engines(rows)
+                    assert checked == walked, (n, cls.description, rows)
+                    accepted += checked is not None
+                    rejected += checked is None
+        assert accepted and rejected
+
+    @pytest.mark.parametrize("rows, message", [
+        (NON_ASSOCIATIVE, "associativity fails"),
+        ([[0, 1, 2], [1, 2, 0], [2, 0, 0]], "not a permutation"),
+        ([[1, 0], [0, 1]], "not a two-sided identity"),
+    ], ids=["non-associative", "non-Latin", "no identity"])
+    def test_both_reject(self, rows, message):
+        with pytest.raises(TableError, match=message):
+            validate_table(np.array(rows))
+        with pytest.raises(ValueError, match=message):
+            _checked_class(rows, len(rows))
 
 
 class TestGrammar:

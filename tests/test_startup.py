@@ -1,5 +1,5 @@
-"""Start-up contract: importing the package loads no layer, and each command
-loads only the layers it runs.
+"""Start-up contract: importing the package loads no layer, each command
+loads only the layers it runs, and reading a cached catalog loads no numpy.
 
 Each case runs in a fresh interpreter and reports the `ordersum` modules and
 numpy left in `sys.modules`, so a module-level import added anywhere on a
@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import ordersum
+from ordersum.enumeration import catalog
 
 SRC = str(Path(ordersum.__file__).resolve().parents[1])
 LAYERS = {"ordersum.arith", "ordersum.groups", "ordersum.enumeration", "ordersum.theorems",
@@ -100,7 +101,18 @@ def test_command_loads_only_its_layers(command):
 
 
 def test_catalog_claim_loads_every_layer():
+    # Cold, with no cache: naming the classes builds the construction families.
     assert loaded_by_command(["verify", "max_cyclic", "--n", "6"]) >= LAYERS | {"numpy"}
+
+
+@pytest.mark.parametrize("argv", [["catalog", "6"], ["spectrum", "6"],
+                                  ["verify", "max_cyclic", "--n", "6"]])
+def test_warm_catalog_reads_load_no_groups(argv, tmp_path):
+    # A cached catalog is checked and walked on its tables in pure Python.
+    catalog(6, cache_dir=tmp_path)
+    loaded = loaded_by_command(["--cache-dir", str(tmp_path), *argv])
+    assert "ordersum.enumeration" in loaded
+    assert not loaded & {"numpy", "ordersum.groups"}
 
 
 @pytest.mark.parametrize("module", sorted(PUBLIC))
