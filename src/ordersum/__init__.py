@@ -35,6 +35,7 @@ _EXPORTS = {
         "psi_cyclic",
         "psi_cyclic_oracle",
         "psi_cyclic_prime_power",
+        "semidirect_actions",
     ),
     "groups": (
         "Abelian",
@@ -53,7 +54,6 @@ _EXPORTS = {
         "format_spec",
         "kernel_of_action",
         "parse_spec",
-        "semidirect_actions",
     ),
     "enumeration": (
         "CatalogClass",

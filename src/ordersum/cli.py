@@ -10,9 +10,12 @@ Importing this module loads no layer of the package.  Each command imports
 the layers it runs when it runs: ``psi`` the groups, ``catalog`` and
 ``spectrum`` the enumerator, ``verify`` and ``audit`` the theorems (which
 load the groups and the enumerator only where a claim needs them).  The
-enumerator checks and walks catalog classes without numpy, so ``catalog``,
-``spectrum`` and ``verify max_cyclic`` on a cached catalog load neither the
-groups nor numpy; a cache miss loads both to name the classes.
+enumerator checks, walks and names catalog classes on pure-Python tables,
+so ``catalog``, ``spectrum`` and ``verify max_cyclic``/``equality``/
+``lemma7`` load neither the groups nor numpy, with a cached catalog or
+without.  Numpy is loaded by ``psi`` and by the claims that walk a group's
+law: ``upper_bound``, ``thm4``, ``mqr``, ``lemma5``, ``lemma6`` and
+``equality --family-only``.
 """
 
 from __future__ import annotations
@@ -134,9 +137,10 @@ def _orders_in_play(args) -> list[int]:
     return list(range(2, args.nmax + 1))
 
 
-def _mk_max(args) -> int:
-    if args.mkmax < 2:
-        raise ValueError(f"--mkmax {args.mkmax} leaves no (m, k) to check: it must be at least 2")
+def _mk_max(args, least: int = 2) -> int:
+    if args.mkmax < least:
+        raise ValueError(
+            f"--mkmax {args.mkmax} leaves no (m, k) to check: it must be at least {least}")
     return args.mkmax
 
 
@@ -252,7 +256,8 @@ CLAIMS = {
     "thm4": _thm4,
     "mqr": _mqr,
     "lemma5": lambda args: [lemma5_check(_mk_max(args))],
-    "lemma6": lambda args: [lemma6_check(_mk_max(args))],
+    # SD(3,2,2), at mk = 6, is the first non-central action.
+    "lemma6": lambda args: [lemma6_check(_mk_max(args, 6))],
     "lemma7": lambda args: [
         lemma7_check(n, bound=args.enum_bound, cache_dir=args.cache_dir)
         for n in _orders_in_play(args)],

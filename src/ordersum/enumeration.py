@@ -46,29 +46,31 @@ index 0, using five ingredients:
 A catalog class is its canonical table as a tuple of tuples, checked and
 walked in pure Python (``_checked_class``): the tables are at most
 ``HARD_CAP`` square, and the search and the scan already read them as
-lists.  ``groups`` (and with it numpy) is imported only to name the classes
-on a cache miss, by building the construction families, and for
-``cls.group``; importing this module, or reading a valid cache file, loads
-neither.
+lists.  The classes are named by matching them against the tables of the
+construction families, built here by pure-Python rules that give the same
+tables as the laws of ``groups``.  This module does not import ``groups``,
+so no catalog, computed or read from a cache file, loads numpy;
+``canonical_form`` wraps the rows core for a caller's ``Group``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import DEFAULT_BOUND, HARD_CAP, arith
 
-if TYPE_CHECKING:
-    from .groups import Group
-
 GENERATOR_VERSION = 1
+
+# The number of groups of order n up to isomorphism, for n = 0..48: OEIS
+# A000001.  Every catalog, computed or read from a cache file, must hold
+# A000001[n] classes.
+A000001 = (0, 1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1, 14, 1, 5, 1, 5, 2, 2, 1, 15,
+           2, 2, 5, 4, 1, 4, 1, 51, 1, 2, 1, 14, 1, 2, 2, 14, 1, 6, 1, 4, 2, 2, 1, 52)
 
 
 class EnumerationBoundError(ValueError):
@@ -222,32 +224,35 @@ def _is_canonical(rows, autos: list | None = None) -> bool:
     return best_order == list(range(len(rows)))
 
 
-def canonical_form(g: Group) -> Group:
-    """Canonical representative of the isomorphism class of ``g``.
+def _canonical_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """The canonical table of a group table: its least flattening's labeling.
 
-    Invariant under any identity-fixing relabeling of the table; two groups
-    have equal canonical forms exactly when they are isomorphic.
+    Invariant under any identity-fixing relabeling of the table; two tables
+    have equal canonical tables exactly when their groups are isomorphic.
     """
-    from .groups import Group
-
-    rows = g.table.tolist()
     _, best_order, _ = _scan_labelings(rows)
     posmap = {x: i for i, x in enumerate(best_order)}
-    return Group([[posmap[rows[x][y]] for y in best_order] for x in best_order])
+    return tuple(tuple(posmap[rows[x][y]] for y in best_order) for x in best_order)
 
 
-def isomorphic_to_canonical(g: Group, canon: CatalogClass) -> bool:
-    """Whether ``g`` is isomorphic to the catalog class ``canon``.
+def canonical_form(g):
+    """Canonical representative of the isomorphism class of the ``Group`` g,
+    as a ``Group`` of its own class (this module does not import ``groups``)."""
+    return type(g)(_canonical_rows(g.table.tolist()))
+
+
+def isomorphic_to_canonical(g: CatalogClass, canon: CatalogClass) -> bool:
+    """Whether the class ``g``, in any labeling, is the catalog class ``canon``.
 
     Groups with different order profiles are not isomorphic.  Otherwise the
     BFS labelings of g are scanned against the flattening of canon's table:
     one equal to it is an isomorphism, and one below it shows that g is not
     isomorphic to canon, whose flattening is the least of its class.
     """
-    if g.order != len(canon.table) or g.order_profile() != canon.order_profile():
+    if len(g.table) != len(canon.table) or g.order_profile() != canon.order_profile():
         return False
     target = flatten(canon.table)
-    flat, order, _ = _scan_labelings(g.table.tolist(), target=target)
+    flat, order, _ = _scan_labelings(g.table, target=target)
     return order is not None and flat == target
 
 
@@ -487,8 +492,7 @@ class CatalogClass:
     the order of each element, walked on the table.
 
     Build one with ``_checked_class``, which checks the table and walks the
-    orders.  psi, the order profile and the predicates read those fields;
-    ``group`` is the class as a numpy ``Group``, built on first use.
+    orders.  psi, the order profile and the predicates read those fields.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -509,12 +513,6 @@ class CatalogClass:
 
     def is_abelian(self) -> bool:
         return self.table == tuple(zip(*self.table))
-
-    @cached_property
-    def group(self) -> Group:
-        from .groups import Group
-
-        return Group(self.table)
 
 
 def _generating_set(table) -> list[int]:
@@ -601,52 +599,87 @@ def _check_bound(n: int, bound: int) -> None:
         )
 
 
+# The construction families as tables, on the indices the laws of ``groups``
+# use, so each gives the table ``groups._table_for`` gives its spec.
+
+
+def _cyclic_table(n: int) -> list[list[int]]:
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def _product_table(ta, tb) -> list[list[int]]:
+    """Direct product on mixed-radix indices (a, b) -> a * nb + b."""
+    nb = len(tb)
+    return [[x * nb + y for x in ra for y in rb] for ra in ta for rb in tb]
+
+
+def _abelian_table(factors) -> list[list[int]]:
+    """C_d1 x C_d2 x ..., folded factor by factor."""
+    table = [[0]]
+    for d in factors:
+        table = _product_table(table, _cyclic_table(d))
+    return table
+
+
+def _semidirect_table(m: int, k: int, a: int) -> list[list[int]]:
+    """C_m x| C_k on indices i*k + j: (i1 + a**j1 * i2 mod m, j1 + j2 mod k)."""
+    apow = [pow(a, j, m) for j in range(k)]
+    return [[(i1 + apow[j1] * i2) % m * k + (j1 + j2) % k for i2 in range(m) for j2 in range(k)]
+            for i1 in range(m) for j1 in range(k)]
+
+
+def _dicyclic_table(h: int) -> list[list[int]]:
+    return [[arith.dicyclic_product(h, x, y) for y in range(4 * h)] for x in range(4 * h)]
+
+
+def _perm_table(gens) -> list[list[int]]:
+    """The group of permutations gens generate, closed breadth first with
+    x * y the composite x(y(t)), as ``groups`` closes a perm: spec."""
+    elems = [tuple(range(len(gens[0])))]
+    index = {elems[0]: 0}
+    for x in elems:  # elems grows while it is read
+        for g in gens:
+            y = tuple(x[t] for t in g)
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+    return [[index[tuple(x[t] for t in y)] for y in elems] for x in elems]
+
+
 def _family_candidates(n: int):
-    """Named construction-family specs of order n, most specific first.
+    """Named construction-family tables of order n, most specific first, each
+    built when it is read.
 
     Used to attach a readable description to each enumerated class; classes
     outside the families keep a generic profile-based description.
     """
-    from .groups import (
-        Abelian,
-        Cyclic,
-        Dihedral,
-        FromPermutations,
-        GeneralizedQuaternion,
-        Modular,
-        SemidirectCyclic,
-        format_spec,
-        semidirect_actions,
-    )
-
-    cands: list[tuple[str, object]] = [(f"C{n}", Cyclic(n))]
+    yield f"C{n}", _cyclic_table(n)
     if n == 12:
         # The alternating group on 4 points; not a cyclic-by-cyclic product.
-        cands.append(("A4", FromPermutations(4, ((1, 2, 0, 3), (1, 0, 3, 2)))))
+        yield "A4", _perm_table(((1, 2, 0, 3), (1, 0, 3, 2)))
     for chain in abelian_invariant_chains(n):
         if list(chain) != [n]:
-            cands.append((format_spec(Abelian(chain)), Abelian(chain)))
+            yield "A[" + ",".join(map(str, chain)) + "]", _abelian_table(chain)
     if n >= 8 and n & (n - 1) == 0:
-        cands.append((f"Q{n}", GeneralizedQuaternion(n)))
+        yield f"Q{n}", _dicyclic_table(n // 4)
     fac = arith.factorize(n)
     if len(fac) == 1:
         q, r = fac[0]
         if r >= 4 or (r == 3 and q > 2):
-            cands.append((f"M({q},{r})", Modular(q, r)))
+            yield f"M({q},{r})", _semidirect_table(q ** (r - 1), q, q ** (r - 2) + 1)
     if n % 2 == 0 and n >= 4:
-        cands.append((f"D{n}", Dihedral(n)))
+        yield f"D{n}", _semidirect_table(n // 2, 2, n // 2 - 1)
     if n % 4 == 0 and n >= 8:
         h = n // 4
         # Dicyclic group of order 4h, realized as SD(h, 4, h-1) for odd h.
         if h % 2 == 1 and h > 1:
-            cands.append((f"Dic{h} = SD({h},4,{h - 1})", SemidirectCyclic(h, 4, h - 1)))
+            yield f"Dic{h} = SD({h},4,{h - 1})", _semidirect_table(h, 4, h - 1)
     for m in range(2, n):
         if n % m:
             continue
         k = n // m
-        for a in semidirect_actions(m, k)[1:]:  # a = 1 is the direct product
-            cands.append((f"SD({m},{k},{a})", SemidirectCyclic(m, k, a)))
-    return cands
+        for a in arith.semidirect_actions(m, k)[1:]:  # a = 1 is the direct product
+            yield f"SD({m},{k},{a})", _semidirect_table(m, k, a)
 
 
 def abelian_invariant_chains(n: int) -> list[tuple[int, ...]]:
@@ -685,23 +718,17 @@ def _partitions(e: int) -> list[tuple[int, ...]]:
 
 
 def _describe_classes(n: int, classes: list[CatalogClass]) -> list[str]:
-    """Each class is named by the first family candidate isomorphic to it."""
-    from .groups import GroupSpecError, build_group
-
+    """Each class is named by the first family candidate isomorphic to it;
+    every candidate table is checked as a class first."""
     descs: list[str | None] = [None] * len(classes)
-    for desc, spec in _family_candidates(n):
-        if None not in descs:
-            break
-        try:
-            g = build_group(spec)
-        except GroupSpecError:
-            continue
-        if g.order != n:
-            continue
+    for desc, rows in _family_candidates(n):
+        cand = _checked_class(rows, n)
         for idx, cls in enumerate(classes):
-            if descs[idx] is None and isomorphic_to_canonical(g, cls):
+            if descs[idx] is None and isomorphic_to_canonical(cand, cls):
                 descs[idx] = desc
                 break
+        if None not in descs:
+            break
     return [
         desc or f"order-{n} class #{idx} with order profile {cls.order_profile()}"
         for idx, (cls, desc) in enumerate(zip(classes, descs))
@@ -731,6 +758,9 @@ def catalog(
             stacklevel=2,
         )
     found = _enumerate(n)
+    if len(found) != A000001[n]:  # a fault of the search, never a failed claim
+        raise RuntimeError(f"the search found {len(found)} classes of order {n}, "
+                           f"not the {A000001[n]} of OEIS A000001")
     classes = [replace(cls, description=desc)
                for cls, desc in zip(found, _describe_classes(n, found))]
     if path is not None:
@@ -745,12 +775,10 @@ def _load_catalog(path: Path, n: int) -> list[CatalogClass] | None:
     ``_checked_class`` and be canonical, and its stored psi and order
     profile must equal the walked ones.  The tables must be in strictly
     increasing flatten order, as _enumerate writes them, so no class is
-    stored twice.  The abelian classes must be the abelian groups of order
-    n, one for one: for finite abelian groups the order profile fixes the
-    class, so their profiles are compared with those of the invariant-factor
-    chains.  A deleted non-abelian class is not caught: only a recompute
-    finds it.  A file that fails any check is reported in a warning and
-    treated as a miss; a file of another generator version is a plain miss.
+    stored twice, and there must be A000001[n] of them: distinct canonical
+    tables are distinct classes, so the file then holds every class of order
+    n.  A file that fails any check is reported in a warning and treated as
+    a miss; a file of another generator version is a plain miss.
     """
     try:
         with open(path) as fh:
@@ -759,13 +787,13 @@ def _load_catalog(path: Path, n: int) -> list[CatalogClass] | None:
             return None
         if data["n"] != n:
             raise ValueError(f"it holds order {data['n']}")
+        if len(data["classes"]) != A000001[n]:
+            raise ValueError(f"it holds {len(data['classes'])} classes, "
+                             f"not the {A000001[n]} groups of order {n}")
         classes = [_load_class(entry, n) for entry in data["classes"]]
         flats = [flatten(cls.table) for cls in classes]
         if any(a >= b for a, b in zip(flats, flats[1:])):
             raise ValueError("the stored tables are not in strictly increasing flatten order")
-        abelian = sorted(tuple(c.order_profile().items()) for c in classes if c.is_abelian())
-        if abelian != _abelian_profiles(n):
-            raise ValueError(f"the stored abelian classes are not the abelian groups of order {n}")
         return classes
     except FileNotFoundError:
         return None
@@ -776,23 +804,6 @@ def _load_catalog(path: Path, n: int) -> list[CatalogClass] | None:
             stacklevel=2,
         )
         return None
-
-
-def _abelian_profiles(n: int) -> list[tuple]:
-    """The order profiles of the abelian groups of order n, one per class, sorted.
-
-    C_d1 x ... x C_dr has gcd(m, d1) ... gcd(m, dr) elements of order
-    dividing m; those of order exactly m are the rest once the elements of
-    each smaller order dividing m are taken out.
-    """
-    profiles = []
-    for chain in abelian_invariant_chains(n):
-        exact: dict[int, int] = {}
-        for m in arith.divisors(n):
-            exact[m] = (math.prod(math.gcd(m, d) for d in chain)
-                        - sum(c for e, c in exact.items() if m % e == 0))
-        profiles.append(tuple((m, c) for m, c in exact.items() if c))
-    return sorted(profiles)
 
 
 def _load_class(entry: dict, n: int) -> CatalogClass:

@@ -25,6 +25,7 @@ from typing import Union
 import numpy as np
 
 from . import arith
+from .arith import semidirect_actions  # noqa: F401  (a public name of this module too)
 
 
 class GroupSpecError(ValueError):
@@ -242,17 +243,8 @@ def _semidirect_law(m: int, k: int, a: int) -> Law:
 
 
 def _dicyclic_law(h: int) -> Law:
-    """Dicyclic group of order 4h: <a, b | a^(2h) = 1, b^2 = a^h, bab^-1 = a^-1>.
-
-    Indices encode (i, j) with i in Z_(2h), j in {0, 1} as i*2 + j.
-    """
-    n2 = 2 * h
-
-    def mul(x, y):
-        i1, j1, i2, j2 = x >> 1, x & 1, y >> 1, y & 1
-        return (i1 + (1 - 2 * j1) * i2 + h * (j1 & j2)) % n2 * 2 + (j1 ^ j2)
-
-    return Law(_walkable(4 * h), mul)
+    """Dicyclic group of order 4h, by the rule the catalog's tables share."""
+    return Law(_walkable(4 * h), lambda x, y: arith.dicyclic_product(h, x, y))
 
 
 def _table_for(law: Law) -> np.ndarray:
@@ -600,11 +592,6 @@ def _check_action(m: int, k: int, a: int) -> int:
     _require(math.gcd(aa, m) == 1, f"action x -> x**{a} is not an automorphism of C_{m}")
     _require(pow(aa, k, m) == 1 % m, f"invalid semidirect action: {a}**{k} is not 1 mod {m}")
     return aa
-
-
-def semidirect_actions(m: int, k: int) -> list[int]:
-    """Every a in 1..m-1 for which SemidirectCyclic(m, k, a) is a group."""
-    return [a for a in range(1, m) if math.gcd(a, m) == 1 and pow(a, k, m) == 1]
 
 
 def kernel_of_action(m: int, k: int, a: int) -> int:

@@ -33,8 +33,12 @@ propositions, including the q = 2 failure 341 < 336 and the q = 3 near-miss
 
 ``groups`` (and with it numpy) and ``enumeration`` are imported inside the
 checkers that build groups or read a catalog, so the audit loads neither.
-``max_cyclic`` reads only the classes' walked orders, so on a cached
-catalog it loads no ``groups`` either.
+The catalog claims ``max_cyclic``, ``equality`` and ``lemma7`` work on the
+classes' pure-Python tables: the equality witness and the ``SD(m,k,a)``
+candidates are tables from the enumerator's family rules, so these claims
+load no ``groups`` or numpy, with a cached catalog or without.  The
+family-scale claims, ``upper_bound`` and ``equality --family-only`` walk
+laws in ``groups``.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from . import DEFAULT_BOUND, arith
 from .arith import f_ratio, psi_cyclic
 
 if TYPE_CHECKING:
-    from .groups import DirectProduct, Group
+    from .groups import Group
 
 @dataclass
 class Case:
@@ -114,19 +118,17 @@ def _witness_spec(q: int, k: int):
     return DirectProduct(parts)
 
 
-def _expected_witness(n: int, q: int) -> DirectProduct | None:
-    """The spec of the witness the classification predicts for order n, if any.
+def _witness_cofactor(n: int, q: int) -> int | None:
+    """The k of the witness (C_q x C_q) x C_k the classification predicts for
+    order n, if there is one.
 
     Requires q to be the least prime divisor of n.  A witness exists exactly
     when q divides n to the second power exactly: then n = q^2 k with every
     prime divisor of k exceeding q.
     """
-    if n % (q * q):
+    if n % (q * q) or n // (q * q) % q == 0:
         return None
-    k = n // (q * q)
-    if k % q == 0:
-        return None
-    return _witness_spec(q, k)
+    return n // (q * q)
 
 
 def _require_least_prime(n: int, q: int) -> None:
@@ -209,17 +211,17 @@ def verify_equality_classification(
     below.  Above the bound, family_only restricts the check to the predicted
     construction and the report is flagged family-restricted.
     """
-    from .enumeration import EnumerationBoundError, canonical_form, catalog
-    from .groups import build_group, format_spec
+    from .enumeration import (
+        EnumerationBoundError, _abelian_table, _canonical_rows, _checked_class, catalog)
 
     if q is None:
         q = arith.least_prime_factor(n)
     _require_least_prime(n, q)
-    expected = _expected_witness(n, q)
+    k = _witness_cofactor(n, q)
     target = f_ratio(q) * psi_cyclic(n)
 
     cases = []
-    if family_only and expected is None:
+    if family_only and k is None:
         cases.append(
             Case(
                 params={"n": n, "q": q},
@@ -231,6 +233,9 @@ def verify_equality_classification(
             )
         )
     elif family_only:
+        from .groups import build_group, format_spec
+
+        expected = _witness_spec(q, k)
         g = build_group(expected)
         label = format_spec(expected)
         cases.append(
@@ -250,9 +255,8 @@ def verify_equality_classification(
         )
     else:
         expected_table = None
-        if expected is not None:
-            canon = canonical_form(build_group(expected))
-            expected_table = tuple(map(tuple, canon.table.tolist()))
+        if k is not None:  # the witness C_q x C_qk, checked, as its canonical table
+            expected_table = _canonical_rows(_checked_class(_abelian_table((q, q * k)), n).table)
         for cls in catalog(n, bound=bound, cache_dir=cache_dir):
             if cls.is_cyclic():
                 continue  # psi(C_n) > target since f(q) < 1
@@ -289,8 +293,7 @@ def lemma7_check(
     [C_k : kernel] = multiplicative order of a mod m equal to a prime.  The
     clause is vacuous for classes without such a realization.
     """
-    from .enumeration import catalog, isomorphic_to_canonical
-    from .groups import SemidirectCyclic, build_group, semidirect_actions
+    from .enumeration import _checked_class, _semidirect_table, catalog, isomorphic_to_canonical
 
     classes = catalog(n, bound=bound, cache_dir=cache_dir)
     values = sorted({cls.psi for cls in classes}, reverse=True)
@@ -310,8 +313,8 @@ def lemma7_check(
         for p, e in arith.factorize(n):
             m = p**e
             k = n // m
-            for a in semidirect_actions(m, k):
-                sd = build_group(SemidirectCyclic(m, k, a))
+            for a in arith.semidirect_actions(m, k):
+                sd = _checked_class(_semidirect_table(m, k, a), n)
                 if isomorphic_to_canonical(sd, cls):
                     matches.append((m, k, a))
         if not matches:
@@ -448,15 +451,13 @@ def mqr_formula_check(q: int, r: int) -> VerificationReport:
 
 def _sylow_semidirect_parameters(mk_max: int):
     """All (m, k, a) with m a prime power coprime to k, mk <= mk_max, valid a."""
-    from .groups import semidirect_actions
-
     for m in range(2, mk_max + 1):
         if len(arith.factorize(m)) != 1:
             continue
         for k in range(1, mk_max // m + 1):
             if math.gcd(m, k) != 1:
                 continue
-            for a in semidirect_actions(m, k):
+            for a in arith.semidirect_actions(m, k):
                 yield m, k, a
 
 

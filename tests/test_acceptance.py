@@ -15,6 +15,7 @@ from ordersum.groups import (
     Cyclic,
     DirectProduct,
     GeneralizedQuaternion,
+    Group,
     build_group,
     parse_spec,
 )
@@ -63,7 +64,7 @@ def test_criterion_4_equality_classification_exhaustive(cache_dir):
             assert report.verdict == "holds"
             equalities = [c for c in report.cases if c.verdict == "equality"]
             assert len(equalities) == 1
-            by_desc = {c.description: c.group for c in catalog(n, cache_dir=cache_dir)}
+            by_desc = {c.description: Group(c.table) for c in catalog(n, cache_dir=cache_dir)}
             witness = by_desc[equalities[0].params["class"]]
             assert witness == canonical_form(build_group(parse_spec(expected_spec)))
 

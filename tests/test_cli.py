@@ -149,11 +149,24 @@ class TestVerifyCommand:
         ["thm4", "--q", "2", "--kmax", "0"],
         ["lemma5", "--mkmax", "1"],
         ["lemma6", "--mkmax", "0"],
+        # The first non-central action, SD(3,2,2), is at mk = 6.
+        ["lemma6", "--mkmax", "2"],
+        ["lemma6", "--mkmax", "5"],
     ], ids=lambda argv: " ".join(argv))
     def test_empty_range_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, checked", [
+        (["lemma5", "--mkmax", "2"], 1),
+        (["lemma6", "--mkmax", "6"], 1),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_least_ranges_hold(self, capsys, argv, checked):
+        code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+        report = json.loads(out)["reports"][0]
+        assert code == 0 and report["verdict"] == "holds"
+        assert report["params"]["groups_checked"] == checked
 
     def test_order_one_stays_vacuous(self, capsys, tmp_path):
         code, out, _ = run(capsys, "verify", "max_cyclic", "--n", "1",

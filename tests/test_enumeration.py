@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ordersum import arith, enumeration
+from ordersum import HARD_CAP, arith, cli, enumeration
 from ordersum.enumeration import (
+    A000001,
     DEFAULT_BOUND,
     GENERATOR_VERSION,
     EnumerationBoundError,
@@ -18,6 +19,7 @@ from ordersum.enumeration import (
     isomorphic_to_canonical,
     psi_spectrum,
     shell_cells,
+    _checked_class,
     _family_candidates,
     _is_canonical,
     _scan_labelings,
@@ -28,7 +30,6 @@ from ordersum.groups import (
     Cyclic,
     Dihedral,
     Group,
-    GroupSpecError,
     SemidirectCyclic,
     build_group,
     validate_table,
@@ -61,11 +62,31 @@ def relabel(g: Group, perm) -> Group:
     return Group(perm[g.table][np.ix_(old, old)])
 
 
+def as_class(g: Group):
+    """A group's table in its own labeling, checked as a catalog class."""
+    return _checked_class(g.table.tolist(), g.order)
+
+
 class TestAllGroups:
     @ABOVE_DEFAULT
     def test_class_counts(self, cache_dir):
         for n, count in CLASS_COUNTS.items():
             assert len(catalog(n, bound=16, cache_dir=cache_dir)) == count, n
+
+    def test_a000001_covers_the_hard_cap(self):
+        assert len(A000001) > HARD_CAP
+        assert {n: A000001[n] for n in CLASS_COUNTS} == CLASS_COUNTS
+
+    def test_wrong_class_count_is_an_internal_error(self, capsys, monkeypatch, tmp_path):
+        # A search that loses a class is a fault, never a failed claim: exit 2.
+        real = enumeration._search_groups
+        monkeypatch.setattr(enumeration, "_search_groups", lambda n: real(n)[:-1])
+        with pytest.raises(RuntimeError, match="found 4 classes of order 8, not the 5"):
+            catalog(8)
+        assert cli.main(["catalog", "8", "--cache-dir", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("not the 5 of OEIS A000001\n")
+        assert not (tmp_path / "catalog" / "n=8.json").exists()
 
     @ABOVE_DEFAULT
     @pytest.mark.parametrize("n", sorted(PSI_SPECTRA))
@@ -76,12 +97,12 @@ class TestAllGroups:
     def test_every_output_is_a_valid_group(self, cache_dir):
         for n in range(1, 13):
             for cls in catalog(n, cache_dir=cache_dir):
-                validate_table(cls.group.table)
+                validate_table(Group(cls.table).table)
 
     def test_cyclic_always_present(self, cache_dir):
         for n in range(1, 13):
             cyc = canonical_form(build_group(Cyclic(n)))
-            assert cyc in [cls.group for cls in catalog(n, cache_dir=cache_dir)]
+            assert cyc in [Group(cls.table) for cls in catalog(n, cache_dir=cache_dir)]
 
     def test_determinism(self):
         assert catalog(9) == catalog(9)
@@ -149,10 +170,11 @@ class TestCanonicalForm:
             classes = catalog(n, cache_dir=cache_dir)
             seen = {}
             for cls in classes:
+                g = Group(cls.table)
                 for tail in permutations(range(1, n)):
                     perm = (0, *tail)
-                    assert canonical_form(relabel(cls.group, perm)) == cls.group
-                seen[cls.group] = cls.description
+                    assert canonical_form(relabel(g, perm)) == g
+                seen[g] = cls.description
             assert len(seen) == len(classes)
 
 
@@ -162,15 +184,13 @@ class TestIsomorphicToCanonical:
         rng = random.Random(3)
         for n in range(1, 13):
             classes = catalog(n, cache_dir=cache_dir)
-            for _, spec in _family_candidates(n):
-                try:
-                    g = build_group(spec)
-                except GroupSpecError:
-                    continue
+            for desc, rows in _family_candidates(n):
+                g = Group(rows)
                 for h in [g, *_relabelings(g, 1, rng)]:
                     canon = canonical_form(h)
                     for cls in classes:
-                        assert isomorphic_to_canonical(h, cls) is (canon == cls.group), (n, spec)
+                        assert isomorphic_to_canonical(as_class(h), cls) is (
+                            canon == Group(cls.table)), (n, desc)
 
     @ABOVE_DEFAULT
     def test_equal_order_profiles(self, cache_dir):
@@ -179,13 +199,14 @@ class TestIsomorphicToCanonical:
         rng = random.Random(16)
         classes = catalog(16, bound=16, cache_dir=cache_dir)
         for g in classes:
-            h = next(_relabelings(g.group, 1, rng))
+            h = next(_relabelings(Group(g.table), 1, rng))
             for cls in classes:
-                assert isomorphic_to_canonical(h, cls) is (g == cls)
+                assert isomorphic_to_canonical(as_class(h), cls) is (g == cls)
 
     def test_other_order(self):
         c4 = next(cls for cls in catalog(4) if cls.is_cyclic())
-        assert not isomorphic_to_canonical(build_group(Cyclic(6)), c4)
+        c6 = next(cls for cls in catalog(6) if cls.is_cyclic())
+        assert not isomorphic_to_canonical(c6, c4)
 
 
 def _unpruned_scan(rows, ref=None, stop_below_ref=False):
@@ -258,13 +279,14 @@ class TestPrunedScan:
         rng = random.Random(7)
         for n in range(1, 13):
             for cls in catalog(n, cache_dir=cache_dir):
-                for g in [cls.group, *_relabelings(cls.group, 2, rng)]:
+                canon = Group(cls.table)
+                for g in [canon, *_relabelings(canon, 2, rng)]:
                     rows = g.table.tolist()
                     _, least = _unpruned_scan(rows)
                     assert _scan_labelings(rows)[0] == least, (n, rows)
                     below, _ = _unpruned_scan(rows, flatten(rows), stop_below_ref=True)
                     assert _is_canonical(rows) is not below, (n, rows)
-                    assert below is (g != cls.group), (n, rows)
+                    assert below is (g != canon), (n, rows)
 
     @ABOVE_DEFAULT
     def test_order_16_relabelings(self, cache_dir):
@@ -272,10 +294,11 @@ class TestPrunedScan:
         classes = catalog(16, bound=16, cache_dir=cache_dir)
         assert "A[2,2,2,2]" in [cls.description for cls in classes]
         for cls in classes:
-            assert _is_canonical(cls.group.table.tolist())
-            for g in _relabelings(cls.group, 3, rng):
-                assert canonical_form(g) == cls.group, cls.description
-                if g != cls.group:
+            assert _is_canonical(cls.table)
+            canon = Group(cls.table)
+            for g in _relabelings(canon, 3, rng):
+                assert canonical_form(g) == canon, cls.description
+                if g != canon:
                     assert not _is_canonical(g.table.tolist()), cls.description
 
     def test_prunes_by_automorphisms(self):
@@ -325,15 +348,9 @@ class TestCompleteness:
     def test_families_land_in_catalog(self, cache_dir):
         # Every construction-family group of order n matches exactly one class.
         for n in range(1, 13):
-            classes = {c.group for c in catalog(n, cache_dir=cache_dir)}
-            for _, spec in _family_candidates(n):
-                try:
-                    g = build_group(spec)
-                except GroupSpecError:
-                    continue
-                if g.order != n:
-                    continue
-                assert canonical_form(g) in classes, (n, spec)
+            classes = {Group(c.table) for c in catalog(n, cache_dir=cache_dir)}
+            for desc, rows in _family_candidates(n):
+                assert canonical_form(Group(rows)) in classes, (n, desc)
 
     def test_top_of_spectrum_uniquely_cyclic(self, cache_dir):
         for n in range(2, 13):
@@ -431,6 +448,7 @@ class TestCatalogCache:
             _relabel_q8,
             pytest.param(lambda d: _delete_class(d, "C8"), id="C8 deleted"),
             pytest.param(lambda d: _delete_class(d, "A[2,4]"), id="A[2,4] deleted"),
+            pytest.param(lambda d: _delete_class(d, "Q8"), id="Q8 deleted"),
             # true and 1.0 compare equal to the 1 they replace, but are no ints.
             pytest.param(lambda d: _set_entry(d, 1, 0, True), id="true entry"),
             pytest.param(lambda d: _set_entry(d, 1, 0, 1.0), id="1.0 entry"),
@@ -452,6 +470,20 @@ class TestCatalogCache:
         with pytest.warns(RuntimeWarning, match="invalid cache file"):
             assert catalog(8, cache_dir=tmp_path) == first
         assert path.read_bytes() == good
+
+    @ABOVE_DEFAULT
+    def test_non_abelian_class_deleted_at_order_16(self, cache_dir, tmp_path):
+        # Every other check passes: only the count of OEIS A000001 catches it.
+        golden = Path(__file__).resolve().parent / "golden" / "catalog" / "n=16.json"
+        path = tmp_path / "catalog" / "n=16.json"
+        path.parent.mkdir()
+        data = json.loads(golden.read_bytes())
+        _delete_class(data, "Q16")
+        path.write_text(json.dumps(data))
+        with pytest.warns(RuntimeWarning, match="it holds 13 classes, not the 14 groups"):
+            assert catalog(16, bound=16, cache_dir=tmp_path) == catalog(
+                16, bound=16, cache_dir=cache_dir)
+        assert path.read_bytes() == golden.read_bytes()
 
     def test_save_leaves_no_temporary_file(self, tmp_path):
         catalog(6, cache_dir=tmp_path)

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ordersum import arith, groups
+from ordersum import HARD_CAP, arith, enumeration, groups
 from ordersum.enumeration import _checked_class, canonical_form, catalog
 from ordersum.groups import (
     LAW_BUDGET,
@@ -115,26 +115,34 @@ def _dicyclic_table(h: int) -> np.ndarray:
     return ((i1 + sign * i2 + h * (j1 & j2)) % n2) * 2 + (j1 ^ j2)
 
 
-def _builder_table(spec) -> np.ndarray:
-    """The table the old builders gave a family spec or a product of them."""
+# (cyclic, product, semidirect, dicyclic) table rules: the old numpy builders
+# above, and the pure-Python rules the catalog layer names classes with.
+OLD_BUILDERS = (_cyclic_table, _product_table, _semidirect_table, _dicyclic_table)
+CATALOG_RULES = (enumeration._cyclic_table, enumeration._product_table,
+                 enumeration._semidirect_table, enumeration._dicyclic_table)
+
+
+def _builder_table(spec, rules=OLD_BUILDERS):
+    """The table the rules give a family spec or a product of them."""
+    cyclic, product, semidirect, dicyclic = rules
     if isinstance(spec, Cyclic):
-        return _cyclic_table(spec.n)
+        return cyclic(spec.n)
     if isinstance(spec, Abelian):
-        return _builder_table(DirectProduct(Cyclic(d) for d in spec.factors if d != 1))
+        return _builder_table(DirectProduct(Cyclic(d) for d in spec.factors if d != 1), rules)
     if isinstance(spec, DirectProduct):
-        table = _cyclic_table(1)
+        table = cyclic(1)
         for part in spec.parts:
-            table = _product_table(table, _builder_table(part))
+            table = product(table, _builder_table(part, rules))
         return table
     if isinstance(spec, SemidirectCyclic):
-        return _semidirect_table(spec.m, spec.k, spec.a % spec.m)
+        return semidirect(spec.m, spec.k, spec.a % spec.m)
     if isinstance(spec, Dihedral):
         m = spec.order // 2
-        return _semidirect_table(m, 2, (m - 1) % m if m > 1 else 0)
+        return semidirect(m, 2, (m - 1) % m if m > 1 else 0)
     if isinstance(spec, GeneralizedQuaternion):
-        return _dicyclic_table(spec.order // 4)
+        return dicyclic(spec.order // 4)
     if isinstance(spec, Modular):
-        return _semidirect_table(spec.q ** (spec.r - 1), spec.q, spec.q ** (spec.r - 2) + 1)
+        return semidirect(spec.q ** (spec.r - 1), spec.q, spec.q ** (spec.r - 2) + 1)
     raise AssertionError(f"no builder for {spec!r}")
 
 
@@ -315,7 +323,11 @@ class TestCyclicTable:
 
 
 class TestLaws:
-    """Each law's grid is the old builder's table, and both walk to the same orders."""
+    """Each law's grid is the old builder's table, and both walk to the same orders.
+
+    Up to HARD_CAP the catalog layer's pure-Python rule gives the same table,
+    which passes the catalog check with the same orders.
+    """
 
     @staticmethod
     def check(spec) -> None:
@@ -323,6 +335,10 @@ class TestLaws:
         table = _builder_table(spec)
         assert np.array_equal(groups._table_for(g.law), table), spec
         assert np.array_equal(g.element_orders, element_orders_of_table(Law.of_table(table))), spec
+        if g.order <= HARD_CAP:
+            rows = _builder_table(spec, CATALOG_RULES)
+            assert np.array_equal(np.array(rows), table), spec
+            assert _checked_class(rows, g.order).orders == tuple(g.element_orders.tolist()), spec
 
     def test_family_specs(self):
         for spec in _family_specs(64):
@@ -442,7 +458,7 @@ class TestOrderWalk:
             for cls in catalog(n, bound=16, cache_dir=cache_dir):
                 for _ in range(2):
                     perm = [0] + rng.sample(range(1, n), n - 1)
-                    self.check(relabel(cls.group, perm))
+                    self.check(relabel(Group(cls.table), perm))
 
 
 class TestPsi:
@@ -632,7 +648,12 @@ class TestExplicitTables:
         degree, gens, order = PERMUTATION_GROUPS[name]
         g = build_group(FromPermutations(degree, gens))
         assert g.order == order
-        assert np.array_equal(g.table, _loop_perm_table(degree, gens))
+        table = _loop_perm_table(degree, gens)
+        assert np.array_equal(g.table, table)
+        if order <= HARD_CAP:  # the catalog's pure-Python closure gives the same table
+            rows = enumeration._perm_table(gens)
+            assert np.array_equal(np.array(rows), table)
+            assert _checked_class(rows, order).orders == tuple(g.element_orders.tolist())
 
     @pytest.mark.parametrize("name", ["A4", "S4", "S5"])
     def test_permutation_closure_checks_hash_hits(self, name, monkeypatch):
@@ -715,7 +736,7 @@ class TestCatalogTableCheck:
             for cls in catalog(n, bound=16, cache_dir=cache_dir):
                 for _ in range(3):
                     perm = [0] + rng.sample(range(1, n), n - 1)
-                    rows = relabel(cls.group, perm).table.tolist()
+                    rows = relabel(Group(cls.table), perm).table.tolist()
                     walked, checked = self.engines(rows)
                     assert walked is not None and checked == walked, (n, cls.description)
 

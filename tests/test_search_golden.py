@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from ordersum.enumeration import _search_groups
+from ordersum.enumeration import A000001, _search_groups
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "search"
 # OEIS A000001, the number of groups of order n.
@@ -29,7 +29,7 @@ def _dump(tables) -> str:
 @pytest.mark.parametrize("n", sorted(CLASS_COUNTS))
 def test_search_matches_golden(n):
     tables = _search_groups(n)
-    assert len(tables) == CLASS_COUNTS[n]
+    assert len(tables) == CLASS_COUNTS[n] == A000001[n]
     assert _dump(tables) == (GOLDEN / f"n={n}.json").read_text()
 
 

@@ -1,5 +1,6 @@
 """Start-up contract: importing the package loads no layer, each command
-loads only the layers it runs, and reading a cached catalog loads no numpy.
+loads only the layers it runs, and no catalog command loads numpy, with a
+cached catalog or without.
 
 Each case runs in a fresh interpreter and reports the `ordersum` modules and
 numpy left in `sys.modules`, so a module-level import added anywhere on a
@@ -81,8 +82,8 @@ COMMANDS = {
     "audit": (["audit", "--qmax", "5", "--pmax", "11", "--smax", "2"],
               {"numpy", "ordersum.groups", "ordersum.enumeration"}),
     "psi": (["psi", "Q8"], {"ordersum.enumeration", "ordersum.theorems"}),
-    "catalog": (["catalog", "6"], {"ordersum.theorems"}),
-    "spectrum": (["spectrum", "6"], {"ordersum.theorems"}),
+    "catalog": (["catalog", "6"], {"numpy", "ordersum.groups", "ordersum.theorems"}),
+    "spectrum": (["spectrum", "6"], {"numpy", "ordersum.groups", "ordersum.theorems"}),
     "lemma5": (["verify", "lemma5", "--mkmax", "20"], {"ordersum.enumeration"}),
     "lemma6": (["verify", "lemma6", "--mkmax", "20"], {"ordersum.enumeration"}),
     "thm4": (["verify", "thm4", "--q", "2", "--kmax", "4"], {"ordersum.enumeration"}),
@@ -100,19 +101,37 @@ def test_command_loads_only_its_layers(command):
     assert not loaded & absent
 
 
-def test_catalog_claim_loads_every_layer():
-    # Cold, with no cache: naming the classes builds the construction families.
-    assert loaded_by_command(["verify", "max_cyclic", "--n", "6"]) >= LAYERS | {"numpy"}
+def test_cold_catalog_claim_loads_no_groups():
+    # With no cache the classes are named by the families' pure-Python tables.
+    loaded = loaded_by_command(["verify", "max_cyclic", "--n", "6"])
+    assert loaded == LAYERS - {"ordersum.groups"} | {"ordersum"}
 
 
 @pytest.mark.parametrize("argv", [["catalog", "6"], ["spectrum", "6"],
-                                  ["verify", "max_cyclic", "--n", "6"]])
+                                  ["verify", "max_cyclic", "--n", "6"],
+                                  ["verify", "equality", "--nmax", "6"],
+                                  ["verify", "lemma7", "--nmax", "6"]])
 def test_warm_catalog_reads_load_no_groups(argv, tmp_path):
-    # A cached catalog is checked and walked on its tables in pure Python.
-    catalog(6, cache_dir=tmp_path)
+    # A cached catalog is checked and walked on its tables in pure Python; the
+    # equality witness and the lemma7 candidates are pure-Python tables too.
+    for n in range(2, 7):
+        catalog(n, cache_dir=tmp_path)
     loaded = loaded_by_command(["--cache-dir", str(tmp_path), *argv])
     assert "ordersum.enumeration" in loaded
     assert not loaded & {"numpy", "ordersum.groups"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["psi", "Q8"],
+    ["verify", "upper_bound", "--spec", "Q8", "--q", "2"],
+    ["verify", "equality", "--n", "12", "--family-only"],
+    ["verify", "thm4", "--q", "2", "--kmax", "4"],
+    ["verify", "mqr", "--q", "3", "--r", "3"],
+    ["verify", "lemma5", "--mkmax", "20"],
+    ["verify", "lemma6", "--mkmax", "20"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_law_walks_load_groups(argv):
+    assert {"numpy", "ordersum.groups"} <= loaded_by_command(argv)
 
 
 @pytest.mark.parametrize("module", sorted(PUBLIC))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ordersum import theorems
+from ordersum import HARD_CAP, arith, theorems
 from ordersum.arith import f_ratio, psi_cyclic
 from ordersum.enumeration import canonical_form, catalog
 from ordersum.groups import (
@@ -12,6 +12,8 @@ from ordersum.groups import (
     Cyclic,
     DirectProduct,
     GeneralizedQuaternion,
+    Group,
+    SemidirectCyclic,
     build_group,
     parse_spec,
 )
@@ -30,7 +32,10 @@ from ordersum.theorems import (
     verify_equality_classification,
     verify_max_cyclic,
     verify_upper_bound,
+    _witness_cofactor,
+    _witness_spec,
 )
+from test_enumeration import ABOVE_DEFAULT
 
 
 class TestMaxCyclic:
@@ -82,7 +87,7 @@ def equality_witnesses(n, q, cache_dir):
     """The catalog groups on which the exhaustive report finds equality."""
     report = verify_equality_classification(n, q, cache_dir=cache_dir)
     assert report.verdict == "holds"
-    by_desc = {cls.description: cls.group for cls in catalog(n, cache_dir=cache_dir)}
+    by_desc = {cls.description: Group(cls.table) for cls in catalog(n, cache_dir=cache_dir)}
     return [by_desc[c.params["class"]] for c in report.cases if c.verdict == "equality"]
 
 
@@ -105,6 +110,26 @@ class TestEqualityClassification:
         for n in range(2, 13):
             report = verify_equality_classification(n, cache_dir=cache_dir)
             assert report.verdict == "holds", n
+
+    @ABOVE_DEFAULT
+    def test_witness_matches_numpy_engine(self, cache_dir):
+        # The report builds and canonicalizes its witness on pure-Python
+        # tables; the numpy engine's canonical form of the witness spec must
+        # be the one class at which it expects equality.
+        for n in range(2, HARD_CAP + 1):
+            q = arith.least_prime_factor(n)
+            k = _witness_cofactor(n, q)
+            report = verify_equality_classification(n, bound=HARD_CAP, cache_dir=cache_dir)
+            assert report.verdict == "holds", n
+            tables = {c.description: c.table for c in catalog(n, bound=HARD_CAP,
+                                                                cache_dir=cache_dir)}
+            expected = [tables[c.params["class"]] for c in report.cases
+                        if c.expected == "equality"]
+            if k is None:
+                assert expected == [], n
+            else:
+                canon = canonical_form(build_group(_witness_spec(q, k)))
+                assert [Group(t) for t in expected] == [canon], n
 
     def test_family_mode_flagged(self):
         report = verify_equality_classification(4 * 25, 2, family_only=True)
@@ -209,6 +234,31 @@ class TestLemmas:
         r12 = lemma7_check(12, cache_dir=cache_dir)
         assert r12.verdict == "holds"
         assert all(c.verdict == "not_applicable" for c in r12.cases)
+
+    @ABOVE_DEFAULT
+    def test_lemma7_matches_numpy_engine(self, cache_dir):
+        # The matches of SD(m,k,a) tables built in pure Python equal those of
+        # the numpy engine's groups, compared by canonical form.
+        matched = 0
+        for n in range(2, HARD_CAP + 1):
+            report = lemma7_check(n, bound=HARD_CAP, cache_dir=cache_dir)
+            got = [(c.params["class"], c.params["m"], c.params["k"], c.params["a"])
+                   for c in report.cases if "m" in c.params]
+            classes = catalog(n, bound=HARD_CAP, cache_dir=cache_dir)
+            values = sorted({cls.psi for cls in classes}, reverse=True)
+            expected = []
+            for cls in classes:
+                if len(values) < 2 or cls.psi != values[1]:
+                    continue
+                for p, e in arith.factorize(n):
+                    m, k = p**e, n // p**e
+                    for a in arith.semidirect_actions(m, k):
+                        sd = canonical_form(build_group(SemidirectCyclic(m, k, a)))
+                        if sd == Group(cls.table):
+                            expected.append((cls.description, m, k, a))
+            assert got == expected, n
+            matched += len(got)
+        assert matched
 
     def test_lemma7_prime_order(self, cache_dir):
         report = lemma7_check(5, cache_dir=cache_dir)
