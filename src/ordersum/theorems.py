@@ -254,10 +254,11 @@ def verify_equality_classification(
             "pass family_only=True for a family-restricted check"
         )
     else:
+        classes = catalog(n, bound=bound, cache_dir=cache_dir)  # bound-checked before any table
         expected_table = None
         if k is not None:  # the witness C_q x C_qk, checked, as its canonical table
             expected_table = _canonical_rows(_checked_class(_abelian_table((q, q * k)), n).table)
-        for cls in catalog(n, bound=bound, cache_dir=cache_dir):
+        for cls in classes:
             if cls.is_cyclic():
                 continue  # psi(C_n) > target since f(q) < 1
             cases.append(

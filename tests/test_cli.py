@@ -178,6 +178,12 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "equality")
         assert code == 2 and "--n" in err
 
+    @pytest.mark.parametrize("n", ["100", "8196"])
+    def test_equality_above_bound_is_one_usage_error(self, capsys, n):
+        code, out, err = run(capsys, "verify", "equality", "--n", n)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_mqr_defaults(self, capsys):
         code, out, _ = run(capsys, "verify", "mqr", "--format", "json")
         doc = json.loads(out)

@@ -143,6 +143,17 @@ class TestEqualityClassification:
         with pytest.raises(EnumerationBoundError):
             verify_equality_classification(100)
 
+    def test_bound_checked_before_the_witness_is_built(self, monkeypatch):
+        # a bound above the hard cap must fail before an n x n witness table exists
+        from ordersum import enumeration
+
+        def unreachable(*args):
+            raise AssertionError("witness table built before the bound check")
+
+        monkeypatch.setattr(enumeration, "_abelian_table", unreachable)
+        with pytest.raises(enumeration.EnumerationBoundError, match="hard cap"):
+            verify_equality_classification(8196, bound=8196)
+
     def test_rejects_wrong_prime(self):
         with pytest.raises(ValueError):
             verify_equality_classification(12, 3)
