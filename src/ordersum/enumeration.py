@@ -60,6 +60,7 @@ import os
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 from . import DEFAULT_BOUND, HARD_CAP, arith
@@ -538,7 +539,8 @@ def _generating_set(table) -> list[int]:
 def _checked_class(rows, n: int, description: str = "") -> CatalogClass:
     """The class of an order-n table that is a group's, with its element orders.
 
-    The one check of catalog tables, computed or read from a cache file:
+    The package's one group check: of catalog tables, computed or cached,
+    and through ``groups.validate_table`` of every table from outside:
 
     * rows is n lists of n entries, each an int (not a bool) in 0..n-1;
     * element 0 is a two-sided identity;
@@ -550,18 +552,20 @@ def _checked_class(rows, n: int, description: str = "") -> CatalogClass:
     * a brute-force walk of each element's powers: an x with x^n != e
       rejects the table.
 
-    Raises TypeError for a table of the wrong shape or entries, ValueError
-    for a violated axiom.
+    Raises ValueError naming the first violation.  Tuple rows are read in
+    place and columns one at a time, so the check holds O(n) beyond them.
     """
+    if n < 1:
+        raise ValueError("a group table needs at least the identity element")
     if not (isinstance(rows, (list, tuple)) and len(rows) == n and all(
             isinstance(row, (list, tuple)) and len(row) == n
             and all(type(v) is int and 0 <= v < n for v in row) for row in rows)):
-        raise TypeError(f"a table is not {n} rows of {n} integers in 0..{n - 1}")
+        raise ValueError(f"a table is not {n} rows of {n} integers in 0..{n - 1}")
     table = tuple(map(tuple, rows))
     identity = tuple(range(n))
     if table[0] != identity or tuple(row[0] for row in table) != identity:
         raise ValueError("element 0 is not a two-sided identity")
-    if any(len(set(line)) != n for line in (*table, *zip(*table))):
+    if any(len(set(line)) != n for line in chain(table, zip(*table))):
         raise ValueError("some row or column is not a permutation of 0..n-1")
     for s in _generating_set(table):
         right = table[s]

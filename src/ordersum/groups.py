@@ -12,6 +12,8 @@ from power maps of the law, split by prime (element_orders_of_table), in
 O(n) memory.  An n x n table of a generated group is built only where one
 is read: canonical forms, is_abelian, equality and hashing, and catalog
 JSON.  Every spec has an element budget, checked before anything is built.
+A table: file or bare Group table gets the catalog's full group check on
+its Python rows before numpy holds them; any other law is spot-checked.
 """
 
 from __future__ import annotations
@@ -313,35 +315,21 @@ def _perm_table(degree: int, gens, budget: int) -> np.ndarray:
     return table
 
 
-def validate_table(rows: np.ndarray) -> None:
-    """Full group-axiom check: identity at 0, Latin rows/cols, associativity.
+def validate_table(rows) -> None:
+    """Raise TableError unless rows, lists or tuples of ints, are a group's table.
 
-    Raises TableError naming the first violated axiom.  O(n^3) but chunked
-    row by row, so fine at the table sizes this package handles.  Inverses
-    need no check of their own: a row that is a permutation of 0..n-1
-    contains the identity.
+    The check is the catalog's, ``enumeration._checked_class``, with Light's
+    associativity test (n^2 products per generator).  An array is read
+    through ``tolist()``, so callers that hold Python rows pass those.
     """
-    n = len(rows)
-    if n == 0:
-        raise TableError("a group table needs at least the identity element")
-    if rows.shape != (n, n):
-        raise TableError(f"table is not square: shape {rows.shape}")
-    if rows.min() < 0 or rows.max() >= n:
-        raise TableError("table entries must be element indices in 0..n-1")
-    idx = np.arange(n, dtype=np.int64)
-    if not np.array_equal(rows[0], idx) or not np.array_equal(rows[:, 0], idx):
-        raise TableError("element 0 is not a two-sided identity")
-    if not np.array_equal(np.sort(rows, axis=1), np.tile(idx, (n, 1))):
-        raise TableError("some row is not a permutation of 0..n-1")
-    if not np.array_equal(np.sort(rows, axis=0), np.tile(idx[:, None], (1, n))):
-        raise TableError("some column is not a permutation of 0..n-1")
-    for a in range(n):
-        # (a*b)*c vs a*(b*c) for all b, c at once.
-        left = rows[rows[a]]  # left[b, c] = (a*b)*c
-        right = rows[a][rows]  # right[b, c] = a*(b*c)
-        if not np.array_equal(left, right):
-            b, c = np.argwhere(left != right)[0]
-            raise TableError(f"associativity fails at ({a}, {int(b)}, {int(c)})")
+    from .enumeration import _checked_class  # here, so `psi Q8` loads no enumeration
+
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    try:
+        _checked_class(rows, len(rows))
+    except ValueError as exc:
+        raise TableError(str(exc)) from None
 
 
 # Triples drawn and checked at a time, so the check holds O(1) extra memory.
@@ -420,10 +408,11 @@ def element_orders_of_table(law: Law) -> np.ndarray:
 class Group:
     """A realized finite group: order, law, and cached element orders.
 
-    A group is given by a table or by a Law.  A table with no spec, or from a
-    FromTable spec, came from outside and gets the full axiom check; any
-    other law is spot-checked.  The n x n table of a group given by a law is
-    built from the law on first use of ``table``.  Element orders are filled
+    A group is given by a table or by a Law.  A table with no spec came
+    from outside and gets validate_table, on its rows before numpy holds
+    them, as build_group gives the rows of a FromTable spec; any other law
+    is spot-checked.  The n x n table of a group given by a law is built
+    from the law on first use of ``table``.  Element orders are filled
     eagerly, and a table built later is the same whichever thread builds it,
     so instances are safe to share across threads.
     """
@@ -431,16 +420,16 @@ class Group:
     __slots__ = ("order", "law", "spec", "element_orders", "_table")
 
     def __init__(self, law: Law | np.ndarray, spec: GroupSpec | None = None):
+        checked = spec is None and not isinstance(law, Law)
+        if checked:
+            validate_table(law)
         if not isinstance(law, Law):
             law = Law.of_table(np.asarray(law, dtype=np.int64))
         table = law.table
-        if table is not None and (spec is None or isinstance(spec, FromTable)):
-            validate_table(table)
-        else:
+        if not (checked or isinstance(spec, FromTable)):
             if table is not None and table.shape != (law.n, law.n):
                 raise TableError(f"table is not square: shape {table.shape}")
-            if law.n > 0:
-                _spot_check_associativity(law, spec)
+            _spot_check_associativity(law, spec)
         if table is not None:
             table.setflags(write=False)
         self._table = table
@@ -463,8 +452,15 @@ class Group:
         return self.order
 
     def __repr__(self) -> str:
-        label = format_spec(self.spec) if self.spec is not None else "table"
-        return f"Group({label}, order={self.order})"
+        return f"Group({self.label}, order={self.order})"
+
+    @property
+    def label(self) -> str:
+        """The spec in the grammar, or ``order-n table`` where it has none."""
+        try:
+            return format_spec(self.spec)
+        except GroupSpecError:  # no spec, or an in-memory table: or perm: spec
+            return f"order-{self.order} table"
 
     def __eq__(self, other) -> bool:
         """Groups are equal when their tables are; the spec is not compared."""
@@ -558,6 +554,7 @@ def _law_for(spec: GroupSpec, element_budget: int) -> Law:
 
     if isinstance(spec, FromTable):
         _require_table(len(spec.rows), element_budget)
+        validate_table(spec.rows)  # before numpy holds the rows
         return Law.of_table(np.array(spec.rows, dtype=np.int64))
 
     if isinstance(spec, FromPermutations):
@@ -575,7 +572,7 @@ def _law_for(spec: GroupSpec, element_budget: int) -> Law:
 def build_group(spec: GroupSpec, *, element_budget: int = TABLE_BUDGET) -> Group:
     """Realize a GroupSpec as a Group.
 
-    Explicit tables get the full O(n^3) axiom check; every other law is
+    The rows of a table: spec get validate_table; every other law is
     spot-checked with 10n random associativity triples.  ``element_budget``
     caps the tables of table: and perm: specs; a generated group is walked
     by its law up to LAW_BUDGET elements.

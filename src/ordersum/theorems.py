@@ -177,21 +177,18 @@ def verify_max_cyclic(
 
 def verify_upper_bound(g: Group, q: int) -> VerificationReport:
     """psi(G) <= f(q) * psi(C_n) for one non-cyclic group, exactly."""
-    from .groups import format_spec
-
     if g.is_cyclic():
         raise ValueError("the upper bound claim concerns non-cyclic groups only")
     _require_least_prime(g.order, q)
     lhs = g.psi()
     rhs = f_ratio(q) * psi_cyclic(g.order)
-    label = format_spec(g.spec) if g.spec is not None else f"order-{g.order} table"
     return VerificationReport(
         claim_id="upper_bound",
-        params={"n": g.order, "q": q, "group": label},
+        params={"n": g.order, "q": q, "group": g.label},
         verdict=_compare(lhs, rhs),
         lhs=lhs,
         rhs=rhs,
-        witnesses=(label,),
+        witnesses=(g.label,),
     )
 
 

@@ -46,3 +46,20 @@ def test_traced_verify_records_checker_and_renderer(tracing, capsys):
     assert "theorems.lemma5_check" in names
     assert "theorems.reports_to_text" in names
     assert tracer.metrics(wall=1.0)["theorems.check_s"] > 0
+
+
+def test_traced_table_file_records_validate_table(tracing, capsys, tmp_path):
+    # The benchmark's groups.validate_* counters read this span.
+    from ordersum import cli
+
+    path = tmp_path / "c4.json"
+    path.write_text("[[0,1,2,3],[1,2,3,0],[2,3,0,1],[3,0,1,2]]")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["psi", f"table:{path}"])
+    finally:
+        tracer.remove()
+    assert code == 0 and capsys.readouterr().out == "11\n"
+    assert "groups.validate_table" in {span[0] for span in tracer.spans}
+    assert tracer.metrics(wall=1.0)["groups.validate_calls"] == 1

@@ -66,6 +66,15 @@ class TestPsiCommand:
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+    @pytest.mark.parametrize("text", ["[]", "[[]]", "[[0,1],[1]]"])
+    def test_misshapen_table_file_names_the_shape(self, capsys, tmp_path, text):
+        # Checked as Python rows, so a ragged file never reaches numpy.
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "psi", f"table:{path}")
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert re.match(r"error: (a table is not \d+ rows of|a group table needs at least)", err)
+
     @pytest.mark.parametrize("spec", ["C2000000", "A[1024,2048]", "SD(1,1000000000000,0)"])
     def test_over_element_budget(self, capsys, spec):
         # Rejected from the spec's parameters, before anything is allocated.

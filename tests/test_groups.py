@@ -47,6 +47,8 @@ MALFORMED_TABLES = ["[[0,1],[1,0.9]]", "[1,2]", "[[0,1],[1,false]]"]
 # Entries outside 0..n-1, one of them past 64 bits.
 OUT_OF_RANGE_TABLES = ["[[0,1],[1,99999999999999999999]]", "[[0,1],[1,-1]]", "[[0,1],[1,2]]"]
 MALFORMED_PERMS = ["[[1.9, 0, 2]]", "[[true, false]]"]
+# Lists of lists of integers in range that are not n rows of n entries.
+MISSHAPEN_TABLES = ["[]", "[[]]", "[[0,1],[1]]"]
 # A Latin square with identity 0 but (1*1)*2 != 1*(1*2), and 1**5 != 0.
 NON_ASSOCIATIVE = [[0, 1, 2, 3, 4],
                    [1, 0, 3, 4, 2],
@@ -168,6 +170,35 @@ def _loop_perm_table(degree: int, gens) -> np.ndarray:
     index = {e: i for i, e in enumerate(elems)}
     return np.array([[index[tuple(x[y[t]] for t in range(degree))] for y in elems]
                      for x in elems])
+
+
+def _cubic_table_check(rows: np.ndarray) -> None:
+    """The group check of a table as `validate_table` made it with numpy:
+    identity, Latin rows and columns, then associativity for every triple,
+    one row at a time (n**3 products).  It is kept as the oracle for the
+    one check, which tests associativity on a generating set only.
+    """
+    n = len(rows)
+    if n == 0:
+        raise TableError("a group table needs at least the identity element")
+    if rows.shape != (n, n):
+        raise TableError(f"table is not square: shape {rows.shape}")
+    if rows.min() < 0 or rows.max() >= n:
+        raise TableError("table entries must be element indices in 0..n-1")
+    idx = np.arange(n, dtype=np.int64)
+    if not np.array_equal(rows[0], idx) or not np.array_equal(rows[:, 0], idx):
+        raise TableError("element 0 is not a two-sided identity")
+    if not np.array_equal(np.sort(rows, axis=1), np.tile(idx, (n, 1))):
+        raise TableError("some row is not a permutation of 0..n-1")
+    if not np.array_equal(np.sort(rows, axis=0), np.tile(idx[:, None], (1, n))):
+        raise TableError("some column is not a permutation of 0..n-1")
+    for a in range(n):
+        # (a*b)*c vs a*(b*c) for all b, c at once.
+        left = rows[rows[a]]  # left[b, c] = (a*b)*c
+        right = rows[a][rows]  # right[b, c] = a*(b*c)
+        if not np.array_equal(left, right):
+            b, c = np.argwhere(left != right)[0]
+            raise TableError(f"associativity fails at ({a}, {int(b)}, {int(c)})")
 
 
 # Permutation groups as generators in one-line notation, with their orders.
@@ -583,6 +614,8 @@ class TestExplicitTables:
         rows = [[(i + j) % 5 for j in range(5)] for i in range(5)]
         g = build_group(FromTable(rows))
         assert g.is_cyclic() and g.psi() == arith.psi_cyclic(5)
+        # An in-memory spec has no grammar form; the group is named as a table.
+        assert repr(g) == "Group(order-5 table, order=5)" == repr(Group(rows))
 
     def test_rejects_non_associative(self):
         with pytest.raises(TableError):
@@ -625,6 +658,25 @@ class TestExplicitTables:
     def test_rejects_out_of_range_entries(self, text):
         with pytest.raises(GroupSpecError, match="outside 0..1"):
             FromTable(json.loads(text))
+
+    @pytest.mark.parametrize("text", MISSHAPEN_TABLES)
+    def test_rejects_misshapen_table(self, text):
+        # Checked as Python rows, before numpy would fail on a ragged list.
+        with pytest.raises(TableError, match="at least the identity|rows of"):
+            build_group(FromTable(json.loads(text)))
+        with pytest.raises(TableError, match="at least the identity|rows of"):
+            Group(json.loads(text))
+
+    def test_table_at_budget(self):
+        # D2048 as a table: spec, at the table budget, and one intercalate
+        # swap of it, which keeps a Latin square with identity 0 but is no
+        # group.  The rows are built here rather than read from a file.
+        law = build_group(Dihedral(TABLE_BUDGET))
+        rows = law.table.tolist()
+        assert build_group(FromTable(rows)).psi() == law.psi()
+        (swapped,) = _intercalate_swaps(rows, random.Random(13), 1)
+        with pytest.raises(TableError, match="associativity fails"):
+            build_group(FromTable(swapped))
 
     @pytest.mark.parametrize("text", MALFORMED_PERMS)
     def test_rejects_non_integer_permutations(self, text):
@@ -700,32 +752,47 @@ class TestExplicitTables:
 
 def _intercalate_swaps(rows, rng: random.Random, count: int):
     """Up to count Latin squares, each rows with one 2 x 2 subsquare a b / b a
-    off row and column 0 swapped to b a / a b; the identity stays at 0."""
+    off row and column 0 swapped to b a / a b; the identity stays at 0.
+
+    Each subsquare is drawn from random rows a < b and column c, the column
+    d being where row b holds rows[a][c]; every subsquare is found from two
+    of the draws, so they are drawn uniformly, at O(n) a draw.  A table
+    with none (a group of odd order) gives up after 50 * count draws.
+    """
     n = len(rows)
-    cells = [(a, b, c, d) for a in range(1, n) for b in range(a + 1, n)
-             for c in range(1, n) for d in range(c + 1, n)
-             if rows[a][c] == rows[b][d] and rows[a][d] == rows[b][c]]
-    for a, b, c, d in rng.sample(cells, min(count, len(cells))):
-        t = [list(r) for r in rows]
-        t[a][c], t[a][d], t[b][c], t[b][d] = t[a][d], t[a][c], t[b][d], t[b][c]
-        yield t
+    if n < 3:
+        return
+    found = []
+    for _ in range(50 * count):
+        a, b = sorted(rng.sample(range(1, n), 2))
+        c = rng.randrange(1, n)
+        d = rows[b].index(rows[a][c])
+        if d > 0 and rows[a][d] == rows[b][c] and (a, b, min(c, d)) not in found:
+            found.append((a, b, min(c, d)))
+            t = [list(r) for r in rows]
+            t[a][c], t[a][d], t[b][c], t[b][d] = t[a][d], t[a][c], t[b][d], t[b][c]
+            yield t
+            if len(found) == count:
+                return
 
 
 class TestCatalogTableCheck:
-    """The pure-Python check and walk of catalog tables (`_checked_class`)
-    agrees with the numpy engine's `validate_table` and order walk."""
+    """The one group check and walk of tables (`_checked_class`, which
+    `validate_table` calls) agrees with the O(n**3) reference loop and the
+    numpy engine's order walk."""
 
     @staticmethod
     def engines(rows) -> tuple:
         """Each engine's element orders of rows, or None where it rejects them."""
         try:
-            validate_table(np.array(rows))
+            _cubic_table_check(np.array(rows))
             walked = tuple(element_orders_of_table(Law.of_table(np.array(rows))).tolist())
         except TableError:
             walked = None
         try:
+            validate_table(rows)
             checked = _checked_class(rows, len(rows)).orders
-        except ValueError:
+        except TableError:
             checked = None
         return walked, checked
 
@@ -759,10 +826,14 @@ class TestCatalogTableCheck:
         (NON_ASSOCIATIVE, "associativity fails"),
         ([[0, 1, 2], [1, 2, 0], [2, 0, 0]], "not a permutation"),
         ([[1, 0], [0, 1]], "not a two-sided identity"),
-    ], ids=["non-associative", "non-Latin", "no identity"])
+        ([], "at least the identity"),
+        ([[]], "not 1 rows of 1 integers"),
+        ([[0, 1], [1]], "not 2 rows of 2 integers"),
+    ], ids=["non-associative", "non-Latin", "no identity", "empty", "empty row", "ragged"])
     def test_both_reject(self, rows, message):
+        # Through `groups` as a TableError, and in the catalog as a ValueError.
         with pytest.raises(TableError, match=message):
-            validate_table(np.array(rows))
+            validate_table(rows)
         with pytest.raises(ValueError, match=message):
             _checked_class(rows, len(rows))
 

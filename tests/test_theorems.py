@@ -11,6 +11,8 @@ from ordersum.groups import (
     Abelian,
     Cyclic,
     DirectProduct,
+    FromPermutations,
+    FromTable,
     GeneralizedQuaternion,
     Group,
     SemidirectCyclic,
@@ -77,6 +79,17 @@ class TestUpperBound:
     def test_rejects_cyclic(self):
         with pytest.raises(ValueError):
             verify_upper_bound(build_group(Cyclic(8)), 2)
+
+    @pytest.mark.parametrize("spec", [
+        FromTable([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]),
+        FromPermutations(4, ((1, 0, 3, 2), (2, 3, 0, 1))),
+    ], ids=["table", "perm"])
+    def test_in_memory_spec_labelled_as_table(self, spec):
+        # format_spec cannot print a spec with no path; the report names the
+        # group as it names a bare Group table.
+        report = verify_upper_bound(build_group(spec), 2)
+        assert report.verdict == "equality"
+        assert report.params["group"] == "order-4 table" == report.witnesses[0]
 
     def test_rejects_wrong_prime(self):
         with pytest.raises(ValueError):
