@@ -21,7 +21,6 @@ law: ``upper_bound``, ``thm4``, ``mqr``, ``lemma5``, ``lemma6`` and
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import sys
 import traceback
@@ -189,77 +188,57 @@ def _run_catalog(args) -> int:
     return 0
 
 
-def _upper_bound(args) -> list:
-    from .groups import GroupSpecError, build_group, parse_spec
+def _theorems():
+    """The theorems module, imported on first use.  Callers look a checker up
+    on it at each call, so a checker patched there (as benchmark tracing
+    does) is the one that runs.
+    """
+    from . import theorems
 
+    return theorems
+
+
+def _upper_bound(args) -> list:
     if args.spec is None or args.q is None:
-        raise GroupSpecError("upper_bound needs --spec and --q")
-    return [verify_upper_bound(build_group(parse_spec(args.spec)), args.q)]
+        raise ValueError("upper_bound needs --spec and --q")
+    from .groups import build_group, parse_spec
+
+    return [_theorems().verify_upper_bound(build_group(parse_spec(args.spec)), args.q)]
 
 
 def _thm4(args) -> list:
-    from .groups import GroupSpecError
-
     if args.q is None or args.kmax is None:
-        raise GroupSpecError("thm4 needs --q and --kmax")
+        raise ValueError("thm4 needs --q and --kmax")
     if args.kmax < 1:
-        raise GroupSpecError(f"--kmax {args.kmax} leaves no k to check: it must be at least 1")
-    return [thm4_family_check(args.q, args.kmax)]
+        raise ValueError(f"--kmax {args.kmax} leaves no k to check: it must be at least 1")
+    return [_theorems().thm4_family_check(args.q, args.kmax)]
 
 
 def _mqr(args) -> list:
-    from .groups import GroupSpecError
-
     if (args.q is None) != (args.r is None):
-        raise GroupSpecError("mqr needs both --q and --r, or neither")
+        raise ValueError("mqr needs both --q and --r, or neither")
     pairs = MQR_STOCK if args.q is None else ((args.q, args.r),)
-    return [mqr_formula_check(q, r) for q, r in pairs]
+    return [_theorems().mqr_formula_check(q, r) for q, r in pairs]
 
 
-def _checker(name: str):
-    """The checker ``theorems.<name>``, imported when it is first called.
-
-    It is looked up on its module at every call, so a checker patched there
-    (as benchmark tracing does) is the one that runs.
-    """
-    def check(*args, **kwargs):
-        return getattr(importlib.import_module(".theorems", __package__), name)(*args, **kwargs)
-
-    check.__name__ = check.__qualname__ = name
-    return check
-
-
-verify_max_cyclic = _checker("verify_max_cyclic")
-verify_upper_bound = _checker("verify_upper_bound")
-verify_equality_classification = _checker("verify_equality_classification")
-lemma7_check = _checker("lemma7_check")
-thm4_family_check = _checker("thm4_family_check")
-mqr_formula_check = _checker("mqr_formula_check")
-lemma5_check = _checker("lemma5_check")
-lemma6_check = _checker("lemma6_check")
-proof_inequality_audit = _checker("proof_inequality_audit")
-
-
-# Claim id -> the claim's reports for the parsed arguments.  Entries name their
-# checker in their body, so a checker patched on this module (as a test does)
-# is the one that runs.
+# Claim id -> the claim's reports for the parsed arguments.
 CLAIMS = {
     "max_cyclic": lambda args: [
-        verify_max_cyclic(n, bound=args.enum_bound, cache_dir=args.cache_dir)
+        _theorems().verify_max_cyclic(n, bound=args.enum_bound, cache_dir=args.cache_dir)
         for n in _orders_in_play(args)],
     "upper_bound": _upper_bound,
     "equality": lambda args: [
-        verify_equality_classification(
+        _theorems().verify_equality_classification(
             n, args.q, bound=args.enum_bound, cache_dir=args.cache_dir,
             family_only=args.family_only)
         for n in _orders_in_play(args)],
     "thm4": _thm4,
     "mqr": _mqr,
-    "lemma5": lambda args: [lemma5_check(_mk_max(args))],
+    "lemma5": lambda args: [_theorems().lemma5_check(_mk_max(args))],
     # SD(3,2,2), at mk = 6, is the first non-central action.
-    "lemma6": lambda args: [lemma6_check(_mk_max(args, 6))],
+    "lemma6": lambda args: [_theorems().lemma6_check(_mk_max(args, 6))],
     "lemma7": lambda args: [
-        lemma7_check(n, bound=args.enum_bound, cache_dir=args.cache_dir)
+        _theorems().lemma7_check(n, bound=args.enum_bound, cache_dir=args.cache_dir)
         for n in _orders_in_play(args)],
 }
 
@@ -269,7 +248,7 @@ def _run_verify(args) -> int:
 
 
 def _run_audit(args) -> int:
-    report = proof_inequality_audit(args.qmax, args.pmax, args.smax)
+    report = _theorems().proof_inequality_audit(args.qmax, args.pmax, args.smax)
     return _emit_reports(args, [report], "audit", {})
 
 

@@ -555,12 +555,12 @@ def _checked_class(rows, n: int, description: str = "") -> CatalogClass:
     Raises ValueError naming the first violation.  Tuple rows are read in
     place and columns one at a time, so the check holds O(n) beyond them.
     """
-    if n < 1:
-        raise ValueError("a group table needs at least the identity element")
     if not (isinstance(rows, (list, tuple)) and len(rows) == n and all(
             isinstance(row, (list, tuple)) and len(row) == n
             and all(type(v) is int and 0 <= v < n for v in row) for row in rows)):
         raise ValueError(f"a table is not {n} rows of {n} integers in 0..{n - 1}")
+    if n < 1:
+        raise ValueError("a group table needs at least the identity element")
     table = tuple(map(tuple, rows))
     identity = tuple(range(n))
     if table[0] != identity or tuple(row[0] for row in table) != identity:

@@ -12,8 +12,9 @@ from power maps of the law, split by prime (element_orders_of_table), in
 O(n) memory.  An n x n table of a generated group is built only where one
 is read: canonical forms, is_abelian, equality and hashing, and catalog
 JSON.  Every spec has an element budget, checked before anything is built.
-A table: file or bare Group table gets the catalog's full group check on
-its Python rows before numpy holds them; any other law is spot-checked.
+Every table from outside (a table: spec's rows, rows or an array given to
+Group) gets the catalog's full group check, validate_table, on its Python
+rows before numpy holds them; every other law is spot-checked.
 """
 
 from __future__ import annotations
@@ -103,18 +104,20 @@ class Modular:
 
 @dataclass(frozen=True)
 class FromTable:
+    """A table from outside.  build_group checks its entries in full, with
+    validate_table, before numpy holds them; here the rows need only be a
+    list of lists, to be held as tuples.
+    """
+
     rows: tuple[tuple[int, ...], ...]
     path: str | None = None
 
     def __init__(self, rows, path=None):
-        name = path or "a table"
-        rows = _integer_rows(rows, f"{name} must hold a JSON list of lists of integers")
-        # Checked before numpy sees them: an entry past 64 bits would overflow.
         _require(
-            all(0 <= v < len(rows) for r in rows for v in r),
-            f"{name} has an entry outside 0..{len(rows) - 1}",
+            isinstance(rows, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in rows),
+            f"{path or 'a table'} must hold a JSON list of lists",
         )
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
         object.__setattr__(self, "path", path)
 
 
@@ -127,26 +130,17 @@ class FromPermutations:
     path: str | None = None
 
     def __init__(self, degree, generators, path=None):
-        generators = _integer_rows(
-            generators, f"{path or 'a permutation list'} must hold a JSON list of lists of integers"
+        # Entries are checked, never converted: int(0.9) would read 0.  A bool
+        # is an int subclass, so `type(v) is int` also rejects true and false.
+        _require(
+            isinstance(generators, (list, tuple)) and all(
+                isinstance(g, (list, tuple)) and all(type(v) is int for v in g)
+                for g in generators),
+            f"{path or 'a permutation list'} must hold a JSON list of lists of integers",
         )
         object.__setattr__(self, "degree", int(degree))
-        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "generators", tuple(map(tuple, generators)))
         object.__setattr__(self, "path", path)
-
-
-def _integer_rows(rows, message: str) -> tuple[tuple[int, ...], ...]:
-    """``rows`` as a tuple of tuples, if it is a list of lists of integers.
-
-    Entries are checked, never converted: int(0.9) would read 0.  A bool is
-    an int subclass, so `type(v) is int` also rejects true and false.
-    """
-    _require(
-        isinstance(rows, (list, tuple)) and all(
-            isinstance(r, (list, tuple)) and all(type(v) is int for v in r) for r in rows),
-        message,
-    )
-    return tuple(tuple(r) for r in rows)
 
 
 GroupSpec = Union[
@@ -206,8 +200,8 @@ def _walkable(n: int) -> int:
     return n
 
 
-def _require_table(n: int, budget: int) -> None:
-    _require(n <= budget, f"an order-{n} table exceeds the element budget {budget}")
+def _require_table(n: int) -> None:
+    _require(n <= TABLE_BUDGET, f"an order-{n} table exceeds the element budget {TABLE_BUDGET}")
 
 
 def _cyclic_law(n: int) -> Law:
@@ -251,12 +245,12 @@ def _dicyclic_law(h: int) -> Law:
 
 def _table_for(law: Law) -> np.ndarray:
     """The n x n table of a law: the law applied to the grid of all pairs."""
-    _require_table(law.n, TABLE_BUDGET)
+    _require_table(law.n)
     r = np.arange(law.n, dtype=np.int64)
     return law(r[:, None], r[None, :])
 
 
-def _perm_closure(degree: int, gens, budget: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+def _perm_closure(degree: int, gens) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Breadth-first closure of the generated permutation group, identity first.
 
     Products are composites, (x * y)(t) = x(y(t)).  Returns (right, parent):
@@ -282,10 +276,8 @@ def _perm_closure(degree: int, gens, budget: int) -> tuple[np.ndarray, list[tupl
             bucket = index.setdefault(hash(y.tobytes()), [])
             j = next((j for j in bucket if np.array_equal(perms[j], y)), None)
             if j is None:
-                if count >= budget:
-                    raise GroupSpecError(
-                        f"permutation closure exceeded the element budget {budget}"
-                    )
+                _require(count < TABLE_BUDGET,
+                         f"permutation closure exceeded the element budget {TABLE_BUDGET}")
                 if count == len(perms):
                     grown = np.empty((2 * count, degree), dtype=perms.dtype)
                     grown[:count] = perms
@@ -300,13 +292,13 @@ def _perm_closure(degree: int, gens, budget: int) -> tuple[np.ndarray, list[tupl
     return np.array(right, dtype=np.int64), parent
 
 
-def _perm_table(degree: int, gens, budget: int) -> np.ndarray:
+def _perm_table(degree: int, gens) -> np.ndarray:
     """The table of a permutation group, filled column by column.
 
     For x_j = x_p * g, x_i * x_j = (x_i * x_p) * g, so column j is right[g]
     gathered at column p: n gathers of length n, from columns already filled.
     """
-    right, parent = _perm_closure(degree, gens, budget)
+    right, parent = _perm_closure(degree, gens)
     n = len(parent)
     table = np.empty((n, n), dtype=np.int64)
     table[:, 0] = np.arange(n)
@@ -320,14 +312,15 @@ def validate_table(rows) -> None:
 
     The check is the catalog's, ``enumeration._checked_class``, with Light's
     associativity test (n^2 products per generator).  An array is read
-    through ``tolist()``, so callers that hold Python rows pass those.
+    through ``tolist()``, so callers that hold Python rows pass those; any
+    other object is no table of any order.
     """
     from .enumeration import _checked_class  # here, so `psi Q8` loads no enumeration
 
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()
     try:
-        _checked_class(rows, len(rows))
+        _checked_class(rows, len(rows) if isinstance(rows, (list, tuple)) else 0)
     except ValueError as exc:
         raise TableError(str(exc)) from None
 
@@ -408,31 +401,27 @@ def element_orders_of_table(law: Law) -> np.ndarray:
 class Group:
     """A realized finite group: order, law, and cached element orders.
 
-    A group is given by a table or by a Law.  A table with no spec came
-    from outside and gets validate_table, on its rows before numpy holds
-    them, as build_group gives the rows of a FromTable spec; any other law
-    is spot-checked.  The n x n table of a group given by a law is built
-    from the law on first use of ``table``.  Element orders are filled
-    eagerly, and a table built later is the same whichever thread builds it,
-    so instances are safe to share across threads.
+    A group is given by a table (rows or an array) or by a Law.  A table
+    came from outside, whatever the spec, and gets validate_table on its
+    rows before numpy holds them.  A Law is spot-checked, except the law of
+    a table: spec, whose rows build_group has checked in full.  The n x n
+    table of a group given by a law is built from the law on first use of
+    ``table``.  Element orders are filled eagerly, and a table built later
+    is the same whichever thread builds it, so instances are safe to share
+    across threads.
     """
 
     __slots__ = ("order", "law", "spec", "element_orders", "_table")
 
-    def __init__(self, law: Law | np.ndarray, spec: GroupSpec | None = None):
-        checked = spec is None and not isinstance(law, Law)
-        if checked:
-            validate_table(law)
+    def __init__(self, law: Law | list | np.ndarray, spec: GroupSpec | None = None):
         if not isinstance(law, Law):
+            validate_table(law)
             law = Law.of_table(np.asarray(law, dtype=np.int64))
-        table = law.table
-        if not (checked or isinstance(spec, FromTable)):
-            if table is not None and table.shape != (law.n, law.n):
-                raise TableError(f"table is not square: shape {table.shape}")
+        elif not isinstance(spec, FromTable):
             _spot_check_associativity(law, spec)
-        if table is not None:
-            table.setflags(write=False)
-        self._table = table
+        if law.table is not None:
+            law.table.setflags(write=False)
+        self._table = law.table
         self.law = law
         self.order = law.n
         self.spec = spec
@@ -502,7 +491,7 @@ def _require(cond: bool, message: str) -> None:
         raise GroupSpecError(message)
 
 
-def _law_for(spec: GroupSpec, element_budget: int) -> Law:
+def _law_for(spec: GroupSpec) -> Law:
     """The law of a spec, its order checked against the budgets first."""
     if isinstance(spec, Cyclic):
         _require(spec.n >= 1, f"cyclic order must be >= 1, got {spec.n}")
@@ -513,14 +502,14 @@ def _law_for(spec: GroupSpec, element_budget: int) -> Law:
         _require(all(d >= 1 for d in spec.factors), f"invalid invariant factors {spec.factors}")
         for d1, d2 in zip(factors, factors[1:]):
             _require(d2 % d1 == 0, f"invariant factors must form a divisibility chain: {factors}")
-        return _law_for(DirectProduct(Cyclic(d) for d in factors), element_budget)
+        return _law_for(DirectProduct(Cyclic(d) for d in factors))
 
     if isinstance(spec, DirectProduct):
         # Folded part by part, so an oversized product is refused after at
         # most one in-budget product and one part have been built.
         law = None
         for part in spec.parts:
-            part_law = _law_for(part, element_budget)
+            part_law = _law_for(part)
             law = part_law if law is None else _product_law(law, part_law)
         return _cyclic_law(1) if law is None else law
 
@@ -553,7 +542,7 @@ def _law_for(spec: GroupSpec, element_budget: int) -> Law:
         return _semidirect_law(q ** (r - 1), q, q ** (r - 2) + 1)
 
     if isinstance(spec, FromTable):
-        _require_table(len(spec.rows), element_budget)
+        _require_table(len(spec.rows))
         validate_table(spec.rows)  # before numpy holds the rows
         return Law.of_table(np.array(spec.rows, dtype=np.int64))
 
@@ -564,20 +553,20 @@ def _law_for(spec: GroupSpec, element_budget: int) -> Law:
                 len(g) == spec.degree and sorted(g) == list(range(spec.degree)),
                 f"{g} is not a permutation of 0..{spec.degree - 1}",
             )
-        return Law.of_table(_perm_table(spec.degree, spec.generators, element_budget))
+        return Law.of_table(_perm_table(spec.degree, spec.generators))
 
     raise GroupSpecError(f"unknown group spec {spec!r}")
 
 
-def build_group(spec: GroupSpec, *, element_budget: int = TABLE_BUDGET) -> Group:
+def build_group(spec: GroupSpec) -> Group:
     """Realize a GroupSpec as a Group.
 
-    The rows of a table: spec get validate_table; every other law is
-    spot-checked with 10n random associativity triples.  ``element_budget``
-    caps the tables of table: and perm: specs; a generated group is walked
-    by its law up to LAW_BUDGET elements.
+    The rows of a table: spec get validate_table, before numpy holds them;
+    every other law is spot-checked with 10n random associativity triples.
+    A table: or perm: spec is held as a table of at most TABLE_BUDGET
+    elements; a generated group is walked by its law, of at most LAW_BUDGET.
     """
-    return Group(_law_for(spec, element_budget), spec)
+    return Group(_law_for(spec), spec)
 
 
 def _check_action(m: int, k: int, a: int) -> int:

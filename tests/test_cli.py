@@ -42,12 +42,13 @@ class TestPsiCommand:
         code, _, err = run(capsys, "psi", f"table:{path}")
         assert code == 2 and "error" in err
 
-    @pytest.mark.parametrize("text", ["[[0,1],[1,0.9]]", "[1,2]", "[[0,1],[1,false]]"])
+    @pytest.mark.parametrize(
+        "text", ["[[0,1],[1,0.9]]", "[1,2]", "[[0,1],[1,false]]", "5", "{}", '"ab"'])
     def test_malformed_table_file(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
         code, out, err = run(capsys, "psi", f"table:{path}")
-        assert code == 2 and out == ""
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
         assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -247,7 +248,7 @@ class TestOutputContracts:
         def crash(*args, **kwargs):
             raise KeyError("boom")
 
-        monkeypatch.setattr(cli, "verify_max_cyclic", crash)
+        monkeypatch.setattr(theorems, "verify_max_cyclic", crash)
         code, out, err = run(capsys, "verify", "max_cyclic", "--n", "8")
         assert code == 2 and out == ""
         assert err.startswith("Traceback") and err.endswith("error: KeyError: 'boom'\n")

@@ -49,12 +49,29 @@ OUT_OF_RANGE_TABLES = ["[[0,1],[1,99999999999999999999]]", "[[0,1],[1,-1]]", "[[
 MALFORMED_PERMS = ["[[1.9, 0, 2]]", "[[true, false]]"]
 # Lists of lists of integers in range that are not n rows of n entries.
 MISSHAPEN_TABLES = ["[]", "[[]]", "[[0,1],[1]]"]
+# JSON values that are no list at all.
+NOT_LISTS = ["5", "{}", '"ab"']
 # A Latin square with identity 0 but (1*1)*2 != 1*(1*2), and 1**5 != 0.
 NON_ASSOCIATIVE = [[0, 1, 2, 3, 4],
                    [1, 0, 3, 4, 2],
                    [2, 4, 0, 1, 3],
                    [3, 2, 4, 0, 1],
                    [4, 3, 1, 2, 0]]
+
+
+def assert_table_rejected(text: str, spec_of, match: str) -> None:
+    """The table text is refused: at spec_of() where it is not a list of
+    lists, which is all FromTable holds, and otherwise by build_group's full
+    check of its entries, with a TableError matching match.
+    """
+    rows = json.loads(text)
+    if isinstance(rows, list) and all(isinstance(r, list) for r in rows):
+        spec = spec_of()
+        with pytest.raises(TableError, match=match):
+            build_group(spec)
+    else:
+        with pytest.raises(GroupSpecError, match="list of lists"):
+            spec_of()
 
 
 def _definitional_orders(rows: np.ndarray) -> np.ndarray:
@@ -437,10 +454,11 @@ class TestBudgets:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_table_file_budget(self):
+    def test_table_file_budget(self, monkeypatch):
         rows = [[(i + j) % 5 for j in range(5)] for i in range(5)]
+        monkeypatch.setattr(groups, "TABLE_BUDGET", 4)
         with pytest.raises(GroupSpecError, match="element budget 4"):
-            build_group(FromTable(rows), element_budget=4)
+            build_group(FromTable(rows))
 
 
 class TestOrderWalk:
@@ -622,8 +640,9 @@ class TestExplicitTables:
             build_group(FromTable(NON_ASSOCIATIVE))
 
     def test_spot_check_rejects_non_associative(self):
-        # The same square, passed off as a generated table, and as a law.
-        with pytest.raises(TableError, match="spot check"):
+        # The same square, passed off as a generated table, which is checked
+        # in full whatever its spec, and as a law, which is spot-checked.
+        with pytest.raises(TableError, match="associativity fails"):
             Group(NON_ASSOCIATIVE, spec=Cyclic(5))
         flat = np.array(NON_ASSOCIATIVE).ravel()
         with pytest.raises(TableError, match="spot check"):
@@ -651,21 +670,38 @@ class TestExplicitTables:
 
     @pytest.mark.parametrize("text", MALFORMED_TABLES)
     def test_rejects_non_integer_rows(self, text):
-        with pytest.raises(GroupSpecError):
-            FromTable(json.loads(text))
+        assert_table_rejected(text, lambda: FromTable(json.loads(text)),
+                              "not 2 rows of 2 integers in 0..1")
 
     @pytest.mark.parametrize("text", OUT_OF_RANGE_TABLES)
     def test_rejects_out_of_range_entries(self, text):
-        with pytest.raises(GroupSpecError, match="outside 0..1"):
-            FromTable(json.loads(text))
+        # Checked before numpy holds them: an entry past 64 bits would overflow.
+        with pytest.raises(TableError, match="integers in 0..1"):
+            build_group(FromTable(json.loads(text)))
 
-    @pytest.mark.parametrize("text", MISSHAPEN_TABLES)
+    @pytest.mark.parametrize("text", MISSHAPEN_TABLES + NOT_LISTS)
     def test_rejects_misshapen_table(self, text):
         # Checked as Python rows, before numpy would fail on a ragged list.
-        with pytest.raises(TableError, match="at least the identity|rows of"):
-            build_group(FromTable(json.loads(text)))
+        assert_table_rejected(text, lambda: FromTable(json.loads(text)),
+                              "at least the identity|rows of")
         with pytest.raises(TableError, match="at least the identity|rows of"):
             Group(json.loads(text))
+
+    def test_table_spec_is_not_spot_checked(self, monkeypatch):
+        # Its rows are checked in full; a spot check would only add memory.
+        def fail(law, spec):
+            raise AssertionError(f"spot check of {spec!r}")
+
+        monkeypatch.setattr(groups, "_spot_check_associativity", fail)
+        rows = [[(i + j) % 5 for j in range(5)] for i in range(5)]
+        assert build_group(FromTable(rows)).psi() == 21
+        with pytest.raises(AssertionError, match="spot check"):
+            build_group(Cyclic(5))
+
+    def test_product_with_a_table_part(self):
+        # The table part's rows are checked in full, the product's law spot-checked.
+        c3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+        assert build_group(DirectProduct([FromTable(c3), Cyclic(2)])).psi() == 21
 
     def test_table_at_budget(self):
         # D2048 as a table: spec, at the table budget, and one intercalate
@@ -688,12 +724,10 @@ class TestExplicitTables:
         s3 = build_group(FromPermutations(3, ((1, 0, 2), (1, 2, 0))))
         assert s3.order == 6 and s3.psi() == 13
 
-    def test_permutation_budget(self):
+    def test_permutation_budget(self, monkeypatch):
+        monkeypatch.setattr(groups, "TABLE_BUDGET", 10)
         with pytest.raises(GroupSpecError):
-            build_group(
-                FromPermutations(5, ((1, 2, 3, 4, 0), (1, 0, 2, 3, 4))),
-                element_budget=10,
-            )
+            build_group(FromPermutations(5, ((1, 2, 3, 4, 0), (1, 0, 2, 3, 4))))
 
     @pytest.mark.parametrize("name", PERMUTATION_GROUPS)
     def test_permutation_table_matches_loop(self, name):
@@ -716,11 +750,12 @@ class TestExplicitTables:
         g = build_group(FromPermutations(degree, gens))
         assert np.array_equal(g.table, _loop_perm_table(degree, gens))
 
-    def test_permutation_group_at_table_budget(self):
+    def test_permutation_group_at_table_budget(self, monkeypatch):
         cycle = FromPermutations(2048, (tuple(range(1, 2048)) + (0,),))
         assert build_group(cycle).psi() == arith.psi_cyclic(2048)
+        monkeypatch.setattr(groups, "TABLE_BUDGET", 2047)
         with pytest.raises(GroupSpecError, match="element budget 2047"):
-            build_group(cycle, element_budget=2047)
+            build_group(cycle)
 
     def test_permutation_closure_peak_memory(self, tmp_path):
         # A fresh `psi perm:` process for a 2048-cycle: numpy and the
@@ -829,13 +864,19 @@ class TestCatalogTableCheck:
         ([], "at least the identity"),
         ([[]], "not 1 rows of 1 integers"),
         ([[0, 1], [1]], "not 2 rows of 2 integers"),
-    ], ids=["non-associative", "non-Latin", "no identity", "empty", "empty row", "ragged"])
+        (5, "not 0 rows of 0 integers"),
+        ({}, "not 0 rows of 0 integers"),
+        ("ab", "not 0 rows of 0 integers"),
+    ], ids=["non-associative", "non-Latin", "no identity", "empty", "empty row", "ragged",
+            "int", "dict", "str"])
     def test_both_reject(self, rows, message):
         # Through `groups` as a TableError, and in the catalog as a ValueError.
+        # What is no list is no table of any order, so validate_table reads it
+        # as one of order 0.
         with pytest.raises(TableError, match=message):
             validate_table(rows)
         with pytest.raises(ValueError, match=message):
-            _checked_class(rows, len(rows))
+            _checked_class(rows, len(rows) if isinstance(rows, list) else 0)
 
 
 class TestGrammar:
@@ -881,13 +922,16 @@ class TestGrammar:
     def test_malformed_table_file(self, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
-        with pytest.raises(GroupSpecError):
-            parse_spec(f"table:{path}")
+        assert_table_rejected(text, lambda: parse_spec(f"table:{path}"),
+                              "not 2 rows of 2 integers in 0..1")
 
     @pytest.mark.parametrize("text", OUT_OF_RANGE_TABLES + MALFORMED_PERMS)
     def test_malformed_entries_in_files(self, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
-        kind = "perm" if text in MALFORMED_PERMS else "table"
-        with pytest.raises(GroupSpecError):
-            parse_spec(f"{kind}:{path}")
+        if text in MALFORMED_PERMS:
+            with pytest.raises(GroupSpecError):
+                parse_spec(f"perm:{path}")
+        else:
+            assert_table_rejected(text, lambda: parse_spec(f"table:{path}"),
+                                  "integers in 0..1")

@@ -55,11 +55,11 @@ def loaded_after(code: str) -> set[str]:
     return set(json.loads(out.splitlines()[-1]))
 
 
-def loaded_by_command(argv: list[str]) -> set[str]:
+def loaded_by_command(argv: list[str], exit_code: int = 0) -> set[str]:
     code = ("import contextlib, io\n"
             "from ordersum import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cli.main({argv!r}) == 0\n")
+            f"    assert cli.main({argv!r}) == {exit_code}\n")
     return loaded_after(code)
 
 
@@ -99,6 +99,13 @@ def test_command_loads_only_its_layers(command):
     loaded = loaded_by_command(argv)
     assert "ordersum.cli" in loaded
     assert not loaded & absent
+
+
+@pytest.mark.parametrize("argv", [["verify", "thm4", "--q", "2"], ["verify", "mqr", "--q", "2"]],
+                         ids=lambda argv: argv[1])
+def test_usage_error_loads_no_groups(argv):
+    # A claim's missing arguments are reported before any layer is imported.
+    assert loaded_by_command(argv, exit_code=2) == {"ordersum", "ordersum.cli"}
 
 
 def test_cold_catalog_claim_loads_no_groups():
