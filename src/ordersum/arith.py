@@ -4,7 +4,8 @@ catalog's pure-Python tables share.
 
 Everything here is integer or ``fractions.Fraction``; no floating point is
 used anywhere in the package, so every comparison made by the verification
-suites is bit-exact.
+suites is bit-exact.  ``is_prime`` and the multiplicative functions all read
+``factorize``, the one trial division by the primes up to ``SIEVE_BOUND``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ SIEVE_BOUND = 1_000_000
 
 
 @lru_cache(maxsize=None)
-def _sieve(bound: int) -> tuple[int, ...]:
+def primes_up_to(bound: int) -> tuple[int, ...]:
     """Primes up to ``bound`` by sieve of Eratosthenes."""
     if bound < 2:
         return ()
@@ -32,35 +33,22 @@ def _sieve(bound: int) -> tuple[int, ...]:
     return tuple(i for i, f in enumerate(flags) if f)
 
 
-def primes_up_to(bound: int) -> tuple[int, ...]:
-    return _sieve(bound)
-
-
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _sieve(min(SIEVE_BOUND, math.isqrt(n) + 1)):
-        if p * p > n:
-            break
-        if n % p == 0:
-            return False
-    if n > SIEVE_BOUND * SIEVE_BOUND:
-        raise ValueError(f"{n} exceeds the primality testing range of the sieve")
-    return True
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
-def factorize(n: int, sieve_bound: int = SIEVE_BOUND) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Factor ``n >= 1`` into (prime, exponent) pairs, primes ascending.
 
     Trial division against a cached sieve; ``factorize(1)`` is the empty
     product.  Raises for n = 0 and for inputs whose unfactored part could
-    be composite (beyond ``sieve_bound**2``).
+    be composite (beyond ``SIEVE_BOUND**2``).
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}; need n >= 1")
     out: Factorization = []
     rest = n
-    for p in _sieve(min(sieve_bound, math.isqrt(n) + 1)):
+    for p in primes_up_to(min(SIEVE_BOUND, math.isqrt(n) + 1)):
         if p * p > rest:
             break
         if rest % p == 0:
@@ -70,7 +58,7 @@ def factorize(n: int, sieve_bound: int = SIEVE_BOUND) -> Factorization:
                 e += 1
             out.append((p, e))
     if rest > 1:
-        if rest > sieve_bound * sieve_bound:
+        if rest > SIEVE_BOUND * SIEVE_BOUND:
             raise ValueError(f"unfactored part {rest} exceeds sieve bound squared")
         out.append((rest, 1))
     return out

@@ -48,9 +48,10 @@ walked in pure Python (``_checked_class``): the tables are at most
 ``HARD_CAP`` square, and the search and the scan already read them as
 lists.  The classes are named by matching them against the tables of the
 construction families, built here by pure-Python rules that give the same
-tables as the laws of ``groups``.  This module does not import ``groups``,
-so no catalog, computed or read from a cache file, loads numpy;
-``canonical_form`` wraps the rows core for a caller's ``Group``.
+tables as the laws of ``groups``; ``isomorphic_to_canonical`` is the one test
+of whether a table is a given class.  This module does not import
+``groups``, so no catalog, computed or read from a cache file, loads numpy;
+``canonical_form`` runs the labeling scan on a caller's ``Group``.
 """
 
 from __future__ import annotations
@@ -225,21 +226,13 @@ def _is_canonical(rows, autos: list | None = None) -> bool:
     return best_order == list(range(len(rows)))
 
 
-def _canonical_rows(rows) -> tuple[tuple[int, ...], ...]:
-    """The canonical table of a group table: its least flattening's labeling.
-
-    Invariant under any identity-fixing relabeling of the table; two tables
-    have equal canonical tables exactly when their groups are isomorphic.
-    """
+def canonical_form(g):
+    """Canonical representative of the isomorphism class of the ``Group`` g:
+    its table relabeled by the least flattening, as a ``Group`` of g's class."""
+    rows = g.table.tolist()
     _, best_order, _ = _scan_labelings(rows)
     posmap = {x: i for i, x in enumerate(best_order)}
-    return tuple(tuple(posmap[rows[x][y]] for y in best_order) for x in best_order)
-
-
-def canonical_form(g):
-    """Canonical representative of the isomorphism class of the ``Group`` g,
-    as a ``Group`` of its own class (this module does not import ``groups``)."""
-    return type(g)(_canonical_rows(g.table.tolist()))
+    return type(g)(tuple(tuple(posmap[rows[x][y]] for y in best_order) for x in best_order))
 
 
 def isomorphic_to_canonical(g: CatalogClass, canon: CatalogClass) -> bool:
@@ -477,9 +470,19 @@ def _search_groups(n: int) -> list[tuple[tuple[int, ...], ...]]:
     return results
 
 
+def _increasing(tables) -> bool:
+    """Whether the tables are in strictly increasing flatten order, so none repeats."""
+    flats = [flatten(t) for t in tables]
+    return all(a < b for a, b in zip(flats, flats[1:]))
+
+
 def _enumerate(n: int) -> list[CatalogClass]:
     """The classes of order n in flatten order, checked and walked, not yet named."""
-    return [_checked_class(rows, n) for rows in sorted(set(_search_groups(n)), key=flatten)]
+    tables = _search_groups(n)
+    if not _increasing(tables):  # the search yields them in that order
+        raise RuntimeError(f"the search's tables of order {n} are not in "
+                           "strictly increasing flatten order")
+    return [_checked_class(rows, n) for rows in tables]
 
 
 # ---------------------------------------------------------------------------
@@ -687,38 +690,16 @@ def _family_candidates(n: int):
 
 
 def abelian_invariant_chains(n: int) -> list[tuple[int, ...]]:
-    """All invariant-factor chains d1 | d2 | ... with product n."""
-    parts_per_prime = []
-    for p, e in arith.factorize(n):
-        parts_per_prime.append((p, _partitions(e)))
-    chains = [()]
-    for p, partitions in parts_per_prime:
-        new_chains = []
-        for chain in chains:
-            for part in partitions:
-                exps = sorted(part, reverse=True)
-                merged = list(chain) + [1] * max(0, len(exps) - len(chain))
-                merged = sorted(merged, reverse=True)
-                combined = [merged[i] * (p ** exps[i] if i < len(exps) else 1) for i in range(len(merged))]
-                new_chains.append(tuple(combined))
-        chains = new_chains
-    return sorted(set(tuple(sorted(c)) for c in chains))
+    """All invariant-factor chains d1 | d2 | ... with product n, sorted: those
+    of m with every factor a multiple of d are (e, *rest), for each divisor
+    e > 1 of m with d | e and each such chain rest of m/e over e."""
+    def chains(m: int, d: int) -> list[tuple[int, ...]]:
+        if m == 1:
+            return [()]
+        return [(e, *rest) for e in arith.divisors(m) if e > 1 and e % d == 0
+                for rest in chains(m // e, e)]
 
-
-def _partitions(e: int) -> list[tuple[int, ...]]:
-    if e == 0:
-        return [()]
-    out = []
-
-    def rec(remaining, maxpart, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for p in range(min(remaining, maxpart), 0, -1):
-            rec(remaining - p, p, acc + [p])
-
-    rec(e, e, [])
-    return out
+    return chains(n, 1)
 
 
 def _describe_classes(n: int, classes: list[CatalogClass]) -> list[str]:
@@ -795,8 +776,7 @@ def _load_catalog(path: Path, n: int) -> list[CatalogClass] | None:
             raise ValueError(f"it holds {len(data['classes'])} classes, "
                              f"not the {A000001[n]} groups of order {n}")
         classes = [_load_class(entry, n) for entry in data["classes"]]
-        flats = [flatten(cls.table) for cls in classes]
-        if any(a >= b for a, b in zip(flats, flats[1:])):
+        if not _increasing(cls.table for cls in classes):
             raise ValueError("the stored tables are not in strictly increasing flatten order")
         return classes
     except FileNotFoundError:

@@ -325,6 +325,12 @@ def validate_table(rows) -> None:
         raise TableError(str(exc)) from None
 
 
+def _table_law(rows) -> Law:
+    """The law of a table from outside, once validate_table has passed its rows."""
+    validate_table(rows)  # before numpy holds the rows
+    return Law.of_table(np.asarray(rows, dtype=np.int64))
+
+
 # Triples drawn and checked at a time, so the check holds O(1) extra memory.
 _SPOT_CHUNK = 1 << 16
 
@@ -402,9 +408,9 @@ class Group:
     """A realized finite group: order, law, and cached element orders.
 
     A group is given by a table (rows or an array) or by a Law.  A table
-    came from outside, whatever the spec, and gets validate_table on its
-    rows before numpy holds them.  A Law is spot-checked, except the law of
-    a table: spec, whose rows build_group has checked in full.  The n x n
+    came from outside and gets validate_table on its rows before numpy
+    holds them; a Law is spot-checked.  The spec is never read for this:
+    build_group hands a table: spec's rows here, not a law.  The n x n
     table of a group given by a law is built from the law on first use of
     ``table``.  Element orders are filled eagerly, and a table built later
     is the same whichever thread builds it, so instances are safe to share
@@ -414,11 +420,10 @@ class Group:
     __slots__ = ("order", "law", "spec", "element_orders", "_table")
 
     def __init__(self, law: Law | list | np.ndarray, spec: GroupSpec | None = None):
-        if not isinstance(law, Law):
-            validate_table(law)
-            law = Law.of_table(np.asarray(law, dtype=np.int64))
-        elif not isinstance(spec, FromTable):
+        if isinstance(law, Law):
             _spot_check_associativity(law, spec)
+        else:
+            law = _table_law(law)
         if law.table is not None:
             law.table.setflags(write=False)
         self._table = law.table
@@ -541,10 +546,9 @@ def _law_for(spec: GroupSpec) -> Law:
         )
         return _semidirect_law(q ** (r - 1), q, q ** (r - 2) + 1)
 
-    if isinstance(spec, FromTable):
+    if isinstance(spec, FromTable):  # a part of a product; build_group gives Group the rows
         _require_table(len(spec.rows))
-        validate_table(spec.rows)  # before numpy holds the rows
-        return Law.of_table(np.array(spec.rows, dtype=np.int64))
+        return _table_law(spec.rows)
 
     if isinstance(spec, FromPermutations):
         _require(spec.degree >= 1, f"degree must be >= 1, got {spec.degree}")
@@ -561,11 +565,14 @@ def _law_for(spec: GroupSpec) -> Law:
 def build_group(spec: GroupSpec) -> Group:
     """Realize a GroupSpec as a Group.
 
-    The rows of a table: spec get validate_table, before numpy holds them;
-    every other law is spot-checked with 10n random associativity triples.
+    A table: spec's rows are given to Group, which checks them with
+    validate_table; every other law is spot-checked with 10n triples.
     A table: or perm: spec is held as a table of at most TABLE_BUDGET
     elements; a generated group is walked by its law, of at most LAW_BUDGET.
     """
+    if isinstance(spec, FromTable):
+        _require_table(len(spec.rows))
+        return Group(spec.rows, spec)
     return Group(_law_for(spec), spec)
 
 

@@ -35,10 +35,11 @@ propositions, including the q = 2 failure 341 < 336 and the q = 3 near-miss
 checkers that build groups or read a catalog, so the audit loads neither.
 The catalog claims ``max_cyclic``, ``equality`` and ``lemma7`` work on the
 classes' pure-Python tables: the equality witness and the ``SD(m,k,a)``
-candidates are tables from the enumerator's family rules, so these claims
-load no ``groups`` or numpy, with a cached catalog or without.  The
-family-scale claims, ``upper_bound`` and ``equality --family-only`` walk
-laws in ``groups``.
+candidates are tables from the enumerator's family rules, each checked as
+a class and matched to catalog classes by ``isomorphic_to_canonical``, so
+these claims load no ``groups`` or numpy, with a cached catalog or without.
+The family-scale claims, ``upper_bound`` and ``equality --family-only``
+walk laws in ``groups``.
 """
 
 from __future__ import annotations
@@ -68,14 +69,12 @@ class Case:
     lhs: int | Fraction | None
     rhs: int | Fraction | None
     verdict: str  # "holds" | "equality" | "fails" | "not_applicable"
-    expected: str  # same vocabulary, plus "holds_or_equality" / "not_equality"
+    expected: str  # same vocabulary, plus "not_equality"
     witnesses: tuple[str, ...] = ()
     note: str = ""
 
     @property
     def ok(self) -> bool:
-        if self.expected == "holds_or_equality":
-            return self.verdict in ("holds", "equality")
         if self.expected == "not_equality":
             return self.verdict != "equality"
         return self.verdict == self.expected
@@ -209,7 +208,7 @@ def verify_equality_classification(
     construction and the report is flagged family-restricted.
     """
     from .enumeration import (
-        EnumerationBoundError, _abelian_table, _canonical_rows, _checked_class, catalog)
+        EnumerationBoundError, _abelian_table, _checked_class, catalog, isomorphic_to_canonical)
 
     if q is None:
         q = arith.least_prime_factor(n)
@@ -252,9 +251,7 @@ def verify_equality_classification(
         )
     else:
         classes = catalog(n, bound=bound, cache_dir=cache_dir)  # bound-checked before any table
-        expected_table = None
-        if k is not None:  # the witness C_q x C_qk, checked, as its canonical table
-            expected_table = _canonical_rows(_checked_class(_abelian_table((q, q * k)), n).table)
+        witness = None if k is None else _checked_class(_abelian_table((q, q * k)), n)
         for cls in classes:
             if cls.is_cyclic():
                 continue  # psi(C_n) > target since f(q) < 1
@@ -264,7 +261,8 @@ def verify_equality_classification(
                     lhs=cls.psi,
                     rhs=target,
                     verdict=_compare(cls.psi, target),
-                    expected="equality" if cls.table == expected_table else "holds",
+                    expected=("equality" if witness is not None
+                              and isomorphic_to_canonical(witness, cls) else "holds"),
                     witnesses=(cls.description,),
                 )
             )

@@ -41,6 +41,19 @@ class TestFactorize:
         assert [p for p, _ in fac] == sorted(p for p, _ in fac)
 
 
+class TestIsPrime:
+    def test_agrees_with_sieve(self):
+        primes = [n for n in range(10**5 + 1) if arith.is_prime(n)]
+        assert primes == list(arith.primes_up_to(10**5))
+
+    def test_square_of_largest_sieve_prime(self):
+        assert not arith.is_prime(999983**2)
+
+    def test_prime_past_sieve_range(self):
+        with pytest.raises(ValueError):
+            arith.is_prime(1000000000039)
+
+
 class TestEulerPhi:
     @pytest.mark.parametrize("n,expected", [(1, 1), (9, 6), (12, 4), (97, 96)])
     def test_examples(self, n, expected):

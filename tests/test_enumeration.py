@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import shutil
 import warnings
@@ -24,6 +25,7 @@ from ordersum.enumeration import (
     _is_canonical,
     _scan_labelings,
     _search_groups,
+    abelian_invariant_chains,
 )
 from ordersum.groups import (
     Abelian,
@@ -86,6 +88,18 @@ class TestAllGroups:
         assert cli.main(["catalog", "8", "--cache-dir", str(tmp_path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.endswith("not the 5 of OEIS A000001\n")
+        assert not (tmp_path / "catalog" / "n=8.json").exists()
+
+    def test_search_order_is_checked(self, capsys, monkeypatch, tmp_path):
+        # The search yields its tables in strictly increasing flatten order;
+        # a search that does not is a fault, never silently sorted: exit 2.
+        real = enumeration._search_groups
+        monkeypatch.setattr(enumeration, "_search_groups", lambda n: real(n)[::-1])
+        with pytest.raises(RuntimeError, match="not in strictly increasing flatten order"):
+            catalog(8)
+        assert cli.main(["catalog", "8", "--cache-dir", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("strictly increasing flatten order\n")
         assert not (tmp_path / "catalog" / "n=8.json").exists()
 
     @ABOVE_DEFAULT
@@ -357,6 +371,33 @@ class TestCompleteness:
             entries = psi_spectrum(n, cache_dir=cache_dir)
             assert entries[0].psi == arith.psi_cyclic(n)
             assert entries[0].count == 1
+
+
+def _partition_count(e: int) -> int:
+    """The number of partitions of e, by adding the parts 1, 2, ... e in turn."""
+    ways = [1] + [0] * e
+    for part in range(1, e + 1):
+        for total in range(part, e + 1):
+            ways[total] += ways[total - part]
+    return ways[e]
+
+
+class TestInvariantChains:
+    def test_chains_to_2000(self):
+        # One chain per choice of a partition of each prime's exponent.
+        for n in range(1, 2001):
+            chains = abelian_invariant_chains(n)
+            for chain in chains:
+                assert math.prod(chain) == n and all(d > 1 for d in chain), (n, chain)
+                assert all(b % a == 0 for a, b in zip(chain, chain[1:])), (n, chain)
+            assert chains == sorted(set(chains)), n
+            assert len(chains) == math.prod(_partition_count(e) for _, e in arith.factorize(n)), n
+
+    def test_pinned(self):
+        assert abelian_invariant_chains(1) == [()]
+        assert abelian_invariant_chains(16) == [(2, 2, 2, 2), (2, 2, 4), (2, 8), (4, 4), (16,)]
+        assert abelian_invariant_chains(72) == [
+            (2, 2, 18), (2, 6, 6), (2, 36), (3, 24), (6, 12), (72,)]
 
 
 def _relabel_q8(data: dict) -> None:

@@ -698,6 +698,18 @@ class TestExplicitTables:
         with pytest.raises(AssertionError, match="spot check"):
             build_group(Cyclic(5))
 
+    def test_forged_table_spec_law_is_spot_checked(self):
+        # A Law is spot-checked whatever its spec: a FromTable spec does not
+        # vouch for a law that build_group did not make from its rows.
+        rows = build_group(Dihedral(16)).table.tolist()
+        swaps = list(_intercalate_swaps(rows, random.Random(1), 20))
+        assert len(swaps) == 20
+        for t in swaps:
+            with pytest.raises(TableError, match="associativity"):
+                validate_table(t)
+            with pytest.raises(TableError, match="spot check"):
+                Group(Law.of_table(np.array(t)), spec=FromTable(t))
+
     def test_product_with_a_table_part(self):
         # The table part's rows are checked in full, the product's law spot-checked.
         c3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
