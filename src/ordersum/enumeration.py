@@ -50,8 +50,9 @@ lists.  The classes are named by matching them against the tables of the
 construction families, built here by pure-Python rules that give the same
 tables as the laws of ``groups``; ``isomorphic_to_canonical`` is the one test
 of whether a table is a given class.  This module does not import
-``groups``, so no catalog, computed or read from a cache file, loads numpy;
-``canonical_form`` runs the labeling scan on a caller's ``Group``.
+``groups``: every function, ``canonical_form`` too, takes tables as rows
+and returns them as tuples of tuples, so no catalog, computed or read from
+a cache file, loads numpy.
 """
 
 from __future__ import annotations
@@ -96,18 +97,18 @@ def flatten(rows) -> tuple[int, ...]:
     return tuple(rows[i][j] for i, j in shell_cells(len(rows)))
 
 
-def _scan_labelings(rows, stop_below_self: bool = False, target: tuple | None = None):
+def _scan_labelings(rows, target: tuple | None = None, order: list | None = None):
     """Depth-first search over the BFS labelings of a complete table.
 
     Returns (best_flat, best_order, autos): the least flattening found, the
     labeling giving it (best_order lists the original element played by
-    each new label) and the automorphisms recorded on the way.  With
-    stop_below_self the scan starts from the table's own labeling, the
-    identity, and stops at the first labeling that flattens strictly below
-    it, which is all the canonicity test needs.  With a target flattening
-    the scan compares against it and stops at the first labeling that
-    flattens equal to it or below it; best_order stays None when there is
-    none.
+    each new label) and the automorphisms recorded on the way.  Without a
+    target the scan finds the least flattening.  With a target flattening
+    it compares against it and stops at the first labeling that flattens
+    strictly below it.  order is a labeling known to flatten to the target
+    (``_is_canonical`` passes the table's own flattening and the identity);
+    without one the scan also stops at the first labeling that flattens
+    equal to the target, and best_order stays None when there is none.
 
     A completed labeling L that flattens equal to the best one is recorded
     as the automorphism best_order[i] -> L[i].  At each choice of the next
@@ -117,9 +118,7 @@ def _scan_labelings(rows, stop_below_self: bool = False, target: tuple | None = 
     """
     n = len(rows)
     cells = shell_cells(n)
-    best_flat = flatten(rows) if stop_below_self else target
-    best_order = list(range(n)) if stop_below_self else None
-    stop_below = stop_below_self or target is not None
+    best_flat, best_order = target, order
     autos: list[list[int]] = []  # automorphisms found, as lists of images
     stopped = False
 
@@ -178,7 +177,7 @@ def _scan_labelings(rows, stop_below_self: bool = False, target: tuple | None = 
             posmap = {x: i for i, x in enumerate(L)}
             best_flat = tuple(posmap[rows[L[i]][L[j]]] for i, j in cells)
             best_order = L
-            stopped = stop_below
+            stopped = target is not None
             return
         # Stall: orbits of the unlabeled elements under the automorphisms
         # found that fix every generator, kept as a union-find forest.
@@ -220,25 +219,27 @@ def _is_canonical(rows, autos: list | None = None) -> bool:
     given; for a canonical table each one lists the element that plays each
     label in a BFS labeling flattening equal to the table.
     """
-    _, best_order, found = _scan_labelings(rows, stop_below_self=True)
+    identity = list(range(len(rows)))
+    _, best_order, found = _scan_labelings(rows, flatten(rows), identity)
     if autos is not None:
         autos.extend(found)
-    return best_order == list(range(len(rows)))
+    return best_order == identity
 
 
-def canonical_form(g):
-    """Canonical representative of the isomorphism class of the ``Group`` g:
-    its table relabeled by the least flattening, as a ``Group`` of g's class."""
-    rows = g.table.tolist()
-    _, best_order, _ = _scan_labelings(rows)
+def canonical_form(rows) -> tuple[tuple[int, ...], ...]:
+    """The canonical table of the group whose table is rows: the rows pass
+    ``_checked_class`` (ValueError when they are not a group's table) and are
+    relabeled by their least flattening."""
+    table = _checked_class(rows, len(rows)).table
+    _, best_order, _ = _scan_labelings(table)
     posmap = {x: i for i, x in enumerate(best_order)}
-    return type(g)(tuple(tuple(posmap[rows[x][y]] for y in best_order) for x in best_order))
+    return tuple(tuple(posmap[table[x][y]] for y in best_order) for x in best_order)
 
 
 def isomorphic_to_canonical(g: CatalogClass, canon: CatalogClass) -> bool:
     """Whether the class ``g``, in any labeling, is the catalog class ``canon``.
 
-    Groups with different order profiles are not isomorphic.  Otherwise the
+    Classes with different order profiles are not isomorphic.  Otherwise the
     BFS labelings of g are scanned against the flattening of canon's table:
     one equal to it is an isomorphism, and one below it shows that g is not
     isomorphic to canon, whose flattening is the least of its class.
@@ -246,7 +247,7 @@ def isomorphic_to_canonical(g: CatalogClass, canon: CatalogClass) -> bool:
     if len(g.table) != len(canon.table) or g.order_profile() != canon.order_profile():
         return False
     target = flatten(canon.table)
-    flat, order, _ = _scan_labelings(g.table, target=target)
+    flat, order, _ = _scan_labelings(g.table, target)
     return order is not None and flat == target
 
 
@@ -289,9 +290,6 @@ def _search_groups(n: int) -> list[tuple[tuple[int, ...], ...]]:
     colmask = [1 << i for i in range(n)]
     rowmask[0] = colmask[0] = full
     preim: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    # A closed subgroup's table -> its labelings by the automorphisms found,
-    # identity first, each as (labeling, positions); None when not canonical.
-    canon_cache: dict[tuple, list | None] = {}
     results: list[tuple[tuple[int, ...], ...]] = []
     k = 2  # labels in use: identity plus the first generator
 
@@ -429,24 +427,18 @@ def _search_groups(n: int) -> list[tuple[tuple[int, ...], ...]]:
             if n % k:
                 return
             sub = tuple(tuple(T[r][:k]) for r in range(k))
-            if sub in canon_cache:
-                alphas = canon_cache[sub]
-            else:
-                autos: list[list[int]] = []
-                alphas = None
-                if _is_canonical(sub, autos):
-                    alphas = []
-                    for L in [list(range(k)), *autos]:
-                        pos = [-1] * n
-                        for label, x in enumerate(L):
-                            pos[x] = label
-                        alphas.append((L, pos))
-                canon_cache[sub] = alphas
-            if alphas is None:
+            autos: list[list[int]] = []
+            if not _is_canonical(sub, autos):
                 return
             if k == n:
                 results.append(sub)
                 return
+            alphas = []
+            for L in [list(range(k)), *autos]:
+                pos = [-1] * n
+                for label, x in enumerate(L):
+                    pos[x] = label
+                alphas.append((L, pos))
             k += 1
             dfs(p, alphas, start(alphas[1:], k - 1))
             k -= 1

@@ -4,14 +4,15 @@ A law mul(x, y) multiplies arrays of element indices elementwise, with the
 identity at index 0.  A generated group (cyclic, abelian, direct product,
 semidirect, dihedral, quaternion, modular) has a closed-form law on
 mixed-radix coordinates; a group read from outside (a table: file, a perm:
-closure, a catalog class, a canonical form) has a table, and its law gathers
-from it.  One engine then computes element orders, psi (the sum of element
-orders), order profiles and the structural predicates the verification
-suites need.  There are no per-family order formulas to trust: orders come
-from power maps of the law, split by prime (element_orders_of_table), in
-O(n) memory.  An n x n table of a generated group is built only where one
-is read: canonical forms, is_abelian, equality and hashing, and catalog
-JSON.  Every spec has an element budget, checked before anything is built.
+closure, rows given to Group) has a table, and its law gathers from it.
+One engine then computes element orders, psi (the sum of element orders),
+order profiles and the structural predicates the verification suites need.
+There are no per-family order formulas to trust: orders come from power
+maps of the law, split by prime (element_orders_of_table), in O(n) memory.
+An n x n table of a generated group is built only where one is read: by
+is_abelian, or by a caller of ``table``.  Groups have no table equality;
+compare canonical forms (``enumeration.canonical_form``) of their rows.
+Every spec has an element budget, checked before anything is built.
 Every table from outside (a table: spec's rows, rows or an array given to
 Group) gets the catalog's full group check, validate_table, on its Python
 rows before numpy holds them; every other law is spot-checked.
@@ -455,15 +456,6 @@ class Group:
             return format_spec(self.spec)
         except GroupSpecError:  # no spec, or an in-memory table: or perm: spec
             return f"order-{self.order} table"
-
-    def __eq__(self, other) -> bool:
-        """Groups are equal when their tables are; the spec is not compared."""
-        if not isinstance(other, Group):
-            return NotImplemented
-        return self.order == other.order and np.array_equal(self.table, other.table)
-
-    def __hash__(self) -> int:
-        return hash(self.table.tobytes())
 
     def element_order(self, x: int) -> int:
         if not 0 <= x < self.order:

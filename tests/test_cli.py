@@ -230,9 +230,9 @@ class TestOutputContracts:
                            "--cache-dir", str(tmp_path), "--format", "json")
         assert code == 0
         report = json.loads(out)["reports"][0]
-        expected = canonical_form(build_group(parse_spec("A[2,2]xC3")))
+        expected = canonical_form(build_group(parse_spec("A[2,2]xC3")).table.tolist())
         for text in report["witnesses"]:
-            assert canonical_form(build_group(parse_spec(text))) == expected
+            assert canonical_form(build_group(parse_spec(text)).table.tolist()) == expected
 
     def test_failing_report_exits_one(self, capsys):
         bad = theorems.VerificationReport(claim_id="max_cyclic", params={}, verdict="fails")

@@ -115,8 +115,8 @@ class TestAllGroups:
 
     def test_cyclic_always_present(self, cache_dir):
         for n in range(1, 13):
-            cyc = canonical_form(build_group(Cyclic(n)))
-            assert cyc in [Group(cls.table) for cls in catalog(n, cache_dir=cache_dir)]
+            cyc = canonical_form(build_group(Cyclic(n)).table.tolist())
+            assert cyc in [cls.table for cls in catalog(n, cache_dir=cache_dir)]
 
     def test_determinism(self):
         assert catalog(9) == catalog(9)
@@ -147,29 +147,38 @@ class TestCanonicalForm:
             from ordersum.groups import parse_spec
 
             g = build_group(parse_spec(text))
-            reference = canonical_form(g)
+            reference = canonical_form(g.table.tolist())
             for _ in range(4):
                 perm = [0] + rng.sample(range(1, g.order), g.order - 1)
-                assert canonical_form(relabel(g, perm)) == reference
+                assert canonical_form(relabel(g, perm).table.tolist()) == reference
 
     def test_distinguishes_non_isomorphic(self):
-        c4 = canonical_form(build_group(Cyclic(4)))
-        v4 = canonical_form(build_group(Abelian([2, 2])))
+        c4 = canonical_form(build_group(Cyclic(4)).table.tolist())
+        v4 = canonical_form(build_group(Abelian([2, 2])).table.tolist())
         assert c4 != v4
 
     def test_identifies_isomorphic_constructions(self):
-        s3 = canonical_form(build_group(SemidirectCyclic(3, 2, 2)))
-        d6 = canonical_form(build_group(Dihedral(6)))
+        s3 = canonical_form(build_group(SemidirectCyclic(3, 2, 2)).table.tolist())
+        d6 = canonical_form(build_group(Dihedral(6)).table.tolist())
         assert s3 == d6
 
     def test_relabeled_table_keeps_psi_and_profile(self):
         rng = random.Random(5)
         g = build_group(Dihedral(10))
-        reference = canonical_form(g)
+        reference = Group(canonical_form(g.table.tolist()))
         perm = [0] + rng.sample(range(1, 10), 9)
         shuffled = relabel(g, perm)
         assert shuffled.psi() == reference.psi()
         assert shuffled.order_profile() == reference.order_profile()
+
+    @ABOVE_DEFAULT
+    def test_catalog_tables_are_canonical_forms(self, cache_dir):
+        # canonical_form takes rows and returns the class's own table, int entries.
+        for n in range(1, 17):
+            for cls in catalog(n, bound=16, cache_dir=cache_dir):
+                canon = canonical_form([list(r) for r in cls.table])
+                assert canon == cls.table, cls.description
+                assert all(type(v) is int for row in canon for v in row)
 
     def test_relabel_requires_fixed_identity(self):
         with pytest.raises(ValueError):
@@ -187,8 +196,8 @@ class TestCanonicalForm:
                 g = Group(cls.table)
                 for tail in permutations(range(1, n)):
                     perm = (0, *tail)
-                    assert canonical_form(relabel(g, perm)) == g
-                seen[g] = cls.description
+                    assert canonical_form(relabel(g, perm).table.tolist()) == cls.table
+                seen[cls.table] = cls.description
             assert len(seen) == len(classes)
 
 
@@ -201,10 +210,10 @@ class TestIsomorphicToCanonical:
             for desc, rows in _family_candidates(n):
                 g = Group(rows)
                 for h in [g, *_relabelings(g, 1, rng)]:
-                    canon = canonical_form(h)
+                    canon = canonical_form(h.table.tolist())
                     for cls in classes:
                         assert isomorphic_to_canonical(as_class(h), cls) is (
-                            canon == Group(cls.table)), (n, desc)
+                            canon == cls.table), (n, desc)
 
     @ABOVE_DEFAULT
     def test_equal_order_profiles(self, cache_dir):
@@ -300,7 +309,7 @@ class TestPrunedScan:
                     assert _scan_labelings(rows)[0] == least, (n, rows)
                     below, _ = _unpruned_scan(rows, flatten(rows), stop_below_ref=True)
                     assert _is_canonical(rows) is not below, (n, rows)
-                    assert below is (g != canon), (n, rows)
+                    assert below is (as_class(g).table != cls.table), (n, rows)
 
     @ABOVE_DEFAULT
     def test_order_16_relabelings(self, cache_dir):
@@ -309,11 +318,11 @@ class TestPrunedScan:
         assert "A[2,2,2,2]" in [cls.description for cls in classes]
         for cls in classes:
             assert _is_canonical(cls.table)
-            canon = Group(cls.table)
-            for g in _relabelings(canon, 3, rng):
-                assert canonical_form(g) == canon, cls.description
-                if g != canon:
-                    assert not _is_canonical(g.table.tolist()), cls.description
+            for g in _relabelings(Group(cls.table), 3, rng):
+                rows = g.table.tolist()
+                assert canonical_form(rows) == cls.table, cls.description
+                if as_class(g).table != cls.table:
+                    assert not _is_canonical(rows), cls.description
 
     def test_prunes_by_automorphisms(self):
         # C2 x C2 x C2 has 168 BFS labelings, all flattening alike; pruning by
@@ -347,6 +356,23 @@ class TestSearchPruning:
         assert len(_search_groups(16)) == 14
         assert len(handed) <= 60
 
+    def test_closed_subgroup_tables_are_distinct(self, monkeypatch):
+        # The branches fill cells inside the closed k x k block, so no two
+        # paths close the same subgroup table: a cache of canonicity results
+        # would never hit.
+        handed = []
+        real = enumeration._is_canonical
+
+        def recording(rows, *args):
+            handed.append(rows)
+            return real(rows, *args)
+
+        monkeypatch.setattr(enumeration, "_is_canonical", recording)
+        for n in range(1, 25):
+            handed.clear()
+            _search_groups(n)
+            assert len(set(handed)) == len(handed), n
+
     def test_subgroup_automorphisms_are_recorded(self):
         autos = []
         rows = build_group(Abelian([2, 2, 2])).table.tolist()
@@ -362,9 +388,9 @@ class TestCompleteness:
     def test_families_land_in_catalog(self, cache_dir):
         # Every construction-family group of order n matches exactly one class.
         for n in range(1, 13):
-            classes = {Group(c.table) for c in catalog(n, cache_dir=cache_dir)}
+            classes = {c.table for c in catalog(n, cache_dir=cache_dir)}
             for desc, rows in _family_candidates(n):
-                assert canonical_form(Group(rows)) in classes, (n, desc)
+                assert canonical_form(rows) in classes, (n, desc)
 
     def test_top_of_spectrum_uniquely_cyclic(self, cache_dir):
         for n in range(2, 13):

@@ -129,6 +129,7 @@ def record() -> None:
     (GOLDEN / "cases.json").write_text(json.dumps(codes, indent=1) + "\n")
 
 
+@pytest.mark.filterwarnings("ignore:enumerating order:RuntimeWarning")
 def test_golden_outputs_byte_identical():
     codes, outs, caches = run_all()
     assert codes == json.loads((GOLDEN / "cases.json").read_text())

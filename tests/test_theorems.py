@@ -14,7 +14,6 @@ from ordersum.groups import (
     FromPermutations,
     FromTable,
     GeneralizedQuaternion,
-    Group,
     SemidirectCyclic,
     build_group,
     parse_spec,
@@ -100,18 +99,18 @@ def equality_witnesses(n, q, cache_dir):
     """The catalog groups on which the exhaustive report finds equality."""
     report = verify_equality_classification(n, q, cache_dir=cache_dir)
     assert report.verdict == "holds"
-    by_desc = {cls.description: Group(cls.table) for cls in catalog(n, cache_dir=cache_dir)}
+    by_desc = {cls.description: cls.table for cls in catalog(n, cache_dir=cache_dir)}
     return [by_desc[c.params["class"]] for c in report.cases if c.verdict == "equality"]
 
 
 class TestEqualityClassification:
     def test_n4(self, cache_dir):
         witnesses = equality_witnesses(4, 2, cache_dir)
-        assert witnesses == [canonical_form(build_group(parse_spec("C2xC2")))]
+        assert witnesses == [canonical_form(build_group(parse_spec("C2xC2")).table.tolist())]
 
     def test_n12(self, cache_dir):
         witnesses = equality_witnesses(12, 2, cache_dir)
-        assert witnesses == [canonical_form(build_group(parse_spec("C2xC2xC3")))]
+        assert witnesses == [canonical_form(build_group(parse_spec("C2xC2xC3")).table.tolist())]
         report = verify_equality_classification(12, 2, cache_dir=cache_dir)
         strict = [c for c in report.cases if c.expected == "holds"]
         assert len(strict) == 3 and all(c.verdict == "holds" for c in strict)
@@ -141,8 +140,8 @@ class TestEqualityClassification:
             if k is None:
                 assert expected == [], n
             else:
-                canon = canonical_form(build_group(_witness_spec(q, k)))
-                assert [Group(t) for t in expected] == [canon], n
+                canon = canonical_form(build_group(_witness_spec(q, k)).table.tolist())
+                assert expected == [canon], n
 
     def test_family_mode_flagged(self):
         report = verify_equality_classification(4 * 25, 2, family_only=True)
@@ -277,8 +276,8 @@ class TestLemmas:
                 for p, e in arith.factorize(n):
                     m, k = p**e, n // p**e
                     for a in arith.semidirect_actions(m, k):
-                        sd = canonical_form(build_group(SemidirectCyclic(m, k, a)))
-                        if sd == Group(cls.table):
+                        sd = canonical_form(build_group(SemidirectCyclic(m, k, a)).table.tolist())
+                        if sd == cls.table:
                             expected.append((cls.description, m, k, a))
             assert got == expected, n
             matched += len(got)
