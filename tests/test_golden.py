@@ -1,7 +1,9 @@
 """Golden gate: CLI output, exit codes, cache files and demo output stay byte-identical.
 
 `tests/golden/cases.json` lists each recorded command with its exit code;
-`tests/golden/out/<name>.txt` holds its standard output, and
+`tests/golden/out/<name>.txt` holds its standard output,
+`tests/golden/err/<name>.txt` the standard error of each command that exits 2
+(a usage or input error, whose message users read), and
 `tests/golden/catalog/` the cache files the commands wrote.  Every command
 runs with `tests/golden/inputs` as the working directory, so the `table:`
 and `perm:` specs (and the spec echoed in the output) are relative paths.
@@ -77,9 +79,10 @@ COMMANDS = {
 FORMATS = ("table", "json", "csv")
 
 
-def run_all() -> tuple[dict, dict, dict]:
-    """(exit codes, stdouts, cache files) of every command in every format."""
-    codes, outs, caches = {}, {}, {}
+def run_all() -> tuple[dict, dict, dict, dict]:
+    """(exit codes, stdouts, stderrs of the exit-2 runs, cache files) of every
+    command in every format."""
+    codes, outs, errs, caches = {}, {}, {}, {}
     cache = tempfile.mkdtemp(prefix="ordersum-golden-")
     cwd = os.getcwd()
     os.chdir(GOLDEN / "inputs")
@@ -87,20 +90,22 @@ def run_all() -> tuple[dict, dict, dict]:
         for name, argv in COMMANDS.items():
             for fmt in FORMATS:
                 args = [cache if a == CACHE else a for a in argv] + ["--format", fmt]
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     try:
                         code = cli.main(args)
                     except SystemExit as exc:  # argparse usage errors
                         code = exc.code
                 codes[f"{name}.{fmt}"] = code
                 outs[f"{name}.{fmt}"] = out.getvalue()
+                if code == 2:
+                    errs[f"{name}.{fmt}"] = err.getvalue()
         for n in CACHED_ORDERS:
             caches[n] = (Path(cache) / "catalog" / f"n={n}.json").read_bytes()
     finally:
         os.chdir(cwd)
         shutil.rmtree(cache, ignore_errors=True)
-    return codes, outs, caches
+    return codes, outs, errs, caches
 
 
 def run_demo(script: Path) -> str:
@@ -113,17 +118,21 @@ def run_demo(script: Path) -> str:
 
 
 def record() -> None:
-    codes, outs, caches = run_all()
+    codes, outs, errs, caches = run_all()
     shutil.rmtree(GOLDEN / "demos", ignore_errors=True)
     (GOLDEN / "demos").mkdir()
     for script in DEMOS:
         (GOLDEN / "demos" / f"{script.stem}.txt").write_bytes(run_demo(script).encode())
     shutil.rmtree(GOLDEN / "out", ignore_errors=True)
+    shutil.rmtree(GOLDEN / "err", ignore_errors=True)
     shutil.rmtree(GOLDEN / "catalog", ignore_errors=True)
     (GOLDEN / "out").mkdir()
+    (GOLDEN / "err").mkdir()
     (GOLDEN / "catalog").mkdir()
     for key, text in outs.items():
         (GOLDEN / "out" / f"{key}.txt").write_bytes(text.encode())
+    for key, text in errs.items():
+        (GOLDEN / "err" / f"{key}.txt").write_bytes(text.encode())
     for n, data in caches.items():
         (GOLDEN / "catalog" / f"n={n}.json").write_bytes(data)
     (GOLDEN / "cases.json").write_text(json.dumps(codes, indent=1) + "\n")
@@ -131,10 +140,13 @@ def record() -> None:
 
 @pytest.mark.filterwarnings("ignore:enumerating order:RuntimeWarning")
 def test_golden_outputs_byte_identical():
-    codes, outs, caches = run_all()
+    codes, outs, errs, caches = run_all()
     assert codes == json.loads((GOLDEN / "cases.json").read_text())
     for key, text in outs.items():
         assert text.encode() == (GOLDEN / "out" / f"{key}.txt").read_bytes(), key
+    assert sorted(errs) == sorted(p.stem for p in (GOLDEN / "err").glob("*.txt"))
+    for key, text in errs.items():
+        assert text.encode() == (GOLDEN / "err" / f"{key}.txt").read_bytes(), key
     for n, data in caches.items():
         assert data == (GOLDEN / "catalog" / f"n={n}.json").read_bytes(), n
 
