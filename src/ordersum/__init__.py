@@ -24,7 +24,6 @@ HARD_CAP = 16
 _EXPORTS = {
     "arith": (
         "Factorization",
-        "cyclic_lower_bound",
         "divisors",
         "euler_phi",
         "f_ratio",

@@ -170,15 +170,3 @@ def f_ratio(q: int) -> Fraction:
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
     return Fraction(((q * q - 1) * q + 1) * (q + 1), q**5 + 1)
-
-
-def cyclic_lower_bound(n: int) -> Fraction:
-    """Exact lower bound q*n^2/(p+1) <= psi_cyclic(n).
-
-    Here q is the least and p the greatest prime divisor of n; needs n >= 2.
-    """
-    if n < 2:
-        raise ValueError(f"cyclic_lower_bound needs n >= 2, got {n}")
-    fac = factorize(n)
-    q, p = fac[0][0], fac[-1][0]
-    return Fraction(q * n * n, p + 1)

@@ -468,15 +468,6 @@ def _increasing(tables) -> bool:
     return all(a < b for a, b in zip(flats, flats[1:]))
 
 
-def _enumerate(n: int) -> list[CatalogClass]:
-    """The classes of order n in flatten order, checked and walked, not yet named."""
-    tables = _search_groups(n)
-    if not _increasing(tables):  # the search yields them in that order
-        raise RuntimeError(f"the search's tables of order {n} are not in "
-                           "strictly increasing flatten order")
-    return [_checked_class(rows, n) for rows in tables]
-
-
 # ---------------------------------------------------------------------------
 # Catalog classes and their check
 # ---------------------------------------------------------------------------
@@ -488,7 +479,7 @@ class CatalogClass:
     the order of each element, walked on the table.
 
     Build one with ``_checked_class``, which checks the table and walks the
-    orders.  psi, the order profile and the predicates read those fields.
+    orders.  psi, the order profile and is_cyclic read those fields.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -506,9 +497,6 @@ class CatalogClass:
 
     def is_cyclic(self) -> bool:
         return max(self.orders) == len(self.table)
-
-    def is_abelian(self) -> bool:
-        return self.table == tuple(zip(*self.table))
 
 
 def _generating_set(table) -> list[int]:
@@ -734,10 +722,17 @@ def catalog(
             RuntimeWarning,
             stacklevel=2,
         )
-    found = _enumerate(n)
-    if len(found) != A000001[n]:  # a fault of the search, never a failed claim
-        raise RuntimeError(f"the search found {len(found)} classes of order {n}, "
+    # The search's output is complete when its tables are in strictly
+    # increasing flatten order, so none repeats, and there are A000001[n] of
+    # them.  A search that fails either is at fault, never a failed claim.
+    tables = _search_groups(n)
+    if not _increasing(tables):
+        raise RuntimeError(f"the search's tables of order {n} are not in "
+                           "strictly increasing flatten order")
+    if len(tables) != A000001[n]:
+        raise RuntimeError(f"the search found {len(tables)} classes of order {n}, "
                            f"not the {A000001[n]} of OEIS A000001")
+    found = [_checked_class(rows, n) for rows in tables]
     classes = [replace(cls, description=desc)
                for cls, desc in zip(found, _describe_classes(n, found))]
     if path is not None:
@@ -751,7 +746,7 @@ def _load_catalog(path: Path, n: int) -> list[CatalogClass] | None:
     Cache files are untrusted: every stored table must pass
     ``_checked_class`` and be canonical, and its stored psi and order
     profile must equal the walked ones.  The tables must be in strictly
-    increasing flatten order, as _enumerate writes them, so no class is
+    increasing flatten order, as catalog writes them, so no class is
     stored twice, and there must be A000001[n] of them: distinct canonical
     tables are distinct classes, so the file then holds every class of order
     n.  A file that fails any check is reported in a warning and treated as

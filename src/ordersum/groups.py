@@ -6,12 +6,13 @@ semidirect, dihedral, quaternion, modular) has a closed-form law on
 mixed-radix coordinates; a group read from outside (a table: file, a perm:
 closure, rows given to Group) has a table, and its law gathers from it.
 One engine then computes element orders, psi (the sum of element orders),
-order profiles and the structural predicates the verification suites need.
-There are no per-family order formulas to trust: orders come from power
-maps of the law, split by prime (element_orders_of_table), in O(n) memory.
-An n x n table of a generated group is built only where one is read: by
-is_abelian, or by a caller of ``table``.  Groups have no table equality;
-compare canonical forms (``enumeration.canonical_form``) of their rows.
+order profiles and cyclicity.  There are no per-family order formulas to
+trust: orders come from power maps of the law, split by prime
+(element_orders_of_table), in O(n) memory.  A Group keeps its law and
+element orders; ``table`` builds the n x n table from the law afresh on
+each read, so a generated group's table exists only while a caller holds
+it.  Groups have no table equality; compare canonical forms
+(``enumeration.canonical_form``) of their rows.
 Every spec has an element budget, checked before anything is built.
 Every table from outside (a table: spec's rows, rows or an array given to
 Group) gets the catalog's full group check, validate_table, on its Python
@@ -29,7 +30,6 @@ from typing import Union
 import numpy as np
 
 from . import arith
-from .arith import semidirect_actions  # noqa: F401  (a public name of this module too)
 
 
 class GroupSpecError(ValueError):
@@ -173,20 +173,19 @@ class Law:
 
     ``law(x, y)`` multiplies integer arrays that broadcast together,
     elementwise; ``len(law)`` is the group order.  A law read from a table
-    keeps it as ``law.table`` and multiplies by gathering from it.
+    multiplies by gathering from it.
     """
 
-    __slots__ = ("n", "mul", "table")
+    __slots__ = ("n", "mul")
 
-    def __init__(self, n: int, mul, table: np.ndarray | None = None):
+    def __init__(self, n: int, mul):
         self.n = n
         self.mul = mul
-        self.table = table
 
     @classmethod
     def of_table(cls, table: np.ndarray) -> "Law":
         n, flat = len(table), table.ravel()
-        return cls(n, lambda x, y: flat[x * n + y], table)
+        return cls(n, lambda x, y: flat[x * n + y])
 
     def __len__(self) -> int:
         return self.n
@@ -406,28 +405,22 @@ def element_orders_of_table(law: Law) -> np.ndarray:
 
 
 class Group:
-    """A realized finite group: order, law, and cached element orders.
+    """A realized finite group: its order, law, spec and element orders.
 
     A group is given by a table (rows or an array) or by a Law.  A table
     came from outside and gets validate_table on its rows before numpy
     holds them; a Law is spot-checked.  The spec is never read for this:
-    build_group hands a table: spec's rows here, not a law.  The n x n
-    table of a group given by a law is built from the law on first use of
-    ``table``.  Element orders are filled eagerly, and a table built later
-    is the same whichever thread builds it, so instances are safe to share
-    across threads.
+    build_group hands a table: spec's rows here, not a law.  Element orders
+    are walked eagerly; no table is kept.
     """
 
-    __slots__ = ("order", "law", "spec", "element_orders", "_table")
+    __slots__ = ("order", "law", "spec", "element_orders")
 
     def __init__(self, law: Law | list | np.ndarray, spec: GroupSpec | None = None):
         if isinstance(law, Law):
             _spot_check_associativity(law, spec)
         else:
             law = _table_law(law)
-        if law.table is not None:
-            law.table.setflags(write=False)
-        self._table = law.table
         self.law = law
         self.order = law.n
         self.spec = spec
@@ -436,15 +429,8 @@ class Group:
 
     @property
     def table(self) -> np.ndarray:
-        """The n x n multiplication table, built from the law on first use."""
-        if self._table is None:
-            table = _table_for(self.law)
-            table.setflags(write=False)
-            self._table = table
-        return self._table
-
-    def __len__(self) -> int:
-        return self.order
+        """The n x n multiplication table, a fresh array built from the law on each read."""
+        return _table_for(self.law)
 
     def __repr__(self) -> str:
         return f"Group({self.label}, order={self.order})"
@@ -454,13 +440,8 @@ class Group:
         """The spec in the grammar, or ``order-n table`` where it has none."""
         try:
             return format_spec(self.spec)
-        except GroupSpecError:  # no spec, or an in-memory table: or perm: spec
+        except GroupSpecError:  # no spec, or a table: or perm: spec it cannot print
             return f"order-{self.order} table"
-
-    def element_order(self, x: int) -> int:
-        if not 0 <= x < self.order:
-            raise IndexError(f"element index {x} out of range for order {self.order}")
-        return int(self.element_orders[x])
 
     def psi(self) -> int:
         """Sum of the orders of all elements."""
@@ -473,9 +454,6 @@ class Group:
 
     def is_cyclic(self) -> bool:
         return int(self.element_orders.max()) == self.order
-
-    def is_abelian(self) -> bool:
-        return bool((self.table == self.table.T).all())
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +633,8 @@ def format_spec(spec: GroupSpec) -> str:
     if isinstance(spec, Abelian):
         return "A[" + ",".join(str(d) for d in spec.factors) + "]"
     if isinstance(spec, DirectProduct):
+        _require(not any(isinstance(p, (FromTable, FromPermutations)) for p in spec.parts),
+                 "the grammar has no product with a table: or perm: part")
         return "x".join(format_spec(p) for p in spec.parts)
     if isinstance(spec, SemidirectCyclic):
         return f"SD({spec.m},{spec.k},{spec.a})"

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ordersum import arith
 from ordersum.arith import (
-    cyclic_lower_bound,
     divisors,
     euler_phi,
     f_ratio,
@@ -132,23 +131,6 @@ class TestFRatio:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             f_ratio(4)
-
-
-class TestCyclicLowerBound:
-    @pytest.mark.parametrize(
-        "n,expected",
-        [(12, Fraction(72)), (2, Fraction(8, 3)), (30, Fraction(300))],
-    )
-    def test_examples(self, n, expected):
-        assert cyclic_lower_bound(n) == expected
-
-    def test_rejects_one(self):
-        with pytest.raises(ValueError):
-            cyclic_lower_bound(1)
-
-    def test_bounds_psi_to_5000(self):
-        for n in range(2, 5001):
-            assert cyclic_lower_bound(n) <= psi_cyclic(n), n
 
 
 class TestHelpers:

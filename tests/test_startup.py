@@ -23,16 +23,15 @@ SRC = str(Path(ordersum.__file__).resolve().parents[1])
 LAYERS = {"ordersum.arith", "ordersum.groups", "ordersum.enumeration", "ordersum.theorems",
           "ordersum.cli"}
 
-# The public names `ordersum` imported eagerly from its modules before it
-# resolved them on first use.
+# The public names of `ordersum`, each under the module it resolves to.
 PUBLIC = {
-    "arith": ["Factorization", "cyclic_lower_bound", "divisors", "euler_phi", "f_ratio",
-              "factorize", "is_prime", "least_prime_factor", "multiplicative_order",
-              "psi_cyclic", "psi_cyclic_oracle", "psi_cyclic_prime_power"],
+    "arith": ["Factorization", "divisors", "euler_phi", "f_ratio", "factorize", "is_prime",
+              "least_prime_factor", "multiplicative_order", "psi_cyclic", "psi_cyclic_oracle",
+              "psi_cyclic_prime_power", "semidirect_actions"],
     "groups": ["Abelian", "Cyclic", "Dihedral", "DirectProduct", "FromPermutations",
                "FromTable", "GeneralizedQuaternion", "Group", "GroupSpecError", "Modular",
                "SemidirectCyclic", "TableError", "build_group", "format_spec",
-               "kernel_of_action", "parse_spec", "semidirect_actions"],
+               "kernel_of_action", "parse_spec"],
     "enumeration": ["CatalogClass", "EnumerationBoundError", "SpectrumEntry",
                     "canonical_form", "catalog", "psi_spectrum"],
     "theorems": ["VerificationReport", "lemma5_check", "lemma6_check", "lemma7_check",
@@ -147,6 +146,11 @@ def test_public_names_resolve(module):
     for name in PUBLIC[module]:
         assert name in dir(ordersum), name
         assert getattr(ordersum, name) is getattr(home, name), name
+
+
+def test_public_names_are_the_exports():
+    # An export cannot be added or vanish without PUBLIC listing it.
+    assert set().union(*PUBLIC.values()) == set(ordersum.__all__)
 
 
 def test_from_import_and_unknown_name():

@@ -14,8 +14,10 @@ from ordersum.groups import (
     FromPermutations,
     FromTable,
     GeneralizedQuaternion,
+    GroupSpecError,
     SemidirectCyclic,
     build_group,
+    format_spec,
     parse_spec,
 )
 from ordersum.theorems import (
@@ -37,6 +39,8 @@ from ordersum.theorems import (
     _witness_spec,
 )
 from test_enumeration import ABOVE_DEFAULT
+
+V4 = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
 
 
 class TestMaxCyclic:
@@ -79,16 +83,20 @@ class TestUpperBound:
         with pytest.raises(ValueError):
             verify_upper_bound(build_group(Cyclic(8)), 2)
 
-    @pytest.mark.parametrize("spec", [
-        FromTable([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]),
-        FromPermutations(4, ((1, 0, 3, 2), (2, 3, 0, 1))),
-    ], ids=["table", "perm"])
-    def test_in_memory_spec_labelled_as_table(self, spec):
-        # format_spec cannot print a spec with no path; the report names the
-        # group as it names a bare Group table.
+    @pytest.mark.parametrize("spec,label", [
+        (FromTable(V4), "order-4 table"),
+        (FromPermutations(4, ((1, 0, 3, 2), (2, 3, 0, 1))), "order-4 table"),
+        (DirectProduct([FromTable(V4, path="v4.json"), Cyclic(3)]), "order-12 table"),
+    ], ids=["table", "perm", "product"])
+    def test_in_memory_spec_labelled_as_table(self, spec, label):
+        # format_spec cannot print a spec with no path, nor a product with a
+        # table: or perm: part, which the grammar cannot parse back; the
+        # report names the group as it names a bare Group table.
+        with pytest.raises(GroupSpecError):
+            format_spec(spec)
         report = verify_upper_bound(build_group(spec), 2)
         assert report.verdict == "equality"
-        assert report.params["group"] == "order-4 table" == report.witnesses[0]
+        assert report.params["group"] == label == report.witnesses[0]
 
     def test_rejects_wrong_prime(self):
         with pytest.raises(ValueError):
