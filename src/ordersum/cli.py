@@ -13,9 +13,14 @@ load the groups and the enumerator only where a claim needs them).  The
 enumerator checks, walks and names catalog classes on pure-Python tables,
 so ``catalog``, ``spectrum`` and ``verify max_cyclic``/``equality``/
 ``lemma7`` load neither the groups nor numpy, with a cached catalog or
-without.  Numpy is loaded by ``psi`` and by the claims that walk a group's
-law: ``upper_bound``, ``thm4``, ``mqr``, ``lemma5``, ``lemma6`` and
-``equality --family-only``.
+without.  The groups build every group of order at most HARD_CAP, and
+every ``table:`` file, as pure-Python rows from the family rules of
+``tables`` and check them in full, so ``psi Q8``, ``psi table:FILE`` and the
+claims on small groups (``upper_bound --spec Q8``, ``thm4 --q 2 --kmax 4``,
+``equality --family-only`` to order 16) load no numpy.  Numpy is loaded
+where a larger group or a ``perm:`` closure is built as a law: ``psi
+C2048``, and ``lemma5``, ``lemma6``, ``mqr`` and ``thm4`` at their usual
+ranges.
 """
 
 from __future__ import annotations

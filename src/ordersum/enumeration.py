@@ -44,15 +44,15 @@ index 0, using five ingredients:
   each closure still decides, so the search returns the same tables.
 
 A catalog class is its canonical table as a tuple of tuples, checked and
-walked in pure Python (``_checked_class``): the tables are at most
+walked in pure Python (``tables._checked_class``): the tables are at most
 ``HARD_CAP`` square, and the search and the scan already read them as
 lists.  The classes are named by matching them against the tables of the
-construction families, built here by pure-Python rules that give the same
-tables as the laws of ``groups``; ``isomorphic_to_canonical`` is the one test
-of whether a table is a given class.  This module does not import
-``groups``: every function, ``canonical_form`` too, takes tables as rows
-and returns them as tuples of tuples, so no catalog, computed or read from
-a cache file, loads numpy.
+construction families, built by the pure-Python rules of ``tables``, which
+give the same tables as the laws of ``groups``; ``isomorphic_to_canonical``
+is the one test of whether a table is a given class.  This module does not
+import ``groups``: every function, ``canonical_form`` too, takes tables as
+rows and returns them as tuples of tuples, so no catalog, computed or read
+from a cache file, loads numpy.
 """
 
 from __future__ import annotations
@@ -62,10 +62,18 @@ import os
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain
 from pathlib import Path
 
 from . import DEFAULT_BOUND, HARD_CAP, arith
+from .tables import (
+    CatalogClass,
+    _abelian_table,
+    _checked_class,
+    _cyclic_table,
+    _dicyclic_table,
+    _perm_table,
+    _semidirect_table,
+)
 
 GENERATOR_VERSION = 1
 
@@ -469,106 +477,6 @@ def _increasing(tables) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Catalog classes and their check
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CatalogClass:
-    """One isomorphism class of a given order: its canonical table, a name, and
-    the order of each element, walked on the table.
-
-    Build one with ``_checked_class``, which checks the table and walks the
-    orders.  psi, the order profile and is_cyclic read those fields.
-    """
-
-    table: tuple[tuple[int, ...], ...]
-    description: str
-    orders: tuple[int, ...]
-
-    @property
-    def psi(self) -> int:
-        """Sum of the orders of all elements."""
-        return sum(self.orders)
-
-    def order_profile(self) -> dict[int, int]:
-        """Map from element order d to the number of elements of that order."""
-        return {d: self.orders.count(d) for d in sorted(set(self.orders))}
-
-    def is_cyclic(self) -> bool:
-        return max(self.orders) == len(self.table)
-
-
-def _generating_set(table) -> list[int]:
-    """Generators of a Latin table with identity 0, whatever its labeling.
-
-    Each generator is the least element outside the closure of the ones
-    before it under right products, so every element is a product of
-    generators.
-    """
-    n = len(table)
-    gens, members, inside = [], [0], [True] + [False] * (n - 1)
-    while len(members) < n:
-        gens.append(inside.index(False))
-        for x in members:  # members grows while it is read
-            for s in gens:
-                y = table[x][s]
-                if not inside[y]:
-                    inside[y] = True
-                    members.append(y)
-    return gens
-
-
-def _checked_class(rows, n: int, description: str = "") -> CatalogClass:
-    """The class of an order-n table that is a group's, with its element orders.
-
-    The package's one group check: of catalog tables, computed or cached,
-    and through ``groups.validate_table`` of every table from outside:
-
-    * rows is n lists of n entries, each an int (not a bool) in 0..n-1;
-    * element 0 is a two-sided identity;
-    * every row and every column is a permutation of 0..n-1;
-    * Light's associativity test: (x*s)*y = x*(s*y) for all x, y and each s
-      in a generating set S (Clifford & Preston 1961, section 1.2).  It
-      suffices because the elements that pass it are closed under products.
-      It costs n^2 |S| products, with |S| <= log2 n for a group;
-    * a brute-force walk of each element's powers: an x with x^n != e
-      rejects the table.
-
-    Raises ValueError naming the first violation.  Tuple rows are read in
-    place and columns one at a time, so the check holds O(n) beyond them.
-    """
-    if not (isinstance(rows, (list, tuple)) and len(rows) == n and all(
-            isinstance(row, (list, tuple)) and len(row) == n
-            and all(type(v) is int and 0 <= v < n for v in row) for row in rows)):
-        raise ValueError(f"a table is not {n} rows of {n} integers in 0..{n - 1}")
-    if n < 1:
-        raise ValueError("a group table needs at least the identity element")
-    table = tuple(map(tuple, rows))
-    identity = tuple(range(n))
-    if table[0] != identity or tuple(row[0] for row in table) != identity:
-        raise ValueError("element 0 is not a two-sided identity")
-    if any(len(set(line)) != n for line in chain(table, zip(*table))):
-        raise ValueError("some row or column is not a permutation of 0..n-1")
-    for s in _generating_set(table):
-        right = table[s]
-        for x, row in enumerate(table):
-            left = table[row[s]]
-            if left != tuple(map(row.__getitem__, right)):
-                y = next(y for y in range(n) if left[y] != row[right[y]])
-                raise ValueError(f"associativity fails at ({x}, {s}, {y})")
-    orders = []
-    for x in range(n):
-        y, k = x, 1  # y = x^k
-        while y and k < n:
-            y, k = table[y][x], k + 1
-        if y or n % k:
-            raise ValueError(f"element {x} to the power {n} is not the identity: not a group")
-        orders.append(k)
-    return CatalogClass(table, description, tuple(orders))
-
-
-# ---------------------------------------------------------------------------
 # Catalog with persistence
 # ---------------------------------------------------------------------------
 
@@ -584,53 +492,6 @@ def _check_bound(n: int, bound: int) -> None:
         raise EnumerationBoundError(
             f"order {n} exceeds the enumeration bound {bound}"
         )
-
-
-# The construction families as tables, on the indices the laws of ``groups``
-# use, so each gives the table ``groups._table_for`` gives its spec.
-
-
-def _cyclic_table(n: int) -> list[list[int]]:
-    return [[(i + j) % n for j in range(n)] for i in range(n)]
-
-
-def _product_table(ta, tb) -> list[list[int]]:
-    """Direct product on mixed-radix indices (a, b) -> a * nb + b."""
-    nb = len(tb)
-    return [[x * nb + y for x in ra for y in rb] for ra in ta for rb in tb]
-
-
-def _abelian_table(factors) -> list[list[int]]:
-    """C_d1 x C_d2 x ..., folded factor by factor."""
-    table = [[0]]
-    for d in factors:
-        table = _product_table(table, _cyclic_table(d))
-    return table
-
-
-def _semidirect_table(m: int, k: int, a: int) -> list[list[int]]:
-    """C_m x| C_k on indices i*k + j: (i1 + a**j1 * i2 mod m, j1 + j2 mod k)."""
-    apow = [pow(a, j, m) for j in range(k)]
-    return [[(i1 + apow[j1] * i2) % m * k + (j1 + j2) % k for i2 in range(m) for j2 in range(k)]
-            for i1 in range(m) for j1 in range(k)]
-
-
-def _dicyclic_table(h: int) -> list[list[int]]:
-    return [[arith.dicyclic_product(h, x, y) for y in range(4 * h)] for x in range(4 * h)]
-
-
-def _perm_table(gens) -> list[list[int]]:
-    """The group of permutations gens generate, closed breadth first with
-    x * y the composite x(y(t)), as ``groups`` closes a perm: spec."""
-    elems = [tuple(range(len(gens[0])))]
-    index = {elems[0]: 0}
-    for x in elems:  # elems grows while it is read
-        for g in gens:
-            y = tuple(x[t] for t in g)
-            if y not in index:
-                index[y] = len(elems)
-                elems.append(y)
-    return [[index[tuple(x[t] for t in y)] for y in elems] for x in elems]
 
 
 def _family_candidates(n: int):

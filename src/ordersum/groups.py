@@ -1,35 +1,43 @@
-"""Finite groups over index domains 0..n-1, each given by its multiplication law.
+"""Finite groups over index domains 0..n-1, each given by its rows or its law.
 
-A law mul(x, y) multiplies arrays of element indices elementwise, with the
-identity at index 0.  A generated group (cyclic, abelian, direct product,
-semidirect, dihedral, quaternion, modular) has a closed-form law on
-mixed-radix coordinates; a group read from outside (a table: file, a perm:
-closure, rows given to Group) has a table, and its law gathers from it.
-One engine then computes element orders, psi (the sum of element orders),
-order profiles and cyclicity.  There are no per-family order formulas to
-trust: orders come from power maps of the law, split by prime
-(element_orders_of_table), in O(n) memory.  A Group keeps its law and
-element orders; ``table`` builds the n x n table from the law afresh on
-each read, so a generated group's table exists only while a caller holds
-it.  Groups have no table equality; compare canonical forms
-(``enumeration.canonical_form``) of their rows.
-Every spec has an element budget, checked before anything is built.
-Every table from outside (a table: spec's rows, rows or an array given to
-Group) gets the catalog's full group check, validate_table, on its Python
-rows before numpy holds them; every other law is spot-checked.
+Every spec is realized one of two ways, after the same parameter checks
+(``_construct``), on the same mixed-radix indices, so both give the same
+table:
+
+* as Python rows, for every spec of order at most ``HARD_CAP`` (the
+  catalog's table bound) and every table: file.  The family rules of
+  ``tables``, which the catalog names its classes by, give a generated
+  spec's rows, and the catalog's full group check, ``validate_table``
+  (Latin and identity checks, Light's associativity test and the order
+  walk), checks the rows and walks their element orders in one pass.  This
+  path loads neither numpy nor the catalog layer;
+* as a law, for every larger generated spec and every perm: closure.  A
+  law mul(x, y) multiplies numpy arrays of element indices elementwise,
+  with the identity at index 0: closed-form on the coordinates for a
+  generated group, a gather from the table for a perm: closure.  A law is
+  spot-checked, and its element orders come from power maps, split by
+  prime (``element_orders_of_table``), in O(n) memory.
+
+numpy is imported only inside the functions that build or walk a law.
+There are no per-family order formulas to trust: orders are walked on the
+rows or the law.  A Group keeps its element orders and its rows or law;
+``law`` of a group made from rows is read from them on first use, and
+``table`` builds the n x n table from the law afresh on each read.  Groups
+have no table equality; compare canonical forms
+(``enumeration.canonical_form``) of their rows.  Every spec has an element
+budget, checked before anything is built.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import random
+from array import array
+from collections import Counter
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
-import numpy as np
-
-from . import arith
+from . import HARD_CAP, arith
 
 
 class GroupSpecError(ValueError):
@@ -105,9 +113,9 @@ class Modular:
 
 @dataclass(frozen=True)
 class FromTable:
-    """A table from outside.  build_group checks its entries in full, with
-    validate_table, before numpy holds them; here the rows need only be a
-    list of lists, to be held as tuples.
+    """A table from outside.  build_group hands its rows to Group, which
+    checks its entries in full with validate_table; here the rows need only
+    be a list of lists, to be held as tuples.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -172,8 +180,9 @@ class Law:
     """A group law on element indices 0..n-1, with the identity at 0.
 
     ``law(x, y)`` multiplies integer arrays that broadcast together,
-    elementwise; ``len(law)`` is the group order.  A law read from a table
-    multiplies by gathering from it.
+    elementwise; ``len(law)`` is the group order (``_construct`` and the
+    benchmark's tracing read it).  A law read from a table multiplies by
+    gathering from it.
     """
 
     __slots__ = ("n", "mul")
@@ -183,8 +192,12 @@ class Law:
         self.mul = mul
 
     @classmethod
-    def of_table(cls, table: np.ndarray) -> "Law":
-        n, flat = len(table), table.ravel()
+    def of_table(cls, table) -> "Law":
+        """The law that gathers from a table, given as an array or as rows."""
+        import numpy as np
+
+        flat = np.asarray(table, dtype=np.int64).ravel()
+        n = len(table)
         return cls(n, lambda x, y: flat[x * n + y])
 
     def __len__(self) -> int:
@@ -194,10 +207,9 @@ class Law:
         return self.mul(x, y)
 
 
-def _walkable(n: int) -> int:
-    """n, once it is known to be within the budget of a law walk."""
+def _walkable(n: int) -> None:
+    """Refuse an order past the budget of a law walk."""
     _require(n <= LAW_BUDGET, f"order {n} exceeds the element budget {LAW_BUDGET} of a group law")
-    return n
 
 
 def _require_table(n: int) -> None:
@@ -205,14 +217,18 @@ def _require_table(n: int) -> None:
 
 
 def _cyclic_law(n: int) -> Law:
-    sums = np.arange(2 * _walkable(n), dtype=np.int64) % n  # sums[x + y] = x + y mod n
+    import numpy as np
+
+    sums = np.arange(2 * n, dtype=np.int64) % n  # sums[x + y] = x + y mod n
     return Law(n, lambda x, y: sums[x + y])
 
 
 def _product_law(la: Law, lb: Law) -> Law:
     """Direct product on mixed-radix indices (a, b) -> a * nb + b."""
+    import numpy as np
+
     nb = lb.n
-    hi, lo = divmod(np.arange(_walkable(la.n * nb), dtype=np.int64), nb)
+    hi, lo = divmod(np.arange(la.n * nb, dtype=np.int64), nb)
     return Law(la.n * nb, lambda x, y: la(hi[x], hi[y]) * nb + lb(lo[x], lo[y]))
 
 
@@ -224,7 +240,9 @@ def _semidirect_law(m: int, k: int, a: int) -> Law:
     law gathers from arrays of O(n) entries instead of dividing: the
     coordinates of each index, a**j * i mod m at j*m + i, and sums mod m and k.
     """
-    n = _walkable(m * k)
+    import numpy as np
+
+    n = m * k
     apow = np.array([pow(a, j, m) for j in range(k)], dtype=np.int64)
     act = (apow[:, None] * np.arange(m, dtype=np.int64) % m).ravel()
     i, j = divmod(np.arange(n, dtype=np.int64), k)
@@ -240,11 +258,13 @@ def _semidirect_law(m: int, k: int, a: int) -> Law:
 
 def _dicyclic_law(h: int) -> Law:
     """Dicyclic group of order 4h, by the rule the catalog's tables share."""
-    return Law(_walkable(4 * h), lambda x, y: arith.dicyclic_product(h, x, y))
+    return Law(4 * h, lambda x, y: arith.dicyclic_product(h, x, y))
 
 
 def _table_for(law: Law) -> np.ndarray:
     """The n x n table of a law: the law applied to the grid of all pairs."""
+    import numpy as np
+
     _require_table(law.n)
     r = np.arange(law.n, dtype=np.int64)
     return law(r[:, None], r[None, :])
@@ -263,6 +283,8 @@ def _perm_closure(degree: int, gens) -> tuple[np.ndarray, list[tuple[int, int]]]
     closure then holds no per-element buffer that outlives it, so its
     memory is free again before the table is built.
     """
+    import numpy as np
+
     gens = np.array(gens, dtype=np.int64).reshape(len(gens), degree)
     perms = np.empty((64, degree), dtype=np.min_scalar_type(max(degree - 1, 0)))
     perms[0] = np.arange(degree)
@@ -298,6 +320,8 @@ def _perm_table(degree: int, gens) -> np.ndarray:
     For x_j = x_p * g, x_i * x_j = (x_i * x_p) * g, so column j is right[g]
     gathered at column p: n gathers of length n, from columns already filled.
     """
+    import numpy as np
+
     right, parent = _perm_closure(degree, gens)
     n = len(parent)
     table = np.empty((n, n), dtype=np.int64)
@@ -307,28 +331,30 @@ def _perm_table(degree: int, gens) -> np.ndarray:
     return table
 
 
-def validate_table(rows) -> None:
-    """Raise TableError unless rows, lists or tuples of ints, are a group's table.
+def validate_table(rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The rows of a group's table as tuples, and the order of each element.
 
-    The check is the catalog's, ``enumeration._checked_class``, with Light's
-    associativity test (n^2 products per generator).  An array is read
-    through ``tolist()``, so callers that hold Python rows pass those; any
-    other object is no table of any order.
+    Raises TableError unless rows, lists or tuples of ints, are a group's
+    table.  The check is the package's one, ``tables._checked_class``, with
+    Light's associativity test (n^2 products per generator), and it walks
+    the element orders in the same pass.  An array is read through
+    ``tolist()``; any other object is no table of any order.
     """
-    from .enumeration import _checked_class  # here, so `psi Q8` loads no enumeration
+    from .tables import _checked_class
 
-    if isinstance(rows, np.ndarray):
+    if hasattr(rows, "tolist"):
         rows = rows.tolist()
     try:
-        _checked_class(rows, len(rows) if isinstance(rows, (list, tuple)) else 0)
+        cls = _checked_class(rows, len(rows) if isinstance(rows, (list, tuple)) else 0)
     except ValueError as exc:
         raise TableError(str(exc)) from None
+    return cls.table, cls.orders
 
 
 def _table_law(rows) -> Law:
     """The law of a table from outside, once validate_table has passed its rows."""
-    validate_table(rows)  # before numpy holds the rows
-    return Law.of_table(np.asarray(rows, dtype=np.int64))
+    table, _ = validate_table(rows)  # before numpy holds the rows
+    return Law.of_table(table)
 
 
 # Triples drawn and checked at a time, so the check holds O(1) extra memory.
@@ -344,6 +370,10 @@ def _spot_check_associativity(law: Law, spec: GroupSpec) -> None:
     from the stdlib generator: importing hashlib or numpy.random costs more
     memory or time than a typical check.)
     """
+    import random
+
+    import numpy as np
+
     n = law.n
     seed = np.uint64(random.Random(repr(spec)).getrandbits(64))
     for start in range(0, 10 * n, _SPOT_CHUNK):
@@ -363,6 +393,8 @@ def _power_map(law: Law, sq: np.ndarray, e: int) -> np.ndarray:
     ``sq`` is the squaring map, so each square is one gather from it and
     only the multiplications for the set bits of e call the law.
     """
+    import numpy as np
+
     out, base = None, np.arange(law.n, dtype=np.int64)
     while True:
         if e & 1:
@@ -385,6 +417,8 @@ def element_orders_of_table(law: Law) -> np.ndarray:
     map, and each p-th power step is one gather: the walk holds O(n) memory
     and calls the law a few times per prime, not once per power.
     """
+    import numpy as np
+
     n = law.n
     idx = np.arange(n, dtype=np.int64)
     sq = law(idx, idx)
@@ -405,27 +439,40 @@ def element_orders_of_table(law: Law) -> np.ndarray:
 
 
 class Group:
-    """A realized finite group: its order, law, spec and element orders.
+    """A realized finite group: its order, spec and element orders, and its
+    rows or its law.
 
     A group is given by a table (rows or an array) or by a Law.  A table
-    came from outside and gets validate_table on its rows before numpy
-    holds them; a Law is spot-checked.  The spec is never read for this:
-    build_group hands a table: spec's rows here, not a law.  Element orders
-    are walked eagerly; no table is kept.
+    gets validate_table, which checks it in full and walks its element
+    orders in the same pass; the group keeps the checked rows.  A Law is
+    spot-checked and walked by element_orders_of_table.  The spec is never
+    read for this: build_group hands Group rows for a table: spec and for
+    every spec of order up to HARD_CAP.  ``element_orders`` is a read-only
+    memoryview of ints either way.
     """
 
-    __slots__ = ("order", "law", "spec", "element_orders")
+    __slots__ = ("order", "spec", "element_orders", "_rows", "_law")
 
     def __init__(self, law: Law | list | np.ndarray, spec: GroupSpec | None = None):
         if isinstance(law, Law):
             _spot_check_associativity(law, spec)
+            orders = element_orders_of_table(law)
+            orders.setflags(write=False)
+            self._rows, self._law = None, law
+            self.element_orders = memoryview(orders)
         else:
-            law = _table_law(law)
-        self.law = law
-        self.order = law.n
+            self._rows, orders = validate_table(law)
+            self._law = None
+            self.element_orders = memoryview(array("q", orders)).toreadonly()
+        self.order = len(self.element_orders)
         self.spec = spec
-        self.element_orders = element_orders_of_table(law)
-        self.element_orders.setflags(write=False)
+
+    @property
+    def law(self) -> Law:
+        """The group's law; one made from rows gathers from them, read on first use."""
+        if self._law is None:
+            self._law = Law.of_table(self._rows)
+        return self._law
 
     @property
     def table(self) -> np.ndarray:
@@ -445,15 +492,14 @@ class Group:
 
     def psi(self) -> int:
         """Sum of the orders of all elements."""
-        return int(self.element_orders.sum())
+        return sum(self.element_orders)
 
     def order_profile(self) -> dict[int, int]:
         """Map from element order d to the number of elements of that order."""
-        vals, counts = np.unique(self.element_orders, return_counts=True)
-        return {int(v): int(c) for v, c in zip(vals, counts)}
+        return dict(sorted(Counter(self.element_orders).items()))
 
     def is_cyclic(self) -> bool:
-        return int(self.element_orders.max()) == self.order
+        return max(self.element_orders) == self.order
 
 
 # ---------------------------------------------------------------------------
@@ -466,30 +512,95 @@ def _require(cond: bool, message: str) -> None:
         raise GroupSpecError(message)
 
 
-def _law_for(spec: GroupSpec) -> Law:
-    """The law of a spec, its order checked against the budgets first."""
+class _Rules(NamedTuple):
+    """How ``_construct`` realizes what a spec describes.
+
+    ``fits(n)`` is called with each order before anything of that order is
+    built; the other rules build C_n, the product of two built groups, C_m
+    x| C_k with the action x -> x**a, the dicyclic group of order 4h, a
+    table from outside and a permutation closure.
+    """
+
+    fits: Callable
+    cyclic: Callable
+    product: Callable
+    semidirect: Callable
+    dicyclic: Callable
+    table: Callable
+    perm: Callable
+
+
+_LAWS = _Rules(_walkable, _cyclic_law, _product_law, _semidirect_law, _dicyclic_law,
+               _table_law, lambda degree, gens: Law.of_table(_perm_table(degree, gens)))
+
+
+class _UseLaw(Exception):
+    """A construction that only the law path builds."""
+
+
+def _fits_rows(n: int) -> None:
+    if n > HARD_CAP:
+        raise _UseLaw
+
+
+def _perm_rows(degree: int, gens):
+    raise _UseLaw
+
+
+def _table_rule(name: str) -> Callable:
+    """The family table rule of that name in ``tables``, imported when it first builds."""
+    def rule(*args):
+        from . import tables
+
+        return getattr(tables, name)(*args)
+
+    return rule
+
+
+# The rules as Python rows: the family rules of ``tables``, which give the
+# tables of the laws, and a table from outside as validate_table returns it.
+# An order above HARD_CAP raises _UseLaw before anything of it is built, and
+# so does a perm: closure, which the law path builds.
+_ROWS = _Rules(_fits_rows, _table_rule("_cyclic_table"), _table_rule("_product_table"),
+               _table_rule("_semidirect_table"), _table_rule("_dicyclic_table"),
+               lambda rows: validate_table(rows)[0], _perm_rows)
+
+
+def _construct(spec: GroupSpec, rules: _Rules):
+    """Check a spec's parameters and budgets, and realize it by the rules.
+
+    Every check comes before what it guards is built, in the same order on
+    both paths, so a spec is refused with the same message on either.
+    """
     if isinstance(spec, Cyclic):
         _require(spec.n >= 1, f"cyclic order must be >= 1, got {spec.n}")
-        return _cyclic_law(spec.n)
+        rules.fits(spec.n)
+        return rules.cyclic(spec.n)
 
     if isinstance(spec, Abelian):
         factors = [d for d in spec.factors if d != 1]
         _require(all(d >= 1 for d in spec.factors), f"invalid invariant factors {spec.factors}")
         for d1, d2 in zip(factors, factors[1:]):
             _require(d2 % d1 == 0, f"invariant factors must form a divisibility chain: {factors}")
-        return _law_for(DirectProduct(Cyclic(d) for d in factors))
+        return _construct(DirectProduct(Cyclic(d) for d in factors), rules)
 
     if isinstance(spec, DirectProduct):
         # Folded part by part, so an oversized product is refused after at
         # most one in-budget product and one part have been built.
-        law = None
+        built = None
         for part in spec.parts:
-            part_law = _law_for(part)
-            law = part_law if law is None else _product_law(law, part_law)
-        return _cyclic_law(1) if law is None else law
+            part_built = _construct(part, rules)
+            if built is None:
+                built = part_built
+            else:
+                rules.fits(len(built) * len(part_built))
+                built = rules.product(built, part_built)
+        return rules.cyclic(1) if built is None else built
 
     if isinstance(spec, SemidirectCyclic):
-        return _semidirect_law(spec.m, spec.k, _check_action(spec.m, spec.k, spec.a))
+        a = _check_action(spec.m, spec.k, spec.a)
+        rules.fits(spec.m * spec.k)
+        return rules.semidirect(spec.m, spec.k, a)
 
     if isinstance(spec, Dihedral):
         _require(
@@ -497,7 +608,8 @@ def _law_for(spec: GroupSpec) -> Law:
             f"dihedral order must be even and >= 2, got {spec.order}",
         )
         m = spec.order // 2
-        return _semidirect_law(m, 2, (m - 1) % m if m > 1 else 0)
+        rules.fits(spec.order)
+        return rules.semidirect(m, 2, (m - 1) % m if m > 1 else 0)
 
     if isinstance(spec, GeneralizedQuaternion):
         n = spec.order
@@ -505,7 +617,8 @@ def _law_for(spec: GroupSpec) -> Law:
             n >= 8 and n & (n - 1) == 0,
             f"generalized quaternion order must be a power of two >= 8, got {n}",
         )
-        return _dicyclic_law(n // 4)
+        rules.fits(n)
+        return rules.dicyclic(n // 4)
 
     if isinstance(spec, Modular):
         q, r = spec.q, spec.r
@@ -514,11 +627,13 @@ def _law_for(spec: GroupSpec) -> Law:
             r >= 4 or (r == 3 and q > 2),
             f"modular group needs r >= 4, or r = 3 with q > 2; got (q={q}, r={r})",
         )
-        return _semidirect_law(q ** (r - 1), q, q ** (r - 2) + 1)
+        rules.fits(q**r)
+        return rules.semidirect(q ** (r - 1), q, q ** (r - 2) + 1)
 
     if isinstance(spec, FromTable):  # a part of a product; build_group gives Group the rows
         _require_table(len(spec.rows))
-        return _table_law(spec.rows)
+        rules.fits(len(spec.rows))
+        return rules.table(spec.rows)
 
     if isinstance(spec, FromPermutations):
         _require(spec.degree >= 1, f"degree must be >= 1, got {spec.degree}")
@@ -527,23 +642,34 @@ def _law_for(spec: GroupSpec) -> Law:
                 len(g) == spec.degree and sorted(g) == list(range(spec.degree)),
                 f"{g} is not a permutation of 0..{spec.degree - 1}",
             )
-        return Law.of_table(_perm_table(spec.degree, spec.generators))
+        return rules.perm(spec.degree, spec.generators)
 
     raise GroupSpecError(f"unknown group spec {spec!r}")
+
+
+def _law_for(spec: GroupSpec) -> Law:
+    """The law of a spec, its order checked against the budgets first."""
+    return _construct(spec, _LAWS)
 
 
 def build_group(spec: GroupSpec) -> Group:
     """Realize a GroupSpec as a Group.
 
-    A table: spec's rows are given to Group, which checks them with
-    validate_table; every other law is spot-checked with 10n triples.
-    A table: or perm: spec is held as a table of at most TABLE_BUDGET
-    elements; a generated group is walked by its law, of at most LAW_BUDGET.
+    A table: spec's rows, and the rows the family rules of ``tables`` give
+    a spec of order at most HARD_CAP, are given to Group, which checks them
+    in full with validate_table; no numpy is loaded for them.  A larger
+    generated spec, or one with a perm: part, is built as a law and
+    spot-checked with 10n triples.  A table: or perm: spec is held as a
+    table of at most TABLE_BUDGET elements; a law has at most LAW_BUDGET.
     """
     if isinstance(spec, FromTable):
         _require_table(len(spec.rows))
         return Group(spec.rows, spec)
-    return Group(_law_for(spec), spec)
+    try:
+        rows = _construct(spec, _ROWS)
+    except _UseLaw:
+        return Group(_law_for(spec), spec)
+    return Group(rows, spec)
 
 
 def _check_action(m: int, k: int, a: int) -> int:

@@ -31,15 +31,16 @@ standalone numeric inequalities used in the proofs of the two bounding
 propositions, including the q = 2 failure 341 < 336 and the q = 3 near-miss
 4087 < 4375.
 
-``groups`` (and with it numpy) and ``enumeration`` are imported inside the
-checkers that build groups or read a catalog, so the audit loads neither.
-The catalog claims ``max_cyclic``, ``equality`` and ``lemma7`` work on the
-classes' pure-Python tables: the equality witness and the ``SD(m,k,a)``
-candidates are tables from the enumerator's family rules, each checked as
-a class and matched to catalog classes by ``isomorphic_to_canonical``, so
-these claims load no ``groups`` or numpy, with a cached catalog or without.
-The family-scale claims, ``upper_bound`` and ``equality --family-only``
-walk laws in ``groups``.
+``groups`` and ``enumeration`` are imported inside the checkers that build
+groups or read a catalog, so the audit loads neither.  The catalog claims
+``max_cyclic``, ``equality`` and ``lemma7`` work on the classes'
+pure-Python tables: the equality witness and the ``SD(m,k,a)`` candidates
+are tables from the family rules of ``tables``, each checked as a class and
+matched to catalog classes by ``isomorphic_to_canonical``, so these claims
+load no ``groups`` or numpy, with a cached catalog or without.  The
+family-scale claims, ``upper_bound`` and ``equality --family-only`` build
+groups with ``groups.build_group``: as checked pure-Python rows up to order
+HARD_CAP, and above it as laws, which load numpy.
 """
 
 from __future__ import annotations
@@ -207,8 +208,8 @@ def verify_equality_classification(
     below.  Above the bound, family_only restricts the check to the predicted
     construction and the report is flagged family-restricted.
     """
-    from .enumeration import (
-        EnumerationBoundError, _abelian_table, _checked_class, catalog, isomorphic_to_canonical)
+    from .enumeration import EnumerationBoundError, catalog, isomorphic_to_canonical
+    from .tables import _abelian_table, _checked_class
 
     if q is None:
         q = arith.least_prime_factor(n)
@@ -289,7 +290,8 @@ def lemma7_check(
     [C_k : kernel] = multiplicative order of a mod m equal to a prime.  The
     clause is vacuous for classes without such a realization.
     """
-    from .enumeration import _checked_class, _semidirect_table, catalog, isomorphic_to_canonical
+    from .enumeration import catalog, isomorphic_to_canonical
+    from .tables import _checked_class, _semidirect_table
 
     classes = catalog(n, bound=bound, cache_dir=cache_dir)
     values = sorted({cls.psi for cls in classes}, reverse=True)

@@ -63,3 +63,35 @@ def test_traced_table_file_records_validate_table(tracing, capsys, tmp_path):
     assert code == 0 and capsys.readouterr().out == "11\n"
     assert "groups.validate_table" in {span[0] for span in tracer.spans}
     assert tracer.metrics(wall=1.0)["groups.validate_calls"] == 1
+
+
+def traced_psi(tracing, spec: str):
+    """The tracer after a traced `psi spec` run that exits 0."""
+    from ordersum import cli
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["psi", spec]) == 0
+    finally:
+        tracer.remove()
+    return tracer
+
+
+def test_traced_law_walk_counts_its_elements(tracing, capsys):
+    # groups.order_walk_elements is len() of the law the walk is given.
+    tracer = traced_psi(tracing, "C2048")
+    assert capsys.readouterr().out == "2796203\n"
+    metrics = tracer.metrics(wall=1.0)
+    assert metrics["groups.order_walk_calls"] == 1
+    assert metrics["groups.order_walk_elements"] == 2048
+
+
+def test_traced_small_group_is_validated_not_walked(tracing, capsys):
+    # Up to HARD_CAP the rows are checked and walked by validate_table alone.
+    tracer = traced_psi(tracing, "Q8")
+    assert capsys.readouterr().out == "27\n"
+    names = {span[0] for span in tracer.spans}
+    assert "groups.validate_table" in names
+    assert "groups.element_orders_of_table" not in names
+    assert tracer.metrics(wall=1.0)["groups.order_walk_elements"] == 0

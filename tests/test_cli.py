@@ -7,6 +7,7 @@ import pytest
 from ordersum import cli, theorems
 from ordersum.enumeration import canonical_form
 from ordersum.groups import build_group, parse_spec
+from test_groups import INVALID_SMALL_SPECS
 
 
 def run(capsys, *argv):
@@ -75,6 +76,12 @@ class TestPsiCommand:
         code, out, err = run(capsys, "psi", f"table:{path}")
         assert code == 2 and out == "" and len(err.splitlines()) == 1
         assert re.match(r"error: (a table is not \d+ rows of|a group table needs at least)", err)
+
+    @pytest.mark.parametrize("spec", INVALID_SMALL_SPECS)
+    def test_invalid_small_spec_one_error_line(self, capsys, spec):
+        code, out, err = run(capsys, "psi", spec)
+        assert code == 2 and out == ""
+        assert err == f"error: {INVALID_SMALL_SPECS[spec]}\n"
 
     @pytest.mark.parametrize("spec", ["C2000000", "A[1024,2048]", "SD(1,1000000000000,0)"])
     def test_over_element_budget(self, capsys, spec):

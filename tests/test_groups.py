@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ordersum import HARD_CAP, arith, enumeration, groups
+from ordersum import HARD_CAP, arith, enumeration, groups, tables
 from ordersum.arith import semidirect_actions
 from ordersum.enumeration import _checked_class, canonical_form, catalog
 from ordersum.groups import (
@@ -57,6 +57,18 @@ NON_ASSOCIATIVE = [[0, 1, 2, 3, 4],
                    [2, 4, 0, 1, 3],
                    [3, 2, 4, 0, 1],
                    [4, 3, 1, 2, 0]]
+
+
+# Invalid specs of order at most HARD_CAP, each with the message the law path
+# gave it before such specs were realized as rows.
+INVALID_SMALL_SPECS = {
+    "SD(5,2,2)": "invalid semidirect action: 2**2 is not 1 mod 5",
+    "M(2,3)": "modular group needs r >= 4, or r = 3 with q > 2; got (q=2, r=3)",
+    "D7": "dihedral order must be even and >= 2, got 7",
+    "Q12": "generalized quaternion order must be a power of two >= 8, got 12",
+    "A[2,3]": "invariant factors must form a divisibility chain: [2, 3]",
+    "C0": "cyclic order must be >= 1, got 0",
+}
 
 
 def assert_table_rejected(text: str, spec_of, match: str) -> None:
@@ -137,8 +149,8 @@ def _dicyclic_table(h: int) -> np.ndarray:
 # (cyclic, product, semidirect, dicyclic) table rules: the old numpy builders
 # above, and the pure-Python rules the catalog layer names classes with.
 OLD_BUILDERS = (_cyclic_table, _product_table, _semidirect_table, _dicyclic_table)
-CATALOG_RULES = (enumeration._cyclic_table, enumeration._product_table,
-                 enumeration._semidirect_table, enumeration._dicyclic_table)
+CATALOG_RULES = (tables._cyclic_table, tables._product_table,
+                 tables._semidirect_table, tables._dicyclic_table)
 
 
 def _builder_table(spec, rules=OLD_BUILDERS):
@@ -374,19 +386,21 @@ class TestLaws:
     """Each law's grid is the old builder's table, and both walk to the same orders.
 
     Up to HARD_CAP the catalog layer's pure-Python rule gives the same table,
-    which passes the catalog check with the same orders.
+    which passes the catalog check with the same orders.  The laws are built
+    with _law_for, since build_group takes the rows up to HARD_CAP.
     """
 
     @staticmethod
     def check(spec) -> None:
-        g = build_group(spec)
+        law = groups._law_for(spec)
+        orders = element_orders_of_table(law)
         table = _builder_table(spec)
-        assert np.array_equal(groups._table_for(g.law), table), spec
-        assert np.array_equal(g.element_orders, element_orders_of_table(Law.of_table(table))), spec
-        if g.order <= HARD_CAP:
+        assert np.array_equal(groups._table_for(law), table), spec
+        assert np.array_equal(orders, element_orders_of_table(Law.of_table(table))), spec
+        if len(law) <= HARD_CAP:
             rows = _builder_table(spec, CATALOG_RULES)
             assert np.array_equal(np.array(rows), table), spec
-            assert _checked_class(rows, g.order).orders == tuple(g.element_orders.tolist()), spec
+            assert _checked_class(rows, len(law)).orders == tuple(orders.tolist()), spec
 
     def test_family_specs(self):
         for spec in _family_specs(64):
@@ -419,6 +433,44 @@ class TestLaws:
                      st.lists(family_specs(100), min_size=3, max_size=4).map(DirectProduct)))
     def test_format_parse_roundtrip(self, spec):
         assert parse_spec(format_spec(spec)) == spec
+
+
+class TestRowsAndLawAgree:
+    """Up to HARD_CAP build_group checks and walks the catalog rules' rows; the
+    law of the same spec gives the same group."""
+
+    @staticmethod
+    def check(spec) -> None:
+        g, ref = build_group(spec), Group(groups._law_for(spec), spec)
+        assert g._law is None, spec  # realized from rows, not from a law
+        assert g.psi() == ref.psi(), spec
+        assert g.order_profile() == ref.order_profile(), spec
+        assert g.is_cyclic() == ref.is_cyclic(), spec
+        assert np.array_equal(g.table, ref.table), spec
+
+    def test_family_specs(self):
+        for spec in _family_specs(HARD_CAP):
+            self.check(spec)
+
+    def test_products_of_two(self):
+        pool = [(s, len(groups._law_for(s))) for s in _family_specs(HARD_CAP)]
+        pool = [(s, n) for s, n in pool if n > 1]
+        for i, (a, na) in enumerate(pool):
+            for b, nb in pool[i:]:
+                if na * nb <= HARD_CAP:
+                    self.check(DirectProduct([a, b]))
+
+    def test_above_the_cap_is_a_law(self):
+        for spec in (Cyclic(HARD_CAP + 1), DirectProduct([Cyclic(2), Dihedral(HARD_CAP)]),
+                     FromPermutations(3, ((1, 0, 2), (1, 2, 0)))):
+            assert build_group(spec)._law is not None, spec
+
+    @pytest.mark.parametrize("text", INVALID_SMALL_SPECS)
+    def test_invalid_small_specs_keep_their_message(self, text):
+        for realize in (build_group, groups._law_for):
+            with pytest.raises(GroupSpecError) as exc:
+                realize(parse_spec(text))
+            assert str(exc.value) == INVALID_SMALL_SPECS[text], realize
 
 
 class TestBudgets:
@@ -684,14 +736,16 @@ class TestExplicitTables:
 
     def test_table_spec_is_not_spot_checked(self, monkeypatch):
         # Its rows are checked in full; a spot check would only add memory.
+        # So are the rows of a spec up to HARD_CAP; a larger one is a law.
         def fail(law, spec):
             raise AssertionError(f"spot check of {spec!r}")
 
         monkeypatch.setattr(groups, "_spot_check_associativity", fail)
         rows = [[(i + j) % 5 for j in range(5)] for i in range(5)]
         assert build_group(FromTable(rows)).psi() == 21
+        assert build_group(Cyclic(5)).psi() == 21
         with pytest.raises(AssertionError, match="spot check"):
-            build_group(Cyclic(5))
+            build_group(Cyclic(HARD_CAP + 1))
 
     def test_forged_table_spec_law_is_spot_checked(self):
         # A Law is spot-checked whatever its spec: a FromTable spec does not
@@ -706,7 +760,7 @@ class TestExplicitTables:
                 Group(Law.of_table(np.array(t)), spec=FromTable(t))
 
     def test_product_with_a_table_part(self):
-        # The table part's rows are checked in full, the product's law spot-checked.
+        # The table part's rows are checked in full, and so are the product's.
         c3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
         assert build_group(DirectProduct([FromTable(c3), Cyclic(2)])).psi() == 21
 

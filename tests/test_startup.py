@@ -1,6 +1,7 @@
 """Start-up contract: importing the package loads no layer, each command
-loads only the layers it runs, and no catalog command loads numpy, with a
-cached catalog or without.
+loads only the layers it runs, no catalog command loads numpy, with a
+cached catalog or without, and numpy is loaded only to build a group of
+order above HARD_CAP or a perm: closure.
 
 Each case runs in a fresh interpreter and reports the `ordersum` modules and
 numpy left in `sys.modules`, so a module-level import added anywhere on a
@@ -20,8 +21,8 @@ import ordersum
 from ordersum.enumeration import catalog
 
 SRC = str(Path(ordersum.__file__).resolve().parents[1])
-LAYERS = {"ordersum.arith", "ordersum.groups", "ordersum.enumeration", "ordersum.theorems",
-          "ordersum.cli"}
+LAYERS = {"ordersum.arith", "ordersum.tables", "ordersum.groups", "ordersum.enumeration",
+          "ordersum.theorems", "ordersum.cli"}
 
 # The public names of `ordersum`, each under the module it resolves to.
 PUBLIC = {
@@ -70,25 +71,27 @@ def test_import_cli_loads_no_layer():
     assert loaded_after("import ordersum.cli") == {"ordersum", "ordersum.cli"}
 
 
-@pytest.mark.parametrize("layer", ["theorems", "enumeration"])
-def test_import_layer_loads_no_groups(layer):
+@pytest.mark.parametrize("layer,below", [("theorems", set()), ("enumeration", {"ordersum.tables"})],
+                         ids=["theorems", "enumeration"])
+def test_import_layer_loads_no_groups(layer, below):
     assert loaded_after(f"import ordersum.{layer}") == {
-        "ordersum", "ordersum.arith", f"ordersum.{layer}"}
+        "ordersum", "ordersum.arith", f"ordersum.{layer}"} | below
 
 
-# Command -> (argv, modules it must not load).
+# Command -> (argv, modules it must not load).  A group of order up to
+# HARD_CAP is built as rows by the family rules of `tables`, without numpy.
 COMMANDS = {
     "audit": (["audit", "--qmax", "5", "--pmax", "11", "--smax", "2"],
               {"numpy", "ordersum.groups", "ordersum.enumeration"}),
-    "psi": (["psi", "Q8"], {"ordersum.enumeration", "ordersum.theorems"}),
+    "psi": (["psi", "Q8"], {"numpy", "ordersum.enumeration", "ordersum.theorems"}),
     "catalog": (["catalog", "6"], {"numpy", "ordersum.groups", "ordersum.theorems"}),
     "spectrum": (["spectrum", "6"], {"numpy", "ordersum.groups", "ordersum.theorems"}),
     "lemma5": (["verify", "lemma5", "--mkmax", "20"], {"ordersum.enumeration"}),
     "lemma6": (["verify", "lemma6", "--mkmax", "20"], {"ordersum.enumeration"}),
-    "thm4": (["verify", "thm4", "--q", "2", "--kmax", "4"], {"ordersum.enumeration"}),
+    "thm4": (["verify", "thm4", "--q", "2", "--kmax", "4"], {"numpy", "ordersum.enumeration"}),
     "mqr": (["verify", "mqr", "--q", "3", "--r", "3"], {"ordersum.enumeration"}),
     "upper_bound": (["verify", "upper_bound", "--spec", "Q8", "--q", "2"],
-                    {"ordersum.enumeration"}),
+                    {"numpy", "ordersum.enumeration"}),
 }
 
 
@@ -127,17 +130,35 @@ def test_warm_catalog_reads_load_no_groups(argv, tmp_path):
     assert not loaded & {"numpy", "ordersum.groups"}
 
 
-@pytest.mark.parametrize("argv", [
-    ["psi", "Q8"],
-    ["verify", "upper_bound", "--spec", "Q8", "--q", "2"],
-    ["verify", "equality", "--n", "12", "--family-only"],
-    ["verify", "thm4", "--q", "2", "--kmax", "4"],
-    ["verify", "mqr", "--q", "3", "--r", "3"],
-    ["verify", "lemma5", "--mkmax", "20"],
-    ["verify", "lemma6", "--mkmax", "20"],
-], ids=lambda argv: " ".join(argv[:2]))
-def test_law_walks_load_groups(argv):
-    assert {"numpy", "ordersum.groups"} <= loaded_by_command(argv)
+@pytest.mark.parametrize("argv,walks_law", [
+    pytest.param(["psi", "Q8"], False, id="psi Q8"),
+    pytest.param(["psi", "C2"], False, id="psi C2"),
+    pytest.param(["psi", "C17"], True, id="psi C17"),
+    pytest.param(["psi", "C2048"], True, id="psi C2048"),
+    pytest.param(["verify", "upper_bound", "--spec", "Q8", "--q", "2"], False,
+                 id="verify upper_bound"),
+    pytest.param(["verify", "equality", "--n", "12", "--family-only"], False,
+                 id="verify equality"),
+    pytest.param(["verify", "thm4", "--q", "2", "--kmax", "4"], False, id="verify thm4"),
+    pytest.param(["verify", "mqr", "--q", "3", "--r", "3"], True, id="verify mqr"),
+    pytest.param(["verify", "lemma5", "--mkmax", "20"], True, id="verify lemma5"),
+    pytest.param(["verify", "lemma6", "--mkmax", "20"], True, id="verify lemma6"),
+])
+def test_law_walks_load_groups(argv, walks_law):
+    # Every group is built by `groups`; numpy is loaded only where one of
+    # order above HARD_CAP (C17 is the first) is built as a law.
+    loaded = loaded_by_command(argv)
+    assert "ordersum.groups" in loaded
+    assert ("numpy" in loaded) == walks_law
+
+
+def test_table_file_loads_no_numpy(tmp_path):
+    # A table: file is checked and walked as Python rows, whatever its order.
+    path = tmp_path / "c17.json"
+    path.write_text(json.dumps([[(i + j) % 17 for j in range(17)] for i in range(17)]))
+    loaded = loaded_by_command(["psi", f"table:{path}"])
+    assert "ordersum.groups" in loaded
+    assert not loaded & {"numpy", "ordersum.enumeration", "ordersum.theorems"}
 
 
 @pytest.mark.parametrize("module", sorted(PUBLIC))
