@@ -11,7 +11,6 @@ suites is bit-exact.  ``is_prime`` and the multiplicative functions all read
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 #: (prime, exponent) pairs with strictly increasing primes.
@@ -167,6 +166,8 @@ def f_ratio(q: int) -> Fraction:
     order has least prime divisor q.  Equals 7/11 at q = 2 and is strictly
     decreasing in q.
     """
+    from fractions import Fraction  # here: psi, catalog and spectrum build no Fraction
+
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
     return Fraction(((q * q - 1) * q + 1) * (q + 1), q**5 + 1)

@@ -21,6 +21,17 @@ claims on small groups (``upper_bound --spec Q8``, ``thm4 --q 2 --kmax 4``,
 where a larger group or a ``perm:`` closure is built as a law: ``psi
 C2048``, and ``lemma5``, ``lemma6``, ``mqr`` and ``thm4`` at their usual
 ranges.
+
+Of the standard library, no command imports ``dataclasses`` (which
+brings ``inspect``, ``ast`` and ``dis``): the group specs are ``__slots__``
+classes and the value records named tuples.  ``traceback`` is imported only
+when a command crashes, and ``fractions`` (with ``decimal``) only by
+``theorems`` and ``arith.f_ratio``, so ``psi``, ``catalog`` and
+``spectrum`` load neither.  Where no bytecode cache is kept (a read-only
+install, or ``PYTHONDONTWRITEBYTECODE`` set), every process compiles each
+of the package's modules it imports from source, and runs every module it
+imports, so the number and size of the modules a command loads are part of
+its start-up time.
 """
 
 from __future__ import annotations
@@ -28,7 +39,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
 from . import DEFAULT_BOUND, HARD_CAP
 
@@ -282,6 +292,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a crash is never a failed claim (exit 1)
+        import traceback
+
         traceback.print_exc()
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -60,7 +60,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import lru_cache
 from pathlib import Path
 
@@ -594,7 +594,7 @@ def catalog(
         raise RuntimeError(f"the search found {len(tables)} classes of order {n}, "
                            f"not the {A000001[n]} of OEIS A000001")
     found = [_checked_class(rows, n) for rows in tables]
-    classes = [replace(cls, description=desc)
+    classes = [cls._replace(description=desc)
                for cls, desc in zip(found, _describe_classes(n, found))]
     if path is not None:
         _save_catalog(path, n, classes)
@@ -675,11 +675,7 @@ def _save_catalog(path: Path, n: int, classes: list[CatalogClass]) -> None:
     os.replace(tmp, path)
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    psi: int
-    count: int
-    witnesses: tuple[str, ...]
+SpectrumEntry = namedtuple("SpectrumEntry", ("psi", "count", "witnesses"))
 
 
 def psi_spectrum(

@@ -34,7 +34,6 @@ import json
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 from . import HARD_CAP, arith
@@ -53,92 +52,134 @@ class TableError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cyclic:
-    n: int
+class _Spec:
+    """A group spec: an immutable record of the fields named in ``__slots__``.
+
+    Specs of one type are equal, and hash alike, when their fields are;
+    specs of different types are never equal, so ``Cyclic(8) != Dihedral(8)``.
+    ``repr`` is ``Name(field=value, ...)``: the spot check seeds its triples
+    from it and error messages print it.  Each spec's ``__init__`` checks or
+    converts its arguments and sets the fields, in ``__slots__`` order,
+    with ``_init``; ``__reduce__`` passes them back to it, so a spec can be
+    copied and pickled.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class Abelian:
+class Cyclic(_Spec):
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self._init(n)
+
+
+class Abelian(_Spec):
     """Abelian group given by invariant factors d1 | d2 | ... | dr."""
 
-    factors: tuple[int, ...]
+    __slots__ = ("factors",)
 
     def __init__(self, factors):
-        object.__setattr__(self, "factors", tuple(int(d) for d in factors))
+        self._init(tuple(int(d) for d in factors))
 
 
-@dataclass(frozen=True)
-class DirectProduct:
-    parts: tuple["GroupSpec", ...]
+class DirectProduct(_Spec):
+    __slots__ = ("parts",)
 
     def __init__(self, parts):
-        object.__setattr__(self, "parts", tuple(parts))
+        self._init(tuple(parts))
 
 
-@dataclass(frozen=True)
-class SemidirectCyclic:
+class SemidirectCyclic(_Spec):
     """C_m  x|  C_k where the C_k generator acts on C_m by x -> x**a."""
 
-    m: int
-    k: int
-    a: int
+    __slots__ = ("m", "k", "a")
+
+    def __init__(self, m: int, k: int, a: int):
+        self._init(m, k, a)
 
 
-@dataclass(frozen=True)
-class Dihedral:
+class Dihedral(_Spec):
     """Dihedral group; the argument is the group order 2m."""
 
-    order: int
+    __slots__ = ("order",)
+
+    def __init__(self, order: int):
+        self._init(order)
 
 
-@dataclass(frozen=True)
-class GeneralizedQuaternion:
+class GeneralizedQuaternion(_Spec):
     """Generalized quaternion group of order 2**m >= 8."""
 
-    order: int
+    __slots__ = ("order",)
+
+    def __init__(self, order: int):
+        self._init(order)
 
 
-@dataclass(frozen=True)
-class Modular:
+class Modular(_Spec):
     """Modular group of order q**r: <a, b | a^(q^(r-1)) = b^q = 1, a^b = a^(q^(r-2)+1)>.
 
     Defined for r >= 4, or r = 3 with q > 2 (the order-8 case would degenerate
     to the dihedral group and is rejected).
     """
 
-    q: int
-    r: int
+    __slots__ = ("q", "r")
+
+    def __init__(self, q: int, r: int):
+        self._init(q, r)
 
 
-@dataclass(frozen=True)
-class FromTable:
+class FromTable(_Spec):
     """A table from outside.  build_group hands its rows to Group, which
     checks its entries in full with validate_table; here the rows need only
     be a list of lists, to be held as tuples.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    path: str | None = None
+    __slots__ = ("rows", "path")
 
-    def __init__(self, rows, path=None):
+    def __init__(self, rows, path: str | None = None):
         _require(
             isinstance(rows, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in rows),
             f"{path or 'a table'} must hold a JSON list of lists",
         )
-        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
-        object.__setattr__(self, "path", path)
+        self._init(tuple(map(tuple, rows)), path)
 
 
-@dataclass(frozen=True)
-class FromPermutations:
+class FromPermutations(_Spec):
     """Group generated by permutations of 0..degree-1 in one-line notation."""
 
-    degree: int
-    generators: tuple[tuple[int, ...], ...]
-    path: str | None = None
+    __slots__ = ("degree", "generators", "path")
 
-    def __init__(self, degree, generators, path=None):
+    def __init__(self, degree, generators, path: str | None = None):
         # Entries are checked, never converted: int(0.9) would read 0.  A bool
         # is an int subclass, so `type(v) is int` also rejects true and false.
         _require(
@@ -147,9 +188,7 @@ class FromPermutations:
                 for g in generators),
             f"{path or 'a permutation list'} must hold a JSON list of lists of integers",
         )
-        object.__setattr__(self, "degree", int(degree))
-        object.__setattr__(self, "generators", tuple(map(tuple, generators)))
-        object.__setattr__(self, "path", path)
+        self._init(int(degree), tuple(map(tuple, generators)), path)
 
 
 GroupSpec = Union[

@@ -14,14 +14,15 @@ and ``groups`` does not load the catalog layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 
 from . import arith
 
 
-@dataclass(frozen=True)
-class CatalogClass:
+# collections.namedtuple, not typing.NamedTuple: the catalog commands load
+# no typing.
+class CatalogClass(namedtuple("CatalogClass", ("table", "description", "orders"))):
     """One isomorphism class of a given order: its canonical table, a name, and
     the order of each element, walked on the table.
 
@@ -29,9 +30,7 @@ class CatalogClass:
     orders.  psi, the order profile and is_cyclic read those fields.
     """
 
-    table: tuple[tuple[int, ...], ...]
-    description: str
-    orders: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def psi(self) -> int:

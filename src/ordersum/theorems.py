@@ -46,19 +46,20 @@ HARD_CAP, and above it as laws, which load numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import DEFAULT_BOUND, arith
 from .arith import f_ratio, psi_cyclic
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     from .groups import Group
 
-@dataclass
-class Case:
+
+class Case(NamedTuple):
     """One exact comparison inside a report.
 
     ``verdict`` states the raw outcome of comparing lhs against rhs;
@@ -81,8 +82,7 @@ class Case:
         return self.verdict == self.expected
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one claim check: parameters, exact values, verdict."""
 
     claim_id: str
@@ -91,7 +91,7 @@ class VerificationReport:
     lhs: int | Fraction | None = None
     rhs: int | Fraction | None = None
     witnesses: tuple[str, ...] = ()
-    cases: list[Case] = field(default_factory=list)
+    cases: Sequence[Case] = ()
     note: str = ""
 
     @property

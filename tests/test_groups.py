@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -957,6 +959,49 @@ class TestCatalogTableCheck:
             validate_table(rows)
         with pytest.raises(ValueError, match=message):
             _checked_class(rows, len(rows) if isinstance(rows, list) else 0)
+
+
+# One spec of each type, with the repr its frozen dataclass printed;
+# _spot_check_associativity seeds its triples from the repr.  Cyclic,
+# Dihedral and GeneralizedQuaternion of order 8 hold the same field values.
+SPEC_REPRS = [
+    (Cyclic(8), "Cyclic(n=8)"),
+    (Abelian([2, 6]), "Abelian(factors=(2, 6))"),
+    (DirectProduct([Cyclic(2), Dihedral(8)]),
+     "DirectProduct(parts=(Cyclic(n=2), Dihedral(order=8)))"),
+    (SemidirectCyclic(7, 6, 3), "SemidirectCyclic(m=7, k=6, a=3)"),
+    (Dihedral(8), "Dihedral(order=8)"),
+    (GeneralizedQuaternion(8), "GeneralizedQuaternion(order=8)"),
+    (Modular(2, 4), "Modular(q=2, r=4)"),
+    (FromTable([[0, 1], [1, 0]], path="c2.json"),
+     "FromTable(rows=((0, 1), (1, 0)), path='c2.json')"),
+    (FromPermutations(3, [[1, 2, 0]]),
+     "FromPermutations(degree=3, generators=((1, 2, 0),), path=None)"),
+]
+
+
+class TestSpecRecords:
+    @pytest.mark.parametrize("spec,text", SPEC_REPRS, ids=[t for _, t in SPEC_REPRS])
+    def test_repr_and_equality(self, spec, text):
+        assert repr(spec) == text
+        again = eval(text, vars(groups))  # the repr is a keyword call of the constructor
+        assert again == spec and not again != spec and hash(again) == hash(spec)
+        assert pickle.loads(pickle.dumps(spec)) == spec
+
+    def test_types_never_compare_equal(self):
+        for (a, _), (b, _) in itertools.combinations(SPEC_REPRS, 2):
+            assert a != b and not a == b
+
+    @pytest.mark.parametrize("spec,text", SPEC_REPRS, ids=[t for _, t in SPEC_REPRS])
+    def test_fields_are_read_only(self, spec, text):
+        field = text.split("(", 1)[1].split("=", 1)[0]
+        with pytest.raises(AttributeError):
+            setattr(spec, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(spec, field)
+        with pytest.raises(AttributeError):
+            spec.extra = 1
+        assert repr(spec) == text
 
 
 class TestGrammar:

@@ -1,11 +1,14 @@
 """Start-up contract: importing the package loads no layer, each command
 loads only the layers it runs, no catalog command loads numpy, with a
 cached catalog or without, and numpy is loaded only to build a group of
-order above HARD_CAP or a perm: closure.
+order above HARD_CAP or a perm: closure.  No command loads `dataclasses` or
+`traceback`, one that loads no numpy loads no `inspect` either, and `psi`,
+`catalog` and `spectrum` load no `fractions`.
 
-Each case runs in a fresh interpreter and reports the `ordersum` modules and
-numpy left in `sys.modules`, so a module-level import added anywhere on a
-command's path shows up here.
+Each case runs in a fresh interpreter and reports the `ordersum` modules,
+numpy and the WATCHED standard modules that it left in `sys.modules` beyond
+those the interpreter's start-up loaded, so a module-level import added
+anywhere on a command's path shows up here.
 """
 
 import importlib
@@ -23,6 +26,11 @@ from ordersum.enumeration import catalog
 SRC = str(Path(ordersum.__file__).resolve().parents[1])
 LAYERS = {"ordersum.arith", "ordersum.tables", "ordersum.groups", "ordersum.enumeration",
           "ordersum.theorems", "ordersum.cli"}
+
+# Standard modules that no command, or not every command, needs: each is run
+# at import, and `dataclasses` brings `inspect`, `ast` and `dis`.  numpy
+# imports `inspect` itself.
+WATCHED = {"dataclasses", "traceback", "inspect", "fractions"}
 
 # The public names of `ordersum`, each under the module it resolves to.
 PUBLIC = {
@@ -43,10 +51,12 @@ PUBLIC = {
 
 
 def loaded_after(code: str) -> set[str]:
-    """The numpy and ordersum modules loaded after running `code` in a fresh interpreter."""
-    probe = code + (
-        "\nimport json, sys\n"
-        "print(json.dumps([m for m in sys.modules if m == 'numpy' or m.startswith('ordersum')]))"
+    """The numpy, ordersum and WATCHED modules that running `code` in a fresh
+    interpreter loads."""
+    probe = "import sys\n_before = set(sys.modules)\n" + code + (
+        f"\nimport json\nwatched = {sorted(WATCHED | {'numpy'})!r}\n"
+        "print(json.dumps([m for m in set(sys.modules) - _before\n"
+        "                  if m in watched or m.startswith('ordersum')]))"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
@@ -71,7 +81,8 @@ def test_import_cli_loads_no_layer():
     assert loaded_after("import ordersum.cli") == {"ordersum", "ordersum.cli"}
 
 
-@pytest.mark.parametrize("layer,below", [("theorems", set()), ("enumeration", {"ordersum.tables"})],
+@pytest.mark.parametrize("layer,below", [("theorems", {"fractions"}),
+                                         ("enumeration", {"ordersum.tables"})],
                          ids=["theorems", "enumeration"])
 def test_import_layer_loads_no_groups(layer, below):
     assert loaded_after(f"import ordersum.{layer}") == {
@@ -83,9 +94,10 @@ def test_import_layer_loads_no_groups(layer, below):
 COMMANDS = {
     "audit": (["audit", "--qmax", "5", "--pmax", "11", "--smax", "2"],
               {"numpy", "ordersum.groups", "ordersum.enumeration"}),
-    "psi": (["psi", "Q8"], {"numpy", "ordersum.enumeration", "ordersum.theorems"}),
-    "catalog": (["catalog", "6"], {"numpy", "ordersum.groups", "ordersum.theorems"}),
-    "spectrum": (["spectrum", "6"], {"numpy", "ordersum.groups", "ordersum.theorems"}),
+    "psi": (["psi", "Q8"], {"numpy", "fractions", "ordersum.enumeration", "ordersum.theorems"}),
+    "catalog": (["catalog", "6"], {"numpy", "fractions", "ordersum.groups", "ordersum.theorems"}),
+    "spectrum": (["spectrum", "6"],
+                 {"numpy", "fractions", "ordersum.groups", "ordersum.theorems"}),
     "lemma5": (["verify", "lemma5", "--mkmax", "20"], {"ordersum.enumeration"}),
     "lemma6": (["verify", "lemma6", "--mkmax", "20"], {"ordersum.enumeration"}),
     "thm4": (["verify", "thm4", "--q", "2", "--kmax", "4"], {"numpy", "ordersum.enumeration"}),
@@ -100,7 +112,8 @@ def test_command_loads_only_its_layers(command):
     argv, absent = COMMANDS[command]
     loaded = loaded_by_command(argv)
     assert "ordersum.cli" in loaded
-    assert not loaded & absent
+    assert not loaded & (absent | {"dataclasses", "traceback"})
+    assert "inspect" not in loaded or "numpy" in loaded
 
 
 @pytest.mark.parametrize("argv", [["verify", "thm4", "--q", "2"], ["verify", "mqr", "--q", "2"]],
@@ -113,7 +126,7 @@ def test_usage_error_loads_no_groups(argv):
 def test_cold_catalog_claim_loads_no_groups():
     # With no cache the classes are named by the families' pure-Python tables.
     loaded = loaded_by_command(["verify", "max_cyclic", "--n", "6"])
-    assert loaded == LAYERS - {"ordersum.groups"} | {"ordersum"}
+    assert loaded == LAYERS - {"ordersum.groups"} | {"ordersum", "fractions"}
 
 
 @pytest.mark.parametrize("argv", [["catalog", "6"], ["spectrum", "6"],
