@@ -1,16 +1,18 @@
 """Finite groups over index domains 0..n-1, each given by its rows or its law.
 
-Every spec is realized one of two ways, after the same parameter checks
-(``_construct``), on the same mixed-radix indices, so both give the same
-table:
+A generated spec (C12, A[2,6], D8, Q8, M(2,4), SD(5,4,2) and their direct
+products) is checked once, by ``_factors``, which gives its order and the
+cyclic-by-cyclic factors it is the direct product of.  Its order then
+decides how it is realized, on the same mixed-radix indices either way, so
+both ways give the same table:
 
-* as Python rows, for every spec of order at most ``HARD_CAP`` (the
-  catalog's table bound) and every table: file.  The family rules of
+* as Python rows, for every generated spec of order at most ``HARD_CAP``
+  (the catalog's table bound) and every table: file.  The family rules of
   ``tables``, which the catalog names its classes by, give a generated
   spec's rows, and the catalog's full group check, ``validate_table``
   (Latin and identity checks, Light's associativity test and the order
   walk), checks the rows and walks their element orders in one pass.  This
-  path loads neither numpy nor the catalog layer;
+  way loads neither numpy nor the catalog layer;
 * as a law, for every larger generated spec and every perm: closure.  A
   law mul(x, y) multiplies numpy arrays of element indices elementwise,
   with the identity at index 0: closed-form on the coordinates for a
@@ -34,7 +36,7 @@ import json
 import math
 from array import array
 from collections import Counter
-from typing import Callable, NamedTuple, Union
+from functools import reduce
 
 from . import HARD_CAP, arith
 
@@ -112,10 +114,16 @@ class Abelian(_Spec):
 
 
 class DirectProduct(_Spec):
+    """Direct product of generated specs; as in the grammar, a table: or
+    perm: part is refused."""
+
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        self._init(tuple(parts))
+        parts = tuple(parts)
+        _require(not any(isinstance(p, (FromTable, FromPermutations)) for p in parts),
+                 "a direct product cannot have a table: or perm: part")
+        self._init(parts)
 
 
 class SemidirectCyclic(_Spec):
@@ -191,17 +199,8 @@ class FromPermutations(_Spec):
         self._init(int(degree), tuple(map(tuple, generators)), path)
 
 
-GroupSpec = Union[
-    Cyclic,
-    Abelian,
-    DirectProduct,
-    SemidirectCyclic,
-    Dihedral,
-    GeneralizedQuaternion,
-    Modular,
-    FromTable,
-    FromPermutations,
-]
+# Any of the spec types above.
+GroupSpec = _Spec
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +218,9 @@ class Law:
     """A group law on element indices 0..n-1, with the identity at 0.
 
     ``law(x, y)`` multiplies integer arrays that broadcast together,
-    elementwise; ``len(law)`` is the group order (``_construct`` and the
-    benchmark's tracing read it).  A law read from a table multiplies by
-    gathering from it.
+    elementwise; ``len(law)`` is the group order, which the benchmark's
+    tracing reads to count the elements a walk visits.  A law read from a
+    table multiplies by gathering from it.
     """
 
     __slots__ = ("n", "mul")
@@ -246,9 +245,18 @@ class Law:
         return self.mul(x, y)
 
 
+def _over_budget(order) -> GroupSpecError:
+    return GroupSpecError(f"order {order} exceeds the element budget {LAW_BUDGET} of a group law")
+
+
 def _walkable(n: int) -> None:
     """Refuse an order past the budget of a law walk."""
-    _require(n <= LAW_BUDGET, f"order {n} exceeds the element budget {LAW_BUDGET} of a group law")
+    if n > LAW_BUDGET:
+        try:
+            shown = str(n)
+        except ValueError:  # more digits than int-to-str conversion allows
+            shown = f"at least 2^{n.bit_length() - 1}"
+        raise _over_budget(shown)
 
 
 def _require_table(n: int) -> None:
@@ -390,12 +398,6 @@ def validate_table(rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     return cls.table, cls.orders
 
 
-def _table_law(rows) -> Law:
-    """The law of a table from outside, once validate_table has passed its rows."""
-    table, _ = validate_table(rows)  # before numpy holds the rows
-    return Law.of_table(table)
-
-
 # Triples drawn and checked at a time, so the check holds O(1) extra memory.
 _SPOT_CHUNK = 1 << 16
 
@@ -486,8 +488,8 @@ class Group:
     orders in the same pass; the group keeps the checked rows.  A Law is
     spot-checked and walked by element_orders_of_table.  The spec is never
     read for this: build_group hands Group rows for a table: spec and for
-    every spec of order up to HARD_CAP.  ``element_orders`` is a read-only
-    memoryview of ints either way.
+    every generated spec of order up to HARD_CAP.  ``element_orders`` is a
+    read-only memoryview of ints either way.
     """
 
     __slots__ = ("order", "spec", "element_orders", "_rows", "_law")
@@ -526,7 +528,7 @@ class Group:
         """The spec in the grammar, or ``order-n table`` where it has none."""
         try:
             return format_spec(self.spec)
-        except GroupSpecError:  # no spec, or a table: or perm: spec it cannot print
+        except GroupSpecError:  # no spec, or a table: or perm: spec with no path
             return f"order-{self.order} table"
 
     def psi(self) -> int:
@@ -551,129 +553,100 @@ def _require(cond: bool, message: str) -> None:
         raise GroupSpecError(message)
 
 
-class _Rules(NamedTuple):
-    """How ``_construct`` realizes what a spec describes.
+def _factors(spec: GroupSpec) -> tuple[int, list[tuple]]:
+    """Check a generated spec's parameters and budgets; its order and factors.
 
-    ``fits(n)`` is called with each order before anything of that order is
-    built; the other rules build C_n, the product of two built groups, C_m
-    x| C_k with the action x -> x**a, the dicyclic group of order 4h, a
-    table from outside and a permutation closure.
-    """
-
-    fits: Callable
-    cyclic: Callable
-    product: Callable
-    semidirect: Callable
-    dicyclic: Callable
-    table: Callable
-    perm: Callable
-
-
-_LAWS = _Rules(_walkable, _cyclic_law, _product_law, _semidirect_law, _dicyclic_law,
-               _table_law, lambda degree, gens: Law.of_table(_perm_table(degree, gens)))
-
-
-class _UseLaw(Exception):
-    """A construction that only the law path builds."""
-
-
-def _fits_rows(n: int) -> None:
-    if n > HARD_CAP:
-        raise _UseLaw
-
-
-def _perm_rows(degree: int, gens):
-    raise _UseLaw
-
-
-def _table_rule(name: str) -> Callable:
-    """The family table rule of that name in ``tables``, imported when it first builds."""
-    def rule(*args):
-        from . import tables
-
-        return getattr(tables, name)(*args)
-
-    return rule
-
-
-# The rules as Python rows: the family rules of ``tables``, which give the
-# tables of the laws, and a table from outside as validate_table returns it.
-# An order above HARD_CAP raises _UseLaw before anything of it is built, and
-# so does a perm: closure, which the law path builds.
-_ROWS = _Rules(_fits_rows, _table_rule("_cyclic_table"), _table_rule("_product_table"),
-               _table_rule("_semidirect_table"), _table_rule("_dicyclic_table"),
-               lambda rows: validate_table(rows)[0], _perm_rows)
-
-
-def _construct(spec: GroupSpec, rules: _Rules):
-    """Check a spec's parameters and budgets, and realize it by the rules.
-
-    Every check comes before what it guards is built, in the same order on
-    both paths, so a spec is refused with the same message on either.
+    The spec is the direct product of the factors, in order, on mixed-radix
+    indices.  Each factor is ``(kind, *args)``, built by the rule of that
+    kind: C_n is ``("cyclic", n)``, C_m x| C_k with the action x -> x**a is
+    ``("semidirect", m, k, a)`` and the dicyclic group of order 4h is
+    ``("dicyclic", h)``.  A product's parts are checked in turn, each part's
+    parameters and order first and then the order of the product so far, so
+    an oversized product names the first running order past the budget.
+    Nothing is built here.
     """
     if isinstance(spec, Cyclic):
         _require(spec.n >= 1, f"cyclic order must be >= 1, got {spec.n}")
-        rules.fits(spec.n)
-        return rules.cyclic(spec.n)
-
-    if isinstance(spec, Abelian):
+        n, factors = spec.n, [("cyclic", spec.n)]
+    elif isinstance(spec, Abelian):
         factors = [d for d in spec.factors if d != 1]
         _require(all(d >= 1 for d in spec.factors), f"invalid invariant factors {spec.factors}")
         for d1, d2 in zip(factors, factors[1:]):
             _require(d2 % d1 == 0, f"invariant factors must form a divisibility chain: {factors}")
-        return _construct(DirectProduct(Cyclic(d) for d in factors), rules)
-
-    if isinstance(spec, DirectProduct):
-        # Folded part by part, so an oversized product is refused after at
-        # most one in-budget product and one part have been built.
-        built = None
+        return _factors(DirectProduct(Cyclic(d) for d in factors))
+    elif isinstance(spec, DirectProduct):
+        n, factors = 1, []
         for part in spec.parts:
-            part_built = _construct(part, rules)
-            if built is None:
-                built = part_built
-            else:
-                rules.fits(len(built) * len(part_built))
-                built = rules.product(built, part_built)
-        return rules.cyclic(1) if built is None else built
-
-    if isinstance(spec, SemidirectCyclic):
+            order, part_factors = _factors(part)
+            n *= order
+            _walkable(n)
+            factors += part_factors
+        factors = factors or [("cyclic", 1)]
+    elif isinstance(spec, SemidirectCyclic):
         a = _check_action(spec.m, spec.k, spec.a)
-        rules.fits(spec.m * spec.k)
-        return rules.semidirect(spec.m, spec.k, a)
-
-    if isinstance(spec, Dihedral):
-        _require(
-            spec.order >= 2 and spec.order % 2 == 0,
-            f"dihedral order must be even and >= 2, got {spec.order}",
-        )
-        m = spec.order // 2
-        rules.fits(spec.order)
-        return rules.semidirect(m, 2, (m - 1) % m if m > 1 else 0)
-
-    if isinstance(spec, GeneralizedQuaternion):
+        n, factors = spec.m * spec.k, [("semidirect", spec.m, spec.k, a)]
+    elif isinstance(spec, Dihedral):
+        n, m = spec.order, spec.order // 2
+        _require(n >= 2 and n % 2 == 0, f"dihedral order must be even and >= 2, got {n}")
+        factors = [("semidirect", m, 2, (m - 1) % m if m > 1 else 0)]
+    elif isinstance(spec, GeneralizedQuaternion):
         n = spec.order
         _require(
             n >= 8 and n & (n - 1) == 0,
             f"generalized quaternion order must be a power of two >= 8, got {n}",
         )
-        rules.fits(n)
-        return rules.dicyclic(n // 4)
-
-    if isinstance(spec, Modular):
+        factors = [("dicyclic", n // 4)]
+    elif isinstance(spec, Modular):
         q, r = spec.q, spec.r
         _require(arith.is_prime(q), f"modular group parameter q must be prime, got {q}")
         _require(
             r >= 4 or (r == 3 and q > 2),
             f"modular group needs r >= 4, or r = 3 with q > 2; got (q={q}, r={r})",
         )
-        rules.fits(q**r)
-        return rules.semidirect(q ** (r - 1), q, q ** (r - 2) + 1)
+        if r >= LAW_BUDGET.bit_length():  # q**r >= 2**r is past the budget: not computed
+            raise _over_budget(f"{q}^{r}")
+        n, factors = q**r, [("semidirect", q ** (r - 1), q, q ** (r - 2) + 1)]
+    else:
+        raise GroupSpecError(f"unknown group spec {spec!r}")
+    _walkable(n)
+    return n, factors
 
-    if isinstance(spec, FromTable):  # a part of a product; build_group gives Group the rows
+
+def _law_for(spec: GroupSpec) -> Law:
+    """The law of a generated spec, its parameters and order checked first."""
+    return _law_of(_factors(spec)[1])
+
+
+def _law_of(factors) -> Law:
+    """The law of the direct product of factors as ``_factors`` lists them."""
+    rules = {"cyclic": _cyclic_law, "semidirect": _semidirect_law, "dicyclic": _dicyclic_law}
+    return reduce(_product_law, (rules[kind](*args) for kind, *args in factors))
+
+
+def _rows_of(factors) -> list[list[int]]:
+    """The rows of the same product, by the family rules of ``tables``."""
+    from . import tables
+
+    rules = {"cyclic": tables._cyclic_table, "semidirect": tables._semidirect_table,
+             "dicyclic": tables._dicyclic_table}
+    return reduce(tables._product_table, (rules[kind](*args) for kind, *args in factors))
+
+
+def build_group(spec: GroupSpec) -> Group:
+    """Realize a GroupSpec as a Group.
+
+    A table: spec's rows are given to Group, which checks them in full with
+    validate_table.  A perm: spec's generators are checked and closed, and
+    the law that gathers from the closure's table is spot-checked with 10n
+    triples.  Either is a table of at most TABLE_BUDGET elements.  A
+    generated spec is checked once, by ``_factors``, and its order decides:
+    up to HARD_CAP, Group gets the rows of the family rules of ``tables``
+    and checks them with validate_table, without loading numpy; above it,
+    up to LAW_BUDGET, Group gets the law and spot-checks it.
+    """
+    if isinstance(spec, FromTable):
         _require_table(len(spec.rows))
-        rules.fits(len(spec.rows))
-        return rules.table(spec.rows)
-
+        return Group(spec.rows, spec)
     if isinstance(spec, FromPermutations):
         _require(spec.degree >= 1, f"degree must be >= 1, got {spec.degree}")
         for g in spec.generators:
@@ -681,34 +654,9 @@ def _construct(spec: GroupSpec, rules: _Rules):
                 len(g) == spec.degree and sorted(g) == list(range(spec.degree)),
                 f"{g} is not a permutation of 0..{spec.degree - 1}",
             )
-        return rules.perm(spec.degree, spec.generators)
-
-    raise GroupSpecError(f"unknown group spec {spec!r}")
-
-
-def _law_for(spec: GroupSpec) -> Law:
-    """The law of a spec, its order checked against the budgets first."""
-    return _construct(spec, _LAWS)
-
-
-def build_group(spec: GroupSpec) -> Group:
-    """Realize a GroupSpec as a Group.
-
-    A table: spec's rows, and the rows the family rules of ``tables`` give
-    a spec of order at most HARD_CAP, are given to Group, which checks them
-    in full with validate_table; no numpy is loaded for them.  A larger
-    generated spec, or one with a perm: part, is built as a law and
-    spot-checked with 10n triples.  A table: or perm: spec is held as a
-    table of at most TABLE_BUDGET elements; a law has at most LAW_BUDGET.
-    """
-    if isinstance(spec, FromTable):
-        _require_table(len(spec.rows))
-        return Group(spec.rows, spec)
-    try:
-        rows = _construct(spec, _ROWS)
-    except _UseLaw:
-        return Group(_law_for(spec), spec)
-    return Group(rows, spec)
+        return Group(Law.of_table(_perm_table(spec.degree, spec.generators)), spec)
+    n, factors = _factors(spec)
+    return Group(_rows_of(factors) if n <= HARD_CAP else _law_of(factors), spec)
 
 
 def _check_action(m: int, k: int, a: int) -> int:
@@ -798,8 +746,6 @@ def format_spec(spec: GroupSpec) -> str:
     if isinstance(spec, Abelian):
         return "A[" + ",".join(str(d) for d in spec.factors) + "]"
     if isinstance(spec, DirectProduct):
-        _require(not any(isinstance(p, (FromTable, FromPermutations)) for p in spec.parts),
-                 "the grammar has no product with a table: or perm: part")
         return "x".join(format_spec(p) for p in spec.parts)
     if isinstance(spec, SemidirectCyclic):
         return f"SD({spec.m},{spec.k},{spec.a})"

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -83,10 +84,17 @@ class TestPsiCommand:
         assert code == 2 and out == ""
         assert err == f"error: {INVALID_SMALL_SPECS[spec]}\n"
 
-    @pytest.mark.parametrize("spec", ["C2000000", "A[1024,2048]", "SD(1,1000000000000,0)"])
+    @pytest.mark.parametrize(
+        "spec", ["C2000000", "A[1024,2048]", "SD(1,1000000000000,0)", "M(3,30000000)",
+                 "M(3,100000)", "SD(1{0},1{0},1)".format("0" * 3000)],
+        ids=lambda spec: spec if len(spec) < 100 else "SD(m,m,1) of 3001 digits")
     def test_over_element_budget(self, capsys, spec):
-        # Rejected from the spec's parameters, before anything is allocated.
+        # Rejected from the spec's parameters, before anything is allocated:
+        # q**r is not computed, and an order of more digits than int-to-str
+        # conversion allows is not printed.
+        start = time.perf_counter()
         code, out, err = run(capsys, "psi", spec)
+        assert time.perf_counter() - start < 5
         assert code == 2 and out == ""
         assert err.startswith("error:") and "element budget" in err
         assert len(err.splitlines()) == 1

@@ -475,7 +475,24 @@ class TestRowsAndLawAgree:
             assert str(exc.value) == INVALID_SMALL_SPECS[text], realize
 
 
+# The first check each spec fails, in the order the checks run: each part's
+# parameters and order, then the order of the product so far.
+CHECK_ORDER = {
+    "C1024xC1024xC2": "order 2097152 exceeds the element budget 1048576 of a group law",
+    "C2048xC1024xC1024": "order 2097152 exceeds the element budget 1048576 of a group law",
+    "C2097152xD7": "order 2097152 exceeds the element budget 1048576 of a group law",
+    "D7xC2097152": "dihedral order must be even and >= 2, got 7",
+}
+
+
 class TestBudgets:
+    @pytest.mark.parametrize("text", CHECK_ORDER)
+    def test_check_order(self, text):
+        for realize in (build_group, groups._law_for):
+            with pytest.raises(GroupSpecError) as exc:
+                realize(parse_spec(text))
+            assert str(exc.value) == CHECK_ORDER[text], realize
+
     @pytest.mark.parametrize("spec", [
         Cyclic(LAW_BUDGET + 1),
         Abelian([1024, 2048]),
@@ -762,9 +779,11 @@ class TestExplicitTables:
                 Group(Law.of_table(np.array(t)), spec=FromTable(t))
 
     def test_product_with_a_table_part(self):
-        # The table part's rows are checked in full, and so are the product's.
+        # The grammar has no such product, and DirectProduct refuses one.
         c3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]
-        assert build_group(DirectProduct([FromTable(c3), Cyclic(2)])).psi() == 21
+        for part in (FromTable(c3), FromPermutations(3, ((1, 2, 0),))):
+            with pytest.raises(GroupSpecError, match="table: or perm: part"):
+                DirectProduct([part, Cyclic(2)])
 
     def test_table_at_budget(self):
         # D2048 as a table: spec, at the table budget, and one intercalate

@@ -3,7 +3,8 @@ loads only the layers it runs, no catalog command loads numpy, with a
 cached catalog or without, and numpy is loaded only to build a group of
 order above HARD_CAP or a perm: closure.  No command loads `dataclasses` or
 `traceback`, one that loads no numpy loads no `inspect` either, and `psi`,
-`catalog` and `spectrum` load no `fractions`.
+`catalog` and `spectrum` load no `fractions` or `typing`.  A command that
+builds only groups of order above HARD_CAP loads no `tables`.
 
 Each case runs in a fresh interpreter and reports the `ordersum` modules,
 numpy and the WATCHED standard modules that it left in `sys.modules` beyond
@@ -29,8 +30,9 @@ LAYERS = {"ordersum.arith", "ordersum.tables", "ordersum.groups", "ordersum.enum
 
 # Standard modules that no command, or not every command, needs: each is run
 # at import, and `dataclasses` brings `inspect`, `ast` and `dis`.  numpy
-# imports `inspect` itself.
-WATCHED = {"dataclasses", "traceback", "inspect", "fractions"}
+# imports `inspect` itself.  Where `site` imports `typing` at start-up, as
+# some installations do, no command can load it and its check passes vacuously.
+WATCHED = {"dataclasses", "traceback", "inspect", "fractions", "typing"}
 
 # The public names of `ordersum`, each under the module it resolves to.
 PUBLIC = {
@@ -94,10 +96,12 @@ def test_import_layer_loads_no_groups(layer, below):
 COMMANDS = {
     "audit": (["audit", "--qmax", "5", "--pmax", "11", "--smax", "2"],
               {"numpy", "ordersum.groups", "ordersum.enumeration"}),
-    "psi": (["psi", "Q8"], {"numpy", "fractions", "ordersum.enumeration", "ordersum.theorems"}),
-    "catalog": (["catalog", "6"], {"numpy", "fractions", "ordersum.groups", "ordersum.theorems"}),
+    "psi": (["psi", "Q8"],
+            {"numpy", "fractions", "typing", "ordersum.enumeration", "ordersum.theorems"}),
+    "catalog": (["catalog", "6"],
+                {"numpy", "fractions", "typing", "ordersum.groups", "ordersum.theorems"}),
     "spectrum": (["spectrum", "6"],
-                 {"numpy", "fractions", "ordersum.groups", "ordersum.theorems"}),
+                 {"numpy", "fractions", "typing", "ordersum.groups", "ordersum.theorems"}),
     "lemma5": (["verify", "lemma5", "--mkmax", "20"], {"ordersum.enumeration"}),
     "lemma6": (["verify", "lemma6", "--mkmax", "20"], {"ordersum.enumeration"}),
     "thm4": (["verify", "thm4", "--q", "2", "--kmax", "4"], {"numpy", "ordersum.enumeration"}),
@@ -163,6 +167,17 @@ def test_law_walks_load_groups(argv, walks_law):
     loaded = loaded_by_command(argv)
     assert "ordersum.groups" in loaded
     assert ("numpy" in loaded) == walks_law
+
+
+@pytest.mark.parametrize("argv", [["psi", "A[4,8,64]"],
+                                  ["verify", "thm4", "--q", "5", "--kmax", "2"],
+                                  ["verify", "mqr", "--q", "3", "--r", "3"]],
+                         ids=lambda argv: " ".join(argv[:2]))
+def test_law_only_commands_load_no_tables(argv):
+    # Every group these build is above HARD_CAP, and its order, checked from
+    # the spec before anything is built, chooses the law: no rows are built.
+    loaded = loaded_by_command(argv)
+    assert "numpy" in loaded and "ordersum.tables" not in loaded
 
 
 def test_table_file_loads_no_numpy(tmp_path):
