@@ -3,8 +3,8 @@
 A generated spec (C12, A[2,6], D8, Q8, M(2,4), SD(5,4,2) and their direct
 products) is checked once, by ``_factors``, which gives its order and the
 cyclic-by-cyclic factors it is the direct product of.  Its order then
-decides how it is realized, on the same mixed-radix indices either way, so
-both ways give the same table:
+decides how it is realized, on the same mixed-radix indices every way, so
+every way gives the same table:
 
 * as Python rows, for every generated spec of order at most ``HARD_CAP``
   (the catalog's table bound) and every table: file.  The family rules of
@@ -14,18 +14,27 @@ both ways give the same table:
   walk), checks the rows and walks their element orders in one pass.  This
   way loads neither numpy nor the catalog layer;
 * as a law, for every larger generated spec and every perm: closure.  A
-  law mul(x, y) multiplies numpy arrays of element indices elementwise,
-  with the identity at index 0: closed-form on the coordinates for a
-  generated group, a gather from the table for a perm: closure.  A law is
-  spot-checked, and its element orders come from power maps, split by
-  prime (``element_orders_of_table``), in O(n) memory.
+  law mul(x, y) multiplies element indices elementwise, with the identity
+  at index 0: closed-form on the coordinates for a generated group, a
+  gather from the table for a perm: closure.  A law is spot-checked on 10n
+  triples, and its element orders come from power maps, split by prime
+  (``element_orders_of_table``), in O(n) memory.  Both run on either of two
+  engines, with the same rules, triples and walk:
 
-numpy is imported only inside the functions that build or walk a law.
+  - a ``ListLaw`` on Python lists, for one group of order up to
+    ``TABLE_BUDGET`` from ``build_group``: ``psi``, ``verify upper_bound``,
+    ``verify mqr`` and ``verify equality --family-only`` load no numpy;
+  - a ``Law`` on numpy arrays, for a group above ``TABLE_BUDGET``, for a
+    perm: closure, and for the groups a scan builds with ``build_groups``
+    (``verify thm4``, ``lemma5`` and ``lemma6``), where one numpy import
+    pays for itself.
+
+numpy is imported only inside the functions that build or walk a numpy law.
 There are no per-family order formulas to trust: orders are walked on the
 rows or the law.  A Group keeps its element orders and its rows or law;
-``law`` of a group made from rows is read from them on first use, and
-``table`` builds the n x n table from the law afresh on each read.  Groups
-have no table equality; compare canonical forms
+``law`` of a group made from rows or from a ListLaw is numpy's, read on
+first use, and ``table`` builds the n x n table from it afresh on each read.
+Groups have no table equality; compare canonical forms
 (``enumeration.canonical_form``) of their rows.  Every spec has an element
 budget, checked before anything is built.
 """
@@ -215,15 +224,22 @@ LAW_BUDGET = 1 << 20
 
 
 class Law:
-    """A group law on element indices 0..n-1, with the identity at 0.
+    """A group law on element indices 0..n-1, with the identity at 0, on numpy arrays.
 
     ``law(x, y)`` multiplies integer arrays that broadcast together,
     elementwise; ``len(law)`` is the group order, which the benchmark's
     tracing reads to count the elements a walk visits.  A law read from a
     table multiplies by gathering from it.
+
+    The other methods are the array operations of the law's engine: the
+    spot check and the order walk run on them alone, so they run alike on
+    this engine and on ``ListLaw``'s.
     """
 
     __slots__ = ("n", "mul")
+
+    # Spot-check triples drawn and multiplied at a time.
+    chunk = 1 << 16
 
     def __init__(self, n: int, mul):
         self.n = n
@@ -243,6 +259,108 @@ class Law:
 
     def __call__(self, x, y):
         return self.mul(x, y)
+
+    def indices(self):
+        """Every element, in index order."""
+        import numpy as np
+
+        return np.arange(self.n, dtype=np.int64)
+
+    def ones(self):
+        """A 1 for every element: the orders before the walk."""
+        import numpy as np
+
+        return np.ones(self.n, dtype=np.int64)
+
+    def triples(self, raw: bytes):
+        """Elements a, b, c from 12 bytes a triple: three little-endian
+        uint32 v, each scaled to v * n >> 32 (n <= LAW_BUDGET < 2**32)."""
+        import numpy as np
+
+        u = np.frombuffer(raw, dtype="<u4").astype(np.int64) * self.n >> 32
+        return u.reshape(-1, 3).T
+
+    @staticmethod
+    def gather(table, idx):
+        """table[x] for each x in idx."""
+        return table[idx]
+
+    @staticmethod
+    def same(u, v) -> bool:
+        """Whether u and v hold the same elements, in order."""
+        import numpy as np
+
+        return np.array_equal(u, v)
+
+    @staticmethod
+    def any(cur) -> bool:
+        """Whether some element of cur is not the identity."""
+        return cur.any()
+
+    @staticmethod
+    def times_where(orders, cur, p: int):
+        """orders, each times p where cur is not the identity."""
+        orders[cur != 0] *= p
+        return orders
+
+    @staticmethod
+    def first_nonzero(cur) -> int:
+        """The index of the first element of cur that is not the identity."""
+        import numpy as np
+
+        return int(np.flatnonzero(cur)[0])
+
+
+class ListLaw(Law):
+    """The law of a generated spec on Python lists, for one group of order
+    up to TABLE_BUDGET, where importing numpy would cost more than the walk.
+
+    ``law(x, y)`` multiplies two equally long lists of element indices
+    elementwise.  Its factors' rules are the numpy laws' on the same
+    indices, each one list comprehension of gathers from lists of O(n)
+    entries, so only the product list is built.  ``factors`` are the
+    spec's, as ``_factors`` lists them; ``_law_of(factors)`` is the same
+    law on numpy arrays.
+    """
+
+    __slots__ = ("factors",)
+
+    chunk = 1 << 12  # small int lists: a chunk of triples holds about 1 MB
+
+    def __init__(self, n: int, mul, factors):
+        super().__init__(n, mul)
+        self.factors = factors
+
+    def indices(self):
+        return list(range(self.n))
+
+    def ones(self):
+        return array("q", [1]) * self.n
+
+    def triples(self, raw: bytes):
+        import struct
+
+        n = self.n
+        u = [v * n >> 32 for v in struct.unpack(f"<{len(raw) // 4}I", raw)]
+        return u[0::3], u[1::3], u[2::3]
+
+    @staticmethod
+    def gather(table, idx):
+        return [table[x] for x in idx]
+
+    @staticmethod
+    def same(u, v) -> bool:
+        return u == v
+
+    any = staticmethod(any)
+
+    @staticmethod
+    def times_where(orders, cur, p: int):
+        return array("q", [o * p if c else o for o, c in zip(orders, cur)])
+
+    @staticmethod
+    def first_nonzero(cur) -> int:
+        return next(x for x, c in enumerate(cur) if c)
 
 
 def _over_budget(order) -> GroupSpecError:
@@ -306,6 +424,70 @@ def _semidirect_law(m: int, k: int, a: int) -> Law:
 def _dicyclic_law(h: int) -> Law:
     """Dicyclic group of order 4h, by the rule the catalog's tables share."""
     return Law(4 * h, lambda x, y: arith.dicyclic_product(h, x, y))
+
+
+def _law_of(factors) -> Law:
+    """The law of the direct product of factors as ``_factors`` lists them."""
+    rules = {"cyclic": _cyclic_law, "semidirect": _semidirect_law, "dicyclic": _dicyclic_law}
+    return reduce(_product_law, (rules[kind](*args) for kind, *args in factors))
+
+
+# The same rules on Python lists.  Each gives (n, mul), mul one list
+# comprehension of gathers from lists of O(n) entries: in CPython 3.11 that
+# is faster than a chain of ``map`` calls, which builds no list per step
+# either.
+
+
+def _cyclic_lists(n: int):
+    sums = list(range(n)) * 2
+    return n, lambda x, y: [sums[a + b] for a, b in zip(x, y)]
+
+
+def _product_lists(a, b):
+    """Direct product on mixed-radix indices (a, b) -> a * nb + b."""
+    (na, mul_a), (nb, mul_b) = a, b
+    n = na * nb
+    hi, lo = [x // nb for x in range(n)], [x % nb for x in range(n)]
+    shifted = list(range(0, n, nb))  # shifted[a] = a * nb
+
+    def mul(x, y):
+        high = mul_a([hi[u] for u in x], [hi[v] for v in y])
+        low = mul_b([lo[u] for u in x], [lo[v] for v in y])
+        return [shifted[h] + w for h, w in zip(high, low)]
+
+    return n, mul
+
+
+def _metacyclic_lists(m: int, k: int, a: int, s: int = 0):
+    """C_m by C_k on indices i*k + j, carrying s into C_m where j wraps:
+
+    (i1, j1) * (i2, j2) = (i1 + a**j1 * i2 + s [j1 + j2 >= k] mod m, j1 + j2 mod k).
+
+    With s = 0 it is ``_semidirect_law``'s C_m x| C_k; with m = 2h, k = 2,
+    a = -1 and s = h it is ``arith.dicyclic_product``'s dicyclic group.
+    The product index is sums[i1*k + (a**j1 * i2 mod m)*k + the j-part
+    with its carry], each term a gather from a list of O(n) entries.
+    """
+    n = m * k
+    apow = [pow(a, j, m) for j in range(k)]
+    i, j = [x // k for x in range(n)], [x % k for x in range(n)]
+    ik, jm = [x - x % k for x in range(n)], [x % k * m for x in range(n)]
+    act = [p * i2 % m * k for p in apow for i2 in range(m)]  # at j1*m + i2
+    carry = [(t >= k) * s * k + t % k for t in range(2 * k)]  # at j1 + j2
+    sums = list(range(n)) * 3  # each term is below n
+
+    def mul(x, y):
+        return [sums[ik[u] + act[jm[u] + i[v]] + carry[j[u] + j[v]]] for u, v in zip(x, y)]
+
+    return n, mul
+
+
+def _list_law_of(factors) -> ListLaw:
+    """``_law_of(factors)`` on Python lists."""
+    rules = {"cyclic": _cyclic_lists, "semidirect": _metacyclic_lists,
+             "dicyclic": lambda h: _metacyclic_lists(2 * h, 2, 2 * h - 1, h)}
+    n, mul = reduce(_product_lists, (rules[kind](*args) for kind, *args in factors))
+    return ListLaw(n, mul, factors)
 
 
 def _table_for(law: Law) -> np.ndarray:
@@ -398,55 +580,47 @@ def validate_table(rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     return cls.table, cls.orders
 
 
-# Triples drawn and checked at a time, so the check holds O(1) extra memory.
-_SPOT_CHUNK = 1 << 16
+def _spot_triples(law: Law, spec: GroupSpec):
+    """The 10n triples of the spot check of a law, law.chunk at a time.
 
-
-def _spot_check_associativity(law: Law, spec: GroupSpec) -> None:
-    """Probabilistic associativity check of a law: 10n triples.
-
-    The triples are splitmix64 of a counter, scaled to 0..n-1 by their top
-    32 bits (n <= LAW_BUDGET < 2**32) and seeded from the spec's repr, so
-    every spec is always checked on the same triples.  (Only the seed comes
-    from the stdlib generator: importing hashlib or numpy.random costs more
-    memory or time than a typical check.)
+    They are seeded from the spec's repr, so every spec is always checked
+    on the same triples: ``random.Random(repr(spec)).randbytes`` gives 12
+    bytes a triple, read by ``law.triples``.  A draw of whole 32-bit words
+    is the next words of one stream, so the chunks join up to one draw of
+    120n bytes, whichever engine, and whatever chunk, draws them.
     """
     import random
 
-    import numpy as np
+    rng = random.Random(repr(spec))
+    total = 10 * law.n
+    for start in range(0, total, law.chunk):
+        yield law.triples(rng.randbytes(12 * min(law.chunk, total - start)))
 
-    n = law.n
-    seed = np.uint64(random.Random(repr(spec)).getrandbits(64))
-    for start in range(0, 10 * n, _SPOT_CHUNK):
-        stop = min(start + _SPOT_CHUNK, 10 * n)
-        u = np.arange(3 * start, 3 * stop, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) + seed
-        u = (u ^ (u >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        u = (u ^ (u >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        u = ((u ^ (u >> np.uint64(31))) >> np.uint64(32)) * np.uint64(n) >> np.uint64(32)
-        a, b, c = u.astype(np.int64).reshape(-1, 3).T
-        if not np.array_equal(law(law(a, b), c), law(a, law(b, c))):
+
+def _spot_check_associativity(law: Law, spec: GroupSpec) -> None:
+    """Probabilistic associativity check of a law: (ab)c = a(bc) on 10n triples."""
+    for a, b, c in _spot_triples(law, spec):
+        if not law.same(law(law(a, b), c), law(a, law(b, c))):
             raise TableError(f"the law of {spec!r} failed an associativity spot check")
 
 
-def _power_map(law: Law, sq: np.ndarray, e: int) -> np.ndarray:
+def _power_map(law: Law, sq, e: int):
     """The map x -> x**e over all elements (e >= 1), by repeated squaring.
 
     ``sq`` is the squaring map, so each square is one gather from it and
     only the multiplications for the set bits of e call the law.
     """
-    import numpy as np
-
-    out, base = None, np.arange(law.n, dtype=np.int64)
+    out, base = None, law.indices()
     while True:
         if e & 1:
             out = base if out is None else law(out, base)
         e >>= 1
         if not e:
             return out
-        base = sq[base]
+        base = law.gather(sq, base)
 
 
-def element_orders_of_table(law: Law) -> np.ndarray:
+def element_orders_of_table(law: Law):
     """Orders of all elements, found prime by prime from power maps of a law.
 
     For each p**a exactly dividing n, y = x**(n / p**a) has order the p-part of
@@ -456,25 +630,23 @@ def element_orders_of_table(law: Law) -> np.ndarray:
     x**n != e, so the law is not a group's.  A power map x -> x**e costs one
     law call per set bit of e, its squarings being gathers from the squaring
     map, and each p-th power step is one gather: the walk holds O(n) memory
-    and calls the law a few times per prime, not once per power.
+    and calls the law a few times per prime, not once per power.  The orders
+    are a numpy array for a Law and an ``array('q')`` for a ListLaw.
     """
-    import numpy as np
-
     n = law.n
-    idx = np.arange(n, dtype=np.int64)
+    idx = law.indices()
     sq = law(idx, idx)
-    orders = np.ones(n, dtype=np.int64)
+    orders = law.ones()
     for p, a in arith.factorize(n):
         cur = _power_map(law, sq, n // p**a)
         pth = _power_map(law, sq, p)
         for _ in range(a):
-            live = cur != 0
-            if not live.any():
+            if not law.any(cur):
                 break
-            orders[live] *= p
-            cur = pth[cur]
-        if cur.any():
-            x = int(np.flatnonzero(cur)[0])
+            orders = law.times_where(orders, cur, p)
+            cur = law.gather(pth, cur)
+        if law.any(cur):
+            x = law.first_nonzero(cur)
             raise TableError(f"element {x} to the power {n} is not the identity: not a group")
     return orders
 
@@ -485,11 +657,12 @@ class Group:
 
     A group is given by a table (rows or an array) or by a Law.  A table
     gets validate_table, which checks it in full and walks its element
-    orders in the same pass; the group keeps the checked rows.  A Law is
-    spot-checked and walked by element_orders_of_table.  The spec is never
-    read for this: build_group hands Group rows for a table: spec and for
-    every generated spec of order up to HARD_CAP.  ``element_orders`` is a
-    read-only memoryview of ints either way.
+    orders in the same pass; the group keeps the checked rows.  A Law, on
+    numpy arrays or a ListLaw on lists, is spot-checked and walked by
+    element_orders_of_table.  The spec is never read for this: build_group
+    hands Group rows for a table: spec and for every generated spec of
+    order up to HARD_CAP.  ``element_orders`` is a read-only memoryview of
+    ints either way.
     """
 
     __slots__ = ("order", "spec", "element_orders", "_rows", "_law")
@@ -498,21 +671,23 @@ class Group:
         if isinstance(law, Law):
             _spot_check_associativity(law, spec)
             orders = element_orders_of_table(law)
-            orders.setflags(write=False)
             self._rows, self._law = None, law
-            self.element_orders = memoryview(orders)
         else:
             self._rows, orders = validate_table(law)
+            orders = array("q", orders)
             self._law = None
-            self.element_orders = memoryview(array("q", orders)).toreadonly()
+        self.element_orders = memoryview(orders).toreadonly()
         self.order = len(self.element_orders)
         self.spec = spec
 
     @property
     def law(self) -> Law:
-        """The group's law; one made from rows gathers from them, read on first use."""
+        """The group's law on numpy arrays, read on first use from the rows
+        or the factors of a group made from them or from a ListLaw."""
         if self._law is None:
             self._law = Law.of_table(self._rows)
+        elif isinstance(self._law, ListLaw):
+            self._law = _law_of(self._law.factors)
         return self._law
 
     @property
@@ -598,13 +773,17 @@ def _factors(spec: GroupSpec) -> tuple[int, list[tuple]]:
         factors = [("dicyclic", n // 4)]
     elif isinstance(spec, Modular):
         q, r = spec.q, spec.r
+        # The budget first: is_prime cannot decide a q past SIEVE_BOUND**2,
+        # and any such q**r with r >= 2 is past the budget, prime or not.
+        if q >= 2 and r >= 0:
+            if r >= LAW_BUDGET.bit_length():  # q**r >= 2**r is past the budget: not computed
+                raise _over_budget(f"{q}^{r}")
+            _walkable(q**r)
         _require(arith.is_prime(q), f"modular group parameter q must be prime, got {q}")
         _require(
             r >= 4 or (r == 3 and q > 2),
             f"modular group needs r >= 4, or r = 3 with q > 2; got (q={q}, r={r})",
         )
-        if r >= LAW_BUDGET.bit_length():  # q**r >= 2**r is past the budget: not computed
-            raise _over_budget(f"{q}^{r}")
         n, factors = q**r, [("semidirect", q ** (r - 1), q, q ** (r - 2) + 1)]
     else:
         raise GroupSpecError(f"unknown group spec {spec!r}")
@@ -617,12 +796,6 @@ def _law_for(spec: GroupSpec) -> Law:
     return _law_of(_factors(spec)[1])
 
 
-def _law_of(factors) -> Law:
-    """The law of the direct product of factors as ``_factors`` lists them."""
-    rules = {"cyclic": _cyclic_law, "semidirect": _semidirect_law, "dicyclic": _dicyclic_law}
-    return reduce(_product_law, (rules[kind](*args) for kind, *args in factors))
-
-
 def _rows_of(factors) -> list[list[int]]:
     """The rows of the same product, by the family rules of ``tables``."""
     from . import tables
@@ -632,7 +805,7 @@ def _rows_of(factors) -> list[list[int]]:
     return reduce(tables._product_table, (rules[kind](*args) for kind, *args in factors))
 
 
-def build_group(spec: GroupSpec) -> Group:
+def build_group(spec: GroupSpec, *, lists: bool = True) -> Group:
     """Realize a GroupSpec as a Group.
 
     A table: spec's rows are given to Group, which checks them in full with
@@ -641,8 +814,10 @@ def build_group(spec: GroupSpec) -> Group:
     triples.  Either is a table of at most TABLE_BUDGET elements.  A
     generated spec is checked once, by ``_factors``, and its order decides:
     up to HARD_CAP, Group gets the rows of the family rules of ``tables``
-    and checks them with validate_table, without loading numpy; above it,
-    up to LAW_BUDGET, Group gets the law and spot-checks it.
+    and checks them with validate_table; above it, Group gets the law and
+    spot-checks it, a ListLaw up to TABLE_BUDGET and a numpy law above.
+    Neither of the first two loads numpy.  With ``lists`` false every law
+    is numpy's, as ``build_groups`` builds them.
     """
     if isinstance(spec, FromTable):
         _require_table(len(spec.rows))
@@ -656,7 +831,22 @@ def build_group(spec: GroupSpec) -> Group:
             )
         return Group(Law.of_table(_perm_table(spec.degree, spec.generators)), spec)
     n, factors = _factors(spec)
-    return Group(_rows_of(factors) if n <= HARD_CAP else _law_of(factors), spec)
+    if n <= HARD_CAP:
+        return Group(_rows_of(factors), spec)
+    if lists and n <= TABLE_BUDGET:
+        return Group(_list_law_of(factors), spec)
+    return Group(_law_of(factors), spec)
+
+
+def build_groups(specs):
+    """Realize each spec in turn, lazily, as ``build_group`` with numpy laws.
+
+    For a scan over many groups: past the first, numpy walks a law of order
+    above HARD_CAP several times faster than lists do, so one import pays
+    for itself.
+    """
+    for spec in specs:
+        yield build_group(spec, lists=False)
 
 
 def _check_action(m: int, k: int, a: int) -> int:

@@ -39,41 +39,45 @@ are tables from the family rules of ``tables``, each checked as a class and
 matched to catalog classes by ``isomorphic_to_canonical``, so these claims
 load no ``groups`` or numpy, with a cached catalog or without.  The
 family-scale claims, ``upper_bound`` and ``equality --family-only`` build
-groups with ``groups.build_group``: as checked pure-Python rows up to order
-HARD_CAP, and above it as laws, which load numpy.
+groups with ``groups``: as checked pure-Python rows up to order HARD_CAP and
+as laws above it.  ``upper_bound``, ``mqr`` and ``equality --family-only``
+build one or two groups each with ``build_group``, which walks a law of
+order up to 2048 on Python lists, without numpy; the scans ``thm4``,
+``lemma5`` and ``lemma6`` build theirs with ``build_groups``, whose laws
+are numpy's.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
 
 from . import DEFAULT_BOUND, arith
 from .arith import f_ratio, psi_cyclic
 
+# typing and pathlib are not imported at run time: the annotations are
+# strings, and the records are collections.namedtuple classes.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Sequence
+    from pathlib import Path
 
     from .groups import Group
 
 
-class Case(NamedTuple):
+class Case(namedtuple("Case", ("params", "lhs", "rhs", "verdict", "expected", "witnesses",
+                               "note"), defaults=((), ""))):
     """One exact comparison inside a report.
 
-    ``verdict`` states the raw outcome of comparing lhs against rhs;
-    ``expected`` states what the claim asserts that outcome must be, so an
-    inequality that is supposed to fail (and does) leaves the report green.
+    ``params`` is a dict; ``lhs`` and ``rhs`` are ints, Fractions or None.
+    ``verdict`` states the raw outcome of comparing lhs against rhs, one of
+    "holds", "equality", "fails" and "not_applicable"; ``expected`` states
+    what the claim asserts that outcome must be, in the same vocabulary
+    plus "not_equality", so an inequality that is supposed to fail (and
+    does) leaves the report green.  ``witnesses`` is a tuple of labels.
     """
 
-    params: dict
-    lhs: int | Fraction | None
-    rhs: int | Fraction | None
-    verdict: str  # "holds" | "equality" | "fails" | "not_applicable"
-    expected: str  # same vocabulary, plus "not_equality"
-    witnesses: tuple[str, ...] = ()
-    note: str = ""
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -82,17 +86,16 @@ class Case(NamedTuple):
         return self.verdict == self.expected
 
 
-class VerificationReport(NamedTuple):
-    """Outcome of one claim check: parameters, exact values, verdict."""
+class VerificationReport(namedtuple("VerificationReport", (
+        "claim_id", "params", "verdict", "lhs", "rhs", "witnesses", "cases", "note"),
+        defaults=(None, None, (), (), ""))):
+    """Outcome of one claim check: parameters, exact values, verdict.
 
-    claim_id: str
-    params: dict
-    verdict: str  # "holds" | "equality" | "fails" | "not_applicable"
-    lhs: int | Fraction | None = None
-    rhs: int | Fraction | None = None
-    witnesses: tuple[str, ...] = ()
-    cases: Sequence[Case] = ()
-    note: str = ""
+    ``verdict`` is one of "holds", "equality", "fails" and
+    "not_applicable"; ``cases`` is a sequence of Case.
+    """
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -362,16 +365,19 @@ def thm4_family_check(q: int, k_max: int) -> VerificationReport:
     psi must differ from f(q*) * psi(C_n), where q* is the least prime
     divisor of n = q^2 k.  Family-restricted by construction.
     """
-    from .groups import Cyclic, build_group, format_spec
+    from .groups import Cyclic, build_groups, format_spec
 
     if not arith.is_prime(q):
         raise ValueError(f"{q} is not prime")
     cases = []
+    built = build_groups(spec for k in range(1, k_max + 1)
+                         for spec in (_witness_spec(q, k), Cyclic(q * q * k)))
     for k in range(1, k_max + 1):
         n = q * q * k
-        witness = _witness_spec(q, k)
-        lhs = build_group(witness).psi()
-        cyc = build_group(Cyclic(n)).psi()
+        group, cyclic = next(built), next(built)
+        witness = group.spec
+        lhs = group.psi()
+        cyc = cyclic.psi()
         params = {"q": q, "k": k, "n": n}
         note = ""
         small = None if k == 1 else arith.least_prime_factor(k)
@@ -479,11 +485,12 @@ def lemma5_check(mk_max: int = 200) -> VerificationReport:
     to k and mk <= mk_max, so that C_m is a cyclic normal Sylow subgroup and
     the quotient is C_k.
     """
-    from .groups import SemidirectCyclic, build_group
+    from .groups import SemidirectCyclic, build_groups
 
     cases = []
-    for m, k, a in _sylow_semidirect_parameters(mk_max):
-        lhs = build_group(SemidirectCyclic(m, k, a)).psi()
+    params = list(_sylow_semidirect_parameters(mk_max))
+    for (m, k, a), g in zip(params, build_groups(SemidirectCyclic(*p) for p in params)):
+        lhs = g.psi()
         rhs = psi_cyclic(m) * psi_cyclic(k)
         cases.append(
             Case(
@@ -515,14 +522,14 @@ def lemma6_check(mk_max: int = 200) -> VerificationReport:
 
     exactly, in rational arithmetic.
     """
-    from .groups import SemidirectCyclic, build_group, kernel_of_action
+    from .groups import SemidirectCyclic, build_groups, kernel_of_action
 
     cases = []
-    for m, k, a in _sylow_semidirect_parameters(mk_max):
-        if k == 1 or a == 1:
-            continue
+    params = [(m, k, a) for m, k, a in _sylow_semidirect_parameters(mk_max)
+              if k > 1 and a != 1]
+    for (m, k, a), g in zip(params, build_groups(SemidirectCyclic(*p) for p in params)):
         z = kernel_of_action(m, k, a)
-        lhs = build_group(SemidirectCyclic(m, k, a)).psi()
+        lhs = g.psi()
         rhs = (
             psi_cyclic(m)
             * psi_cyclic(k)

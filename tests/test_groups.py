@@ -31,6 +31,7 @@ from ordersum.groups import (
     Group,
     GroupSpecError,
     Law,
+    ListLaw,
     Modular,
     SemidirectCyclic,
     TableError,
@@ -475,13 +476,128 @@ class TestRowsAndLawAgree:
             assert str(exc.value) == INVALID_SMALL_SPECS[text], realize
 
 
+# Specs of every family, and products, of orders HARD_CAP + 1 to TABLE_BUDGET:
+# those build_group walks on Python lists.  SD(1,17,0) is C17 with m = 1.
+ENGINE_SPECS = ["C17", "C1500", "C2048", "A[4,8,64]", "A[2,2,2,2,2,2,2,2,2,2,2]", "A[3,9]",
+                "D18", "D2048", "Q32", "Q2048", "M(3,3)", "M(2,5)", "M(5,3)", "M(3,6)",
+                "M(2,11)", "SD(7,6,3)", "SD(41,40,3)", "SD(3,682,2)", "SD(1,17,0)",
+                "C2xQ1024", "D8xC3", "Q8xQ8", "C3xD10xQ8", "M(2,4)xSD(5,4,2)", "C1xC17",
+                "A[2,2]xD6", "Q16xM(3,3)"]
+
+# A law on 0..2 that is associative, with identity 0, but x*y = max(x, y),
+# so 1**3 = 1: no group's.
+MAX_LAW = [[0, 1, 2], [1, 1, 2], [2, 2, 2]]
+
+
+def list_law(spec) -> ListLaw:
+    return groups._list_law_of(groups._factors(spec)[1])
+
+
+def forged(rows, engine):
+    """A law that gathers from rows, on numpy arrays or on lists."""
+    if engine is Law:
+        return Law.of_table(np.array(rows))
+    n, flat = len(rows), [v for row in rows for v in row]
+    return ListLaw(n, lambda x, y: [flat[a * n + b] for a, b in zip(x, y)], None)
+
+
+def drawn(law, spec) -> list[tuple[int, int, int]]:
+    """Every spot-check triple of a law, joined across its chunks."""
+    return [tuple(map(int, t)) for a, b, c in groups._spot_triples(law, spec)
+            for t in zip(a, b, c)]
+
+
+class TestEngines:
+    """A single group of order HARD_CAP + 1 to TABLE_BUDGET is a ListLaw: the
+    spot check draws the triples numpy's law draws, and the walk gives the
+    orders numpy's walk gives."""
+
+    @staticmethod
+    def check(spec) -> None:
+        lists, arrays = list_law(spec), groups._law_for(spec)
+        assert len(lists) == len(arrays) and HARD_CAP < len(lists) <= TABLE_BUDGET, spec
+        assert drawn(lists, spec) == drawn(arrays, spec), spec
+        orders = element_orders_of_table(lists)
+        assert orders.tolist() == element_orders_of_table(arrays).tolist(), spec
+        g = build_group(spec)
+        assert isinstance(g._law, ListLaw), spec
+        assert g.element_orders.tolist() == orders.tolist(), spec
+        if len(lists) <= 300:  # the law itself, on every pair
+            x, y = divmod(np.arange(len(lists) ** 2), len(lists))
+            assert lists(x.tolist(), y.tolist()) == arrays(x, y).tolist(), spec
+
+    @pytest.mark.parametrize("text", ENGINE_SPECS)
+    def test_specs(self, text):
+        self.check(parse_spec(text))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(family_specs(), products_of_two()))
+    def test_random_specs(self, spec):
+        assume(len(groups._law_for(spec)) > HARD_CAP)
+        self.check(spec)
+
+    def test_first_triples(self):
+        # Pinned: a change to the stream changes which triples check every law.
+        spec = Cyclic(2048)
+        expected = [(1920, 462, 1758), (186, 1975, 819), (18, 1044, 1673), (1456, 1483, 197)]
+        for law in (list_law(spec), groups._law_for(spec)):
+            assert drawn(law, spec)[:4] == expected
+        assert random.Random(repr(spec)).randbytes(4) == bytes.fromhex("06c31cf0")
+
+    @pytest.mark.parametrize("engine", [Law, ListLaw])
+    def test_chunks_join_to_one_draw(self, engine, monkeypatch):
+        # 10n = 180 triples, drawn 7 at a time or in one draw of 2160 bytes.
+        spec = Dihedral(HARD_CAP + 2)
+        law = list_law(spec) if engine is ListLaw else groups._law_for(spec)
+        whole = drawn(law, spec)
+        monkeypatch.setattr(engine, "chunk", 7)
+        assert drawn(law, spec) == whole and len(whole) == 180
+        rng, one = random.Random(repr(spec)), random.Random(repr(spec)).randbytes(2160)
+        assert b"".join(rng.randbytes(12 * min(7, 180 - i)) for i in range(0, 180, 7)) == one
+
+    @pytest.mark.parametrize("engine", [Law, ListLaw])
+    def test_forged_laws_rejected(self, engine):
+        spec = Cyclic(5)
+        with pytest.raises(TableError) as exc:
+            Group(forged(NON_ASSOCIATIVE, engine), spec)
+        assert str(exc.value) == "the law of Cyclic(n=5) failed an associativity spot check"
+        with pytest.raises(TableError) as exc:
+            element_orders_of_table(forged(NON_ASSOCIATIVE, engine))
+        assert str(exc.value) == "element 1 to the power 5 is not the identity: not a group"
+        with pytest.raises(TableError) as exc:
+            Group(forged(MAX_LAW, engine), Cyclic(3))
+        assert str(exc.value) == "element 1 to the power 3 is not the identity: not a group"
+
+    def test_law_and_table_are_numpy(self):
+        # A group walked on lists reads its law and table as numpy's.
+        g = build_group(Dihedral(64))
+        assert isinstance(g._law, ListLaw)
+        assert type(g.law) is Law
+        assert np.array_equal(g.table, groups._table_for(groups._law_for(Dihedral(64))))
+
+    def test_engine_by_order(self):
+        specs = [Cyclic(HARD_CAP), Cyclic(HARD_CAP + 1), Cyclic(TABLE_BUDGET),
+                 Cyclic(TABLE_BUDGET + 1)]
+        assert [type(build_group(s)._law) for s in specs] == [
+            type(None), ListLaw, ListLaw, Law]
+        # A scan's groups above HARD_CAP are numpy's, built one at a time.
+        built = groups.build_groups(iter(specs))
+        assert next(built)._law is None
+        assert [type(g._law) for g in built] == [Law, Law, Law]
+
+
 # The first check each spec fails, in the order the checks run: each part's
-# parameters and order, then the order of the product so far.
+# parameters and order, then the order of the product so far.  M(q,r) is
+# refused by its order before q is tested for primality, which the sieve
+# cannot decide for q = 1000000000039.
 CHECK_ORDER = {
     "C1024xC1024xC2": "order 2097152 exceeds the element budget 1048576 of a group law",
     "C2048xC1024xC1024": "order 2097152 exceeds the element budget 1048576 of a group law",
     "C2097152xD7": "order 2097152 exceeds the element budget 1048576 of a group law",
     "D7xC2097152": "dihedral order must be even and >= 2, got 7",
+    "M(1000000000039,4)": "order 1000000000156000000009126000000237276000002313441 exceeds "
+                          "the element budget 1048576 of a group law",
+    "M(6,30)": "order 6^30 exceeds the element budget 1048576 of a group law",
 }
 
 
