@@ -1,6 +1,5 @@
 """Exact integer and rational arithmetic for element-order sums, and the
-integer rules of the construction families that the numpy engine and the
-catalog's pure-Python tables share.
+actions x -> x**a that make C_m x| C_k a group (``semidirect_actions``).
 
 Everything here is integer or ``fractions.Fraction``; no floating point is
 used anywhere in the package, so every comparison made by the verification
@@ -107,16 +106,6 @@ def semidirect_actions(m: int, k: int) -> list[int]:
     """Every a in 1..m-1 for which x -> x**a makes C_m x| C_k a group: a unit
     mod m with a**k == 1 (mod m)."""
     return [a for a in range(1, m) if math.gcd(a, m) == 1 and pow(a, k, m) == 1]
-
-
-def dicyclic_product(h: int, x, y):
-    """The product of x and y in the dicyclic group of order 4h.
-
-    <a, b | a^(2h) = 1, b^2 = a^h, bab^-1 = a^-1> on indices i*2 + j for
-    a^i b^j.  The one expression multiplies Python ints and integer arrays.
-    """
-    i1, j1, i2, j2 = x >> 1, x & 1, y >> 1, y & 1
-    return (i1 + (1 - 2 * j1) * i2 + h * (j1 & j2)) % (2 * h) * 2 + (j1 ^ j2)
 
 
 def psi_cyclic_prime_power(p: int, m: int) -> int:

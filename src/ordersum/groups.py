@@ -397,38 +397,36 @@ def _product_law(la: Law, lb: Law) -> Law:
     return Law(la.n * nb, lambda x, y: la(hi[x], hi[y]) * nb + lb(lo[x], lo[y]))
 
 
-def _semidirect_law(m: int, k: int, a: int) -> Law:
-    """C_m x| C_k on indices i*k + j.
+def _metacyclic_law(m: int, k: int, a: int, s: int = 0) -> Law:
+    """C_m by C_k on indices i*k + j, carrying s into C_m where j wraps:
 
-    (i1, j1) * (i2, j2) = (i1 + a**j1 * i2 mod m, j1 + j2 mod k), which makes
-    conjugation by the C_k generator send the C_m generator x to x**a.  The
-    law gathers from arrays of O(n) entries instead of dividing: the
-    coordinates of each index, a**j * i mod m at j*m + i, and sums mod m and k.
+    (i1, j1) * (i2, j2) = (i1 + a**j1 * i2 + s [j1 + j2 >= k] mod m, j1 + j2 mod k).
+
+    With s = 0 it is C_m x| C_k, conjugation by the C_k generator sending
+    the C_m generator x to x**a; with m = 2h, k = 2, a = -1 and s = h it is
+    the dicyclic group of order 4h, as ``tables._dicyclic_table`` gives the
+    catalog's tables.  The law gathers from arrays of O(n) entries instead
+    of dividing.  The unreduced sums u = i1 + a**j1 * i2 < 2m and
+    t = j1 + j2 < 2k index ``prod`` at u*2k + t, and that index is the sum
+    of three gathers: x's i1*2k + j1, the action a**j1 * i2 times 2k at
+    j1*m + i2, and y's j2.
     """
     import numpy as np
 
     n = m * k
-    apow = np.array([pow(a, j, m) for j in range(k)], dtype=np.int64)
-    act = (apow[:, None] * np.arange(m, dtype=np.int64) % m).ravel()
     i, j = divmod(np.arange(n, dtype=np.int64), k)
-    jm = j * m
-    sum_m = np.arange(2 * m, dtype=np.int64) % m * k  # (i1 + i2 mod m) * k
-    sum_k = np.arange(2 * k, dtype=np.int64) % k
-
-    def mul(x, y):
-        return sum_m[i[x] + act[jm[x] + i[y]]] + sum_k[j[x] + j[y]]
-
-    return Law(n, mul)
-
-
-def _dicyclic_law(h: int) -> Law:
-    """Dicyclic group of order 4h, by the rule the catalog's tables share."""
-    return Law(4 * h, lambda x, y: arith.dicyclic_product(h, x, y))
+    apow = np.array([pow(a, e, m) for e in range(k)], dtype=np.int64)
+    act = (apow[:, None] * np.arange(m, dtype=np.int64) % m * (2 * k)).ravel()
+    u, t = divmod(np.arange(4 * n, dtype=np.int64), 2 * k)
+    prod = (u + s * (t >= k)) % m * k + t % k
+    base, jm = i * (2 * k) + j, j * m
+    return Law(n, lambda x, y: prod[base[x] + act[jm[x] + i[y]] + j[y]])
 
 
 def _law_of(factors) -> Law:
     """The law of the direct product of factors as ``_factors`` lists them."""
-    rules = {"cyclic": _cyclic_law, "semidirect": _semidirect_law, "dicyclic": _dicyclic_law}
+    rules = {"cyclic": _cyclic_law, "semidirect": _metacyclic_law,
+             "dicyclic": lambda h: _metacyclic_law(2 * h, 2, 2 * h - 1, h)}
     return reduce(_product_law, (rules[kind](*args) for kind, *args in factors))
 
 
@@ -459,27 +457,14 @@ def _product_lists(a, b):
 
 
 def _metacyclic_lists(m: int, k: int, a: int, s: int = 0):
-    """C_m by C_k on indices i*k + j, carrying s into C_m where j wraps:
-
-    (i1, j1) * (i2, j2) = (i1 + a**j1 * i2 + s [j1 + j2 >= k] mod m, j1 + j2 mod k).
-
-    With s = 0 it is ``_semidirect_law``'s C_m x| C_k; with m = 2h, k = 2,
-    a = -1 and s = h it is ``arith.dicyclic_product``'s dicyclic group.
-    The product index is sums[i1*k + (a**j1 * i2 mod m)*k + the j-part
-    with its carry], each term a gather from a list of O(n) entries.
-    """
+    """``_metacyclic_law(m, k, a, s)`` on lists, from the same tables."""
     n = m * k
-    apow = [pow(a, j, m) for j in range(k)]
     i, j = [x // k for x in range(n)], [x % k for x in range(n)]
-    ik, jm = [x - x % k for x in range(n)], [x % k * m for x in range(n)]
-    act = [p * i2 % m * k for p in apow for i2 in range(m)]  # at j1*m + i2
-    carry = [(t >= k) * s * k + t % k for t in range(2 * k)]  # at j1 + j2
-    sums = list(range(n)) * 3  # each term is below n
-
-    def mul(x, y):
-        return [sums[ik[u] + act[jm[u] + i[v]] + carry[j[u] + j[v]]] for u, v in zip(x, y)]
-
-    return n, mul
+    apow = [pow(a, e, m) for e in range(k)]
+    act = [p * i2 % m * (2 * k) for p in apow for i2 in range(m)]
+    prod = [(u + s * (t >= k)) % m * k + t % k for u in range(2 * m) for t in range(2 * k)]
+    base, jm = [x // k * (2 * k) + x % k for x in range(n)], [x % k * m for x in range(n)]
+    return n, lambda x, y: [prod[base[u] + act[jm[u] + i[v]] + j[v]] for u, v in zip(x, y)]
 
 
 def _list_law_of(factors) -> ListLaw:
@@ -604,13 +589,14 @@ def _spot_check_associativity(law: Law, spec: GroupSpec) -> None:
             raise TableError(f"the law of {spec!r} failed an associativity spot check")
 
 
-def _power_map(law: Law, sq, e: int):
+def _power_map(law: Law, idx, sq, e: int):
     """The map x -> x**e over all elements (e >= 1), by repeated squaring.
 
-    ``sq`` is the squaring map, so each square is one gather from it and
-    only the multiplications for the set bits of e call the law.
+    ``idx`` is every element and ``sq`` the squaring map, so each square is
+    one gather from it and only the multiplications for the set bits of e
+    call the law.
     """
-    out, base = None, law.indices()
+    out, base = None, idx
     while True:
         if e & 1:
             out = base if out is None else law(out, base)
@@ -638,8 +624,8 @@ def element_orders_of_table(law: Law):
     sq = law(idx, idx)
     orders = law.ones()
     for p, a in arith.factorize(n):
-        cur = _power_map(law, sq, n // p**a)
-        pth = _power_map(law, sq, p)
+        cur = _power_map(law, idx, sq, n // p**a)
+        pth = _power_map(law, idx, sq, p)
         for _ in range(a):
             if not law.any(cur):
                 break

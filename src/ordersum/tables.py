@@ -17,8 +17,6 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain
 
-from . import arith
-
 
 # collections.namedtuple, not typing.NamedTuple: the catalog commands load
 # no typing.
@@ -140,7 +138,14 @@ def _semidirect_table(m: int, k: int, a: int) -> list[list[int]]:
 
 
 def _dicyclic_table(h: int) -> list[list[int]]:
-    return [[arith.dicyclic_product(h, x, y) for y in range(4 * h)] for x in range(4 * h)]
+    """<a, b | a^(2h) = 1, b^2 = a^h, bab^-1 = a^-1>, of order 4h, on indices
+    i*2 + j for a^i b^j."""
+
+    def mul(x: int, y: int) -> int:
+        i1, j1, i2, j2 = x >> 1, x & 1, y >> 1, y & 1
+        return (i1 + (1 - 2 * j1) * i2 + h * (j1 & j2)) % (2 * h) * 2 + (j1 ^ j2)
+
+    return [[mul(x, y) for y in range(4 * h)] for x in range(4 * h)]
 
 
 def _perm_table(gens) -> list[list[int]]:
