@@ -430,10 +430,9 @@ def _law_of(factors) -> Law:
     return reduce(_product_law, (rules[kind](*args) for kind, *args in factors))
 
 
-# The same rules on Python lists.  Each gives (n, mul), mul one list
-# comprehension of gathers from lists of O(n) entries: in CPython 3.11 that
-# is faster than a chain of ``map`` calls, which builds no list per step
-# either.
+# The same rules on Python lists.  Each gives (n, mul), and mul is one list
+# comprehension of gathers from lists of O(n) entries, which CPython 3.11
+# runs faster than a chain of ``map`` calls.
 
 
 def _cyclic_lists(n: int):
