@@ -13,14 +13,15 @@ load the groups and the enumerator only where a claim needs them).  The
 enumerator checks, walks and names catalog classes on pure-Python tables,
 so ``catalog``, ``spectrum`` and ``verify max_cyclic``/``equality``/
 ``lemma7`` load neither the groups nor numpy, with a cached catalog or
-without.  The groups build every group of order at most HARD_CAP, and
-every ``table:`` file, as pure-Python rows from the family rules of
-``tables`` and check them in full, so ``psi Q8``, ``psi table:FILE`` and the
-claims on small groups (``upper_bound --spec Q8``, ``thm4 --q 2 --kmax 4``,
-``equality --family-only`` to order 16) load no numpy.  Numpy is loaded
-where a larger group or a ``perm:`` closure is built as a law: ``psi
-C2048``, and ``lemma5``, ``lemma6``, ``mqr`` and ``thm4`` at their usual
-ranges.
+without.  The groups build every generated group of order at most
+HARD_CAP, and every ``table:`` file, as pure-Python rows, checked in full,
+and one generated group of order up to TABLE_BUDGET as a law on lists, by
+the list rules of ``tables``, so ``psi Q8``, ``psi C2048``, ``psi
+table:FILE``, ``upper_bound``, ``mqr``, ``equality --family-only`` and
+the scans on small groups (``thm4 --q 2 --kmax 4``) load no numpy.  Numpy
+is loaded where a group above TABLE_BUDGET, a ``perm:`` closure or a
+scan's groups above HARD_CAP are built as a law: ``psi C4096``, and
+``lemma5``, ``lemma6`` and ``thm4`` at their usual ranges.
 
 Of the standard library, no command imports ``dataclasses`` (which
 brings ``inspect``, ``ast`` and ``dis``): the group specs are ``__slots__``

@@ -47,8 +47,9 @@ A catalog class is its canonical table as a tuple of tuples, checked and
 walked in pure Python (``tables._checked_class``): the tables are at most
 ``HARD_CAP`` square, and the search and the scan already read them as
 lists.  The classes are named by matching them against the tables of the
-construction families, built by the pure-Python rules of ``tables``, which
-give the same tables as the laws of ``groups``; ``isomorphic_to_canonical``
+construction families, ``tables._rows``: the list rules of ``tables``, which
+``groups`` walks its list laws by too, applied to the grid of all pairs,
+so they give the same tables as the laws of ``groups``; ``isomorphic_to_canonical``
 is the one test of whether a table is a given class.  This module does not
 import ``groups``: every function, ``canonical_form`` too, takes tables as
 rows and returns them as tuples of tuples, so no catalog, computed or read
@@ -65,15 +66,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import DEFAULT_BOUND, HARD_CAP, arith
-from .tables import (
-    CatalogClass,
-    _abelian_table,
-    _checked_class,
-    _cyclic_table,
-    _dicyclic_table,
-    _perm_table,
-    _semidirect_table,
-)
+from .tables import CatalogClass, _checked_class, _perm_table, _rows
 
 GENERATOR_VERSION = 1
 
@@ -501,33 +494,33 @@ def _family_candidates(n: int):
     Used to attach a readable description to each enumerated class; classes
     outside the families keep a generic profile-based description.
     """
-    yield f"C{n}", _cyclic_table(n)
+    yield f"C{n}", _rows([("cyclic", n)])
     if n == 12:
         # The alternating group on 4 points; not a cyclic-by-cyclic product.
         yield "A4", _perm_table(((1, 2, 0, 3), (1, 0, 3, 2)))
     for chain in abelian_invariant_chains(n):
         if list(chain) != [n]:
-            yield "A[" + ",".join(map(str, chain)) + "]", _abelian_table(chain)
+            yield "A[" + ",".join(map(str, chain)) + "]", _rows([("cyclic", d) for d in chain])
     if n >= 8 and n & (n - 1) == 0:
-        yield f"Q{n}", _dicyclic_table(n // 4)
+        yield f"Q{n}", _rows([("dicyclic", n // 4)])
     fac = arith.factorize(n)
     if len(fac) == 1:
         q, r = fac[0]
         if r >= 4 or (r == 3 and q > 2):
-            yield f"M({q},{r})", _semidirect_table(q ** (r - 1), q, q ** (r - 2) + 1)
+            yield f"M({q},{r})", _rows([("semidirect", q ** (r - 1), q, q ** (r - 2) + 1)])
     if n % 2 == 0 and n >= 4:
-        yield f"D{n}", _semidirect_table(n // 2, 2, n // 2 - 1)
+        yield f"D{n}", _rows([("semidirect", n // 2, 2, n // 2 - 1)])
     if n % 4 == 0 and n >= 8:
         h = n // 4
         # Dicyclic group of order 4h, realized as SD(h, 4, h-1) for odd h.
         if h % 2 == 1 and h > 1:
-            yield f"Dic{h} = SD({h},4,{h - 1})", _semidirect_table(h, 4, h - 1)
+            yield f"Dic{h} = SD({h},4,{h - 1})", _rows([("semidirect", h, 4, h - 1)])
     for m in range(2, n):
         if n % m:
             continue
         k = n // m
         for a in arith.semidirect_actions(m, k)[1:]:  # a = 1 is the direct product
-            yield f"SD({m},{k},{a})", _semidirect_table(m, k, a)
+            yield f"SD({m},{k},{a})", _rows([("semidirect", m, k, a)])
 
 
 def abelian_invariant_chains(n: int) -> list[tuple[int, ...]]:

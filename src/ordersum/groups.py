@@ -7,12 +7,13 @@ decides how it is realized, on the same mixed-radix indices every way, so
 every way gives the same table:
 
 * as Python rows, for every generated spec of order at most ``HARD_CAP``
-  (the catalog's table bound) and every table: file.  The family rules of
-  ``tables``, which the catalog names its classes by, give a generated
-  spec's rows, and the catalog's full group check, ``validate_table``
-  (Latin and identity checks, Light's associativity test and the order
-  walk), checks the rows and walks their element orders in one pass.  This
-  way loads neither numpy nor the catalog layer;
+  (the catalog's table bound) and every table: file.  The list rules of
+  ``tables``, applied to the grid of all pairs, give a generated spec's
+  rows, the catalog's class tables included, and the catalog's full group
+  check, ``validate_table`` (Latin and identity checks, Light's
+  associativity test and the order walk), checks the rows and walks their
+  element orders in one pass.  This way loads neither numpy nor the
+  catalog layer;
 * as a law, for every larger generated spec and every perm: closure.  A
   law mul(x, y) multiplies element indices elementwise, with the identity
   at index 0: closed-form on the coordinates for a generated group, a
@@ -22,14 +23,16 @@ every way gives the same table:
   engines, with the same rules, triples and walk:
 
   - a ``ListLaw`` on Python lists, for one group of order up to
-    ``TABLE_BUDGET`` from ``build_group``: ``psi``, ``verify upper_bound``,
-    ``verify mqr`` and ``verify equality --family-only`` load no numpy;
+    ``TABLE_BUDGET`` from ``build_group``, by the same list rules of
+    ``tables`` as the rows: ``psi``, ``verify upper_bound``, ``verify mqr``
+    and ``verify equality --family-only`` load ``tables`` and no numpy;
   - a ``Law`` on numpy arrays, for a group above ``TABLE_BUDGET``, for a
     perm: closure, and for the groups a scan builds with ``build_groups``
     (``verify thm4``, ``lemma5`` and ``lemma6``), where one numpy import
     pays for itself.
 
-numpy is imported only inside the functions that build or walk a numpy law.
+numpy is imported only inside the functions that build or walk a numpy law,
+and ``tables`` only where rows or a ListLaw are built.
 There are no per-family order formulas to trust: orders are walked on the
 rows or the law.  A Group keeps its element orders and its rows or law;
 ``law`` of a group made from rows or from a ListLaw is numpy's, read on
@@ -316,7 +319,8 @@ class ListLaw(Law):
     up to TABLE_BUDGET, where importing numpy would cost more than the walk.
 
     ``law(x, y)`` multiplies two equally long lists of element indices
-    elementwise.  Its factors' rules are the numpy laws' on the same
+    elementwise.  Its factors' rules are the list rules of ``tables``, the
+    ones the catalog's rows are built by: the numpy laws' rules on the same
     indices, each one list comprehension of gathers from lists of O(n)
     entries, so only the product list is built.  ``factors`` are the
     spec's, as ``_factors`` lists them; ``_law_of(factors)`` is the same
@@ -404,8 +408,8 @@ def _metacyclic_law(m: int, k: int, a: int, s: int = 0) -> Law:
 
     With s = 0 it is C_m x| C_k, conjugation by the C_k generator sending
     the C_m generator x to x**a; with m = 2h, k = 2, a = -1 and s = h it is
-    the dicyclic group of order 4h, as ``tables._dicyclic_table`` gives the
-    catalog's tables.  The law gathers from arrays of O(n) entries instead
+    the dicyclic group of order 4h.  ``tables._metacyclic_lists`` is the
+    same rule on lists.  The law gathers from arrays of O(n) entries instead
     of dividing.  The unreduced sums u = i1 + a**j1 * i2 < 2m and
     t = j1 + j2 < 2k index ``prod`` at u*2k + t, and that index is the sum
     of three gathers: x's i1*2k + j1, the action a**j1 * i2 times 2k at
@@ -430,48 +434,11 @@ def _law_of(factors) -> Law:
     return reduce(_product_law, (rules[kind](*args) for kind, *args in factors))
 
 
-# The same rules on Python lists.  Each gives (n, mul), and mul is one list
-# comprehension of gathers from lists of O(n) entries, which CPython 3.11
-# runs faster than a chain of ``map`` calls.
-
-
-def _cyclic_lists(n: int):
-    sums = list(range(n)) * 2
-    return n, lambda x, y: [sums[a + b] for a, b in zip(x, y)]
-
-
-def _product_lists(a, b):
-    """Direct product on mixed-radix indices (a, b) -> a * nb + b."""
-    (na, mul_a), (nb, mul_b) = a, b
-    n = na * nb
-    hi, lo = [x // nb for x in range(n)], [x % nb for x in range(n)]
-    shifted = list(range(0, n, nb))  # shifted[a] = a * nb
-
-    def mul(x, y):
-        high = mul_a([hi[u] for u in x], [hi[v] for v in y])
-        low = mul_b([lo[u] for u in x], [lo[v] for v in y])
-        return [shifted[h] + w for h, w in zip(high, low)]
-
-    return n, mul
-
-
-def _metacyclic_lists(m: int, k: int, a: int, s: int = 0):
-    """``_metacyclic_law(m, k, a, s)`` on lists, from the same tables."""
-    n = m * k
-    i, j = [x // k for x in range(n)], [x % k for x in range(n)]
-    apow = [pow(a, e, m) for e in range(k)]
-    act = [p * i2 % m * (2 * k) for p in apow for i2 in range(m)]
-    prod = [(u + s * (t >= k)) % m * k + t % k for u in range(2 * m) for t in range(2 * k)]
-    base, jm = [x // k * (2 * k) + x % k for x in range(n)], [x % k * m for x in range(n)]
-    return n, lambda x, y: [prod[base[u] + act[jm[u] + i[v]] + j[v]] for u, v in zip(x, y)]
-
-
 def _list_law_of(factors) -> ListLaw:
-    """``_law_of(factors)`` on Python lists."""
-    rules = {"cyclic": _cyclic_lists, "semidirect": _metacyclic_lists,
-             "dicyclic": lambda h: _metacyclic_lists(2 * h, 2, 2 * h - 1, h)}
-    n, mul = reduce(_product_lists, (rules[kind](*args) for kind, *args in factors))
-    return ListLaw(n, mul, factors)
+    """``_law_of(factors)`` on Python lists, by the list rules of ``tables``."""
+    from .tables import _list_law
+
+    return ListLaw(*_list_law(factors), factors)
 
 
 def _table_for(law: Law) -> np.ndarray:
@@ -781,15 +748,6 @@ def _law_for(spec: GroupSpec) -> Law:
     return _law_of(_factors(spec)[1])
 
 
-def _rows_of(factors) -> list[list[int]]:
-    """The rows of the same product, by the family rules of ``tables``."""
-    from . import tables
-
-    rules = {"cyclic": tables._cyclic_table, "semidirect": tables._semidirect_table,
-             "dicyclic": tables._dicyclic_table}
-    return reduce(tables._product_table, (rules[kind](*args) for kind, *args in factors))
-
-
 def build_group(spec: GroupSpec, *, lists: bool = True) -> Group:
     """Realize a GroupSpec as a Group.
 
@@ -798,11 +756,11 @@ def build_group(spec: GroupSpec, *, lists: bool = True) -> Group:
     the law that gathers from the closure's table is spot-checked with 10n
     triples.  Either is a table of at most TABLE_BUDGET elements.  A
     generated spec is checked once, by ``_factors``, and its order decides:
-    up to HARD_CAP, Group gets the rows of the family rules of ``tables``
+    up to HARD_CAP, Group gets the rows of the list rules of ``tables``
     and checks them with validate_table; above it, Group gets the law and
-    spot-checks it, a ListLaw up to TABLE_BUDGET and a numpy law above.
-    Neither of the first two loads numpy.  With ``lists`` false every law
-    is numpy's, as ``build_groups`` builds them.
+    spot-checks it, a ListLaw by the same rules up to TABLE_BUDGET and a
+    numpy law above.  Neither of the first two loads numpy.  With ``lists``
+    false every law is numpy's, as ``build_groups`` builds them.
     """
     if isinstance(spec, FromTable):
         _require_table(len(spec.rows))
@@ -817,7 +775,9 @@ def build_group(spec: GroupSpec, *, lists: bool = True) -> Group:
         return Group(Law.of_table(_perm_table(spec.degree, spec.generators)), spec)
     n, factors = _factors(spec)
     if n <= HARD_CAP:
-        return Group(_rows_of(factors), spec)
+        from .tables import _rows
+
+        return Group(_rows(factors), spec)
     if lists and n <= TABLE_BUDGET:
         return Group(_list_law_of(factors), spec)
     return Group(_law_of(factors), spec)

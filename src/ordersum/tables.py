@@ -1,20 +1,25 @@
-"""Group tables as Python rows: the construction families' table rules and
-the package's one group check.
+"""Groups in pure Python: the construction families' one list rule set, the
+rows it gives, and the package's one group check.
 
-A table is n rows of n element indices with the identity at 0.  The family
-rules build, on the mixed-radix indices the laws of ``groups`` use, the
-tables of C_n, direct products, C_m x| C_k, the dicyclic groups and
-permutation closures, so each gives the table ``groups._table_for`` gives
-its spec.  ``_checked_class`` checks any table in full and walks its element
-orders.  The catalog layer (``enumeration``) builds, checks and names its
-classes with these, and ``groups`` realizes every spec of order at most
-``HARD_CAP`` and every table: file with them: neither loads numpy for them,
-and ``groups`` does not load the catalog layer.
+The list rules multiply lists of element indices for C_n, direct products,
+C_m x| C_k and the dicyclic groups, on the mixed-radix indices the numpy
+laws of ``groups`` use.  ``_list_law`` folds a spec's factors into one law,
+which ``groups.ListLaw`` walks, and ``_rows`` applies that law to the grid
+of all pairs: a table, n rows of n element indices with the identity at 0,
+the table ``groups._table_for`` gives the spec.  ``_perm_table`` closes a
+permutation group as rows.  ``_checked_class`` checks any table in full
+and walks its element orders.  The catalog layer (``enumeration``) builds,
+checks and names its classes with these, and ``groups`` builds with them
+the rows of every generated spec of order at most ``HARD_CAP``, the
+ListLaw of one up to ``TABLE_BUDGET``, and checks every table: file.  This
+module loads neither numpy nor ``groups``, and ``groups`` does not load the
+catalog layer.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
 from itertools import chain
 
 
@@ -112,40 +117,57 @@ def _checked_class(rows, n: int, description: str = "") -> CatalogClass:
     return CatalogClass(table, description, tuple(orders))
 
 
-def _cyclic_table(n: int) -> list[list[int]]:
-    return [[(i + j) % n for j in range(n)] for i in range(n)]
+# The family rules on Python lists, on the mixed-radix indices of the numpy
+# laws of ``groups``.  Each gives (n, mul), and mul is one list comprehension
+# of gathers from lists of O(n) entries, which CPython 3.11 runs faster than
+# a chain of ``map`` calls.
 
 
-def _product_table(ta, tb) -> list[list[int]]:
+def _cyclic_lists(n: int):
+    sums = list(range(n)) * 2
+    return n, lambda x, y: [sums[a + b] for a, b in zip(x, y)]
+
+
+def _product_lists(a, b):
     """Direct product on mixed-radix indices (a, b) -> a * nb + b."""
-    nb = len(tb)
-    return [[x * nb + y for x in ra for y in rb] for ra in ta for rb in tb]
+    (na, mul_a), (nb, mul_b) = a, b
+    n = na * nb
+    hi, lo = [x // nb for x in range(n)], [x % nb for x in range(n)]
+    shifted = list(range(0, n, nb))  # shifted[a] = a * nb
+
+    def mul(x, y):
+        high = mul_a([hi[u] for u in x], [hi[v] for v in y])
+        low = mul_b([lo[u] for u in x], [lo[v] for v in y])
+        return [shifted[h] + w for h, w in zip(high, low)]
+
+    return n, mul
 
 
-def _abelian_table(factors) -> list[list[int]]:
-    """C_d1 x C_d2 x ..., folded factor by factor."""
-    table = [[0]]
-    for d in factors:
-        table = _product_table(table, _cyclic_table(d))
-    return table
+def _metacyclic_lists(m: int, k: int, a: int, s: int = 0):
+    """``groups._metacyclic_law(m, k, a, s)`` on lists, from the same tables."""
+    n = m * k
+    i, j = [x // k for x in range(n)], [x % k for x in range(n)]
+    apow = [pow(a, e, m) for e in range(k)]
+    act = [p * i2 % m * (2 * k) for p in apow for i2 in range(m)]
+    prod = [(u + s * (t >= k)) % m * k + t % k for u in range(2 * m) for t in range(2 * k)]
+    base, jm = [x // k * (2 * k) + x % k for x in range(n)], [x % k * m for x in range(n)]
+    return n, lambda x, y: [prod[base[u] + act[jm[u] + i[v]] + j[v]] for u, v in zip(x, y)]
 
 
-def _semidirect_table(m: int, k: int, a: int) -> list[list[int]]:
-    """C_m x| C_k on indices i*k + j: (i1 + a**j1 * i2 mod m, j1 + j2 mod k)."""
-    apow = [pow(a, j, m) for j in range(k)]
-    return [[(i1 + apow[j1] * i2) % m * k + (j1 + j2) % k for i2 in range(m) for j2 in range(k)]
-            for i1 in range(m) for j1 in range(k)]
+def _list_law(factors):
+    """(n, mul) of the direct product of factors as ``groups._factors`` lists
+    them; no factors are the trivial group."""
+    rules = {"cyclic": _cyclic_lists, "semidirect": _metacyclic_lists,
+             "dicyclic": lambda h: _metacyclic_lists(2 * h, 2, 2 * h - 1, h)}
+    factors = factors or [("cyclic", 1)]
+    return reduce(_product_lists, (rules[kind](*args) for kind, *args in factors))
 
 
-def _dicyclic_table(h: int) -> list[list[int]]:
-    """<a, b | a^(2h) = 1, b^2 = a^h, bab^-1 = a^-1>, of order 4h, on indices
-    i*2 + j for a^i b^j."""
-
-    def mul(x: int, y: int) -> int:
-        i1, j1, i2, j2 = x >> 1, x & 1, y >> 1, y & 1
-        return (i1 + (1 - 2 * j1) * i2 + h * (j1 & j2)) % (2 * h) * 2 + (j1 ^ j2)
-
-    return [[mul(x, y) for y in range(4 * h)] for x in range(4 * h)]
+def _rows(factors) -> list[list[int]]:
+    """The table of that product: its mul applied to the grid of all pairs, in n rows."""
+    n, mul = _list_law(factors)
+    flat = mul([x for x in range(n) for _ in range(n)], list(range(n)) * n)
+    return [flat[x:x + n] for x in range(0, n * n, n)]
 
 
 def _perm_table(gens) -> list[list[int]]:

@@ -35,7 +35,7 @@ propositions, including the q = 2 failure 341 < 336 and the q = 3 near-miss
 groups or read a catalog, so the audit loads neither.  The catalog claims
 ``max_cyclic``, ``equality`` and ``lemma7`` work on the classes'
 pure-Python tables: the equality witness and the ``SD(m,k,a)`` candidates
-are tables from the family rules of ``tables``, each checked as a class and
+are rows from the list rules of ``tables``, each checked as a class and
 matched to catalog classes by ``isomorphic_to_canonical``, so these claims
 load no ``groups`` or numpy, with a cached catalog or without.  The
 family-scale claims, ``upper_bound`` and ``equality --family-only`` build
@@ -212,7 +212,7 @@ def verify_equality_classification(
     construction and the report is flagged family-restricted.
     """
     from .enumeration import EnumerationBoundError, catalog, isomorphic_to_canonical
-    from .tables import _abelian_table, _checked_class
+    from .tables import _checked_class, _rows
 
     if q is None:
         q = arith.least_prime_factor(n)
@@ -255,7 +255,8 @@ def verify_equality_classification(
         )
     else:
         classes = catalog(n, bound=bound, cache_dir=cache_dir)  # bound-checked before any table
-        witness = None if k is None else _checked_class(_abelian_table((q, q * k)), n)
+        witness = (None if k is None
+                   else _checked_class(_rows([("cyclic", q), ("cyclic", q * k)]), n))
         for cls in classes:
             if cls.is_cyclic():
                 continue  # psi(C_n) > target since f(q) < 1
@@ -294,7 +295,7 @@ def lemma7_check(
     clause is vacuous for classes without such a realization.
     """
     from .enumeration import catalog, isomorphic_to_canonical
-    from .tables import _checked_class, _semidirect_table
+    from .tables import _checked_class, _rows
 
     classes = catalog(n, bound=bound, cache_dir=cache_dir)
     values = sorted({cls.psi for cls in classes}, reverse=True)
@@ -315,7 +316,7 @@ def lemma7_check(
             m = p**e
             k = n // m
             for a in arith.semidirect_actions(m, k):
-                sd = _checked_class(_semidirect_table(m, k, a), n)
+                sd = _checked_class(_rows([("semidirect", m, k, a)]), n)
                 if isomorphic_to_canonical(sd, cls):
                     matches.append((m, k, a))
         if not matches:

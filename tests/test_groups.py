@@ -112,7 +112,8 @@ def _definitional_orders(rows: np.ndarray) -> np.ndarray:
 
 
 # The table builders the package used before it multiplied by laws, kept
-# here as the oracle for the laws' grids and walks.
+# here as the oracle for the laws' grids and walks and for the rows of the
+# list rules, tables._rows.
 
 
 def _cyclic_table(n: int) -> np.ndarray:
@@ -149,34 +150,26 @@ def _dicyclic_table(h: int) -> np.ndarray:
     return ((i1 + sign * i2 + h * (j1 & j2)) % n2) * 2 + (j1 ^ j2)
 
 
-# (cyclic, product, semidirect, dicyclic) table rules: the old numpy builders
-# above, and the pure-Python rules the catalog layer names classes with.
-OLD_BUILDERS = (_cyclic_table, _product_table, _semidirect_table, _dicyclic_table)
-CATALOG_RULES = (tables._cyclic_table, tables._product_table,
-                 tables._semidirect_table, tables._dicyclic_table)
-
-
-def _builder_table(spec, rules=OLD_BUILDERS):
-    """The table the rules give a family spec or a product of them."""
-    cyclic, product, semidirect, dicyclic = rules
+def _builder_table(spec):
+    """The table the old builders give a family spec or a product of them."""
     if isinstance(spec, Cyclic):
-        return cyclic(spec.n)
+        return _cyclic_table(spec.n)
     if isinstance(spec, Abelian):
-        return _builder_table(DirectProduct(Cyclic(d) for d in spec.factors if d != 1), rules)
+        return _builder_table(DirectProduct(Cyclic(d) for d in spec.factors if d != 1))
     if isinstance(spec, DirectProduct):
-        table = cyclic(1)
+        table = _cyclic_table(1)
         for part in spec.parts:
-            table = product(table, _builder_table(part, rules))
+            table = _product_table(table, _builder_table(part))
         return table
     if isinstance(spec, SemidirectCyclic):
-        return semidirect(spec.m, spec.k, spec.a % spec.m)
+        return _semidirect_table(spec.m, spec.k, spec.a % spec.m)
     if isinstance(spec, Dihedral):
         m = spec.order // 2
-        return semidirect(m, 2, (m - 1) % m if m > 1 else 0)
+        return _semidirect_table(m, 2, (m - 1) % m if m > 1 else 0)
     if isinstance(spec, GeneralizedQuaternion):
-        return dicyclic(spec.order // 4)
+        return _dicyclic_table(spec.order // 4)
     if isinstance(spec, Modular):
-        return semidirect(spec.q ** (spec.r - 1), spec.q, spec.q ** (spec.r - 2) + 1)
+        return _semidirect_table(spec.q ** (spec.r - 1), spec.q, spec.q ** (spec.r - 2) + 1)
     raise AssertionError(f"no builder for {spec!r}")
 
 
@@ -388,8 +381,8 @@ class TestCyclicTable:
 class TestLaws:
     """Each law's grid is the old builder's table, and both walk to the same orders.
 
-    Up to HARD_CAP the catalog layer's pure-Python rule gives the same table,
-    which passes the catalog check with the same orders.  The laws are built
+    Up to HARD_CAP the list rules of ``tables`` give the same table as rows,
+    which pass the catalog check with the same orders.  The laws are built
     with _law_for, since build_group takes the rows up to HARD_CAP.
     """
 
@@ -401,13 +394,19 @@ class TestLaws:
         assert np.array_equal(groups._table_for(law), table), spec
         assert np.array_equal(orders, element_orders_of_table(Law.of_table(table))), spec
         if len(law) <= HARD_CAP:
-            rows = _builder_table(spec, CATALOG_RULES)
+            rows = tables._rows(groups._factors(spec)[1])
             assert np.array_equal(np.array(rows), table), spec
             assert _checked_class(rows, len(law)).orders == tuple(orders.tolist()), spec
 
     def test_family_specs(self):
         for spec in _family_specs(64):
             self.check(spec)
+
+    def test_no_factors_are_the_trivial_group(self):
+        # The n = 1 catalog candidate A[] has an empty invariant chain, so no
+        # factors; a spec's _factors always has at least one.
+        assert tables._rows(()) == [[0]]
+        assert list(enumeration._family_candidates(1)) == [("C1", [[0]]), ("A[]", [[0]])]
 
     def test_products_of_two(self):
         pool = [s for s in _family_specs(12) if build_group(s).order > 1]

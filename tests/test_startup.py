@@ -6,8 +6,8 @@ closure, one group of order above TABLE_BUDGET, or the groups of a scan
 `dataclasses` or `traceback`, one that loads no numpy loads no `inspect`
 either, `psi`, `catalog` and `spectrum` load no `fractions` or `typing`,
 and only the catalog commands and those that load numpy load `pathlib`.
-A command that builds only groups of order above HARD_CAP loads no
-`tables`.
+A command that builds only numpy laws, of groups above TABLE_BUDGET or of a
+scan's groups above HARD_CAP, loads no `tables`.
 
 Each case runs in a fresh interpreter and reports the `ordersum` modules,
 numpy and the WATCHED standard modules that it left in `sys.modules` beyond
@@ -95,8 +95,9 @@ def test_import_layer_loads_no_groups(layer, below):
         "ordersum", "ordersum.arith", f"ordersum.{layer}"} | below
 
 
-# Command -> (argv, modules it must not load).  A group of order up to
-# HARD_CAP is built as rows by the family rules of `tables`, without numpy.
+# Command -> (argv, modules it must not load).  One generated group of order
+# up to TABLE_BUDGET is built by the list rules of `tables`, without numpy:
+# as rows up to HARD_CAP, and as a list law above.
 # Only the catalog layer needs `pathlib`; what numpy imports is its own.
 COMMANDS = {
     "audit": (["audit", "--qmax", "5", "--pmax", "11", "--smax", "2"],
@@ -190,13 +191,13 @@ def test_perm_file_loads_numpy(tmp_path):
     assert "numpy" in loaded_by_command(["psi", f"perm:{path}"])
 
 
-@pytest.mark.parametrize("argv", [["psi", "A[4,8,64]"],
-                                  ["verify", "thm4", "--q", "5", "--kmax", "2"],
-                                  ["verify", "mqr", "--q", "3", "--r", "3"]],
+@pytest.mark.parametrize("argv", [["verify", "thm4", "--q", "5", "--kmax", "2"],
+                                  ["psi", "C4096"]],
                          ids=lambda argv: " ".join(argv[:2]))
 def test_law_only_commands_load_no_tables(argv):
-    # Every group these build is above HARD_CAP, and its order, checked from
-    # the spec before anything is built, chooses a law: no rows are built.
+    # Every group these build is a numpy law, a scan's group above HARD_CAP
+    # or one group above TABLE_BUDGET, and its order, checked from the spec
+    # before anything is built, chooses that law: no rows or list law.
     assert "ordersum.tables" not in loaded_by_command(argv)
 
 

@@ -162,13 +162,14 @@ class TestEqualityClassification:
             verify_equality_classification(100)
 
     def test_bound_checked_before_the_witness_is_built(self, monkeypatch):
-        # a bound above the hard cap must fail before an n x n witness table exists
-        from ordersum import enumeration
+        # a bound above the hard cap must fail before an n x n witness table
+        # exists; theorems reads the row rule from tables when it builds one
+        from ordersum import enumeration, tables
 
         def unreachable(*args):
             raise AssertionError("witness table built before the bound check")
 
-        monkeypatch.setattr(enumeration, "_abelian_table", unreachable)
+        monkeypatch.setattr(tables, "_rows", unreachable)
         with pytest.raises(enumeration.EnumerationBoundError, match="hard cap"):
             verify_equality_classification(8196, bound=8196)
 
