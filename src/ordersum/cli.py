@@ -142,14 +142,14 @@ def _emit_reports(args, reports, command: str, extra: dict) -> int:
     return 0 if ok else 1
 
 
-def _orders_in_play(args) -> list[int]:
+def _orders_in_play(args) -> list[int] | range:
     if args.n is None and args.nmax is None:
         raise ValueError("this claim needs --n or --nmax")
     if args.n is not None:
         return [args.n]
     if args.nmax < 2:
         raise ValueError(f"--nmax {args.nmax} leaves no order to check: it must be at least 2")
-    return list(range(2, args.nmax + 1))
+    return range(2, args.nmax + 1)  # lazy: the bound check stops a huge --nmax
 
 
 def _mk_max(args, least: int = 2) -> int:

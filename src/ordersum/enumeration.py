@@ -502,25 +502,25 @@ def _family_candidates(n: int):
         if list(chain) != [n]:
             yield "A[" + ",".join(map(str, chain)) + "]", _rows([("cyclic", d) for d in chain])
     if n >= 8 and n & (n - 1) == 0:
-        yield f"Q{n}", _rows([("dicyclic", n // 4)])
+        yield f"Q{n}", _rows([("metacyclic", n // 2, 2, n // 2 - 1, n // 4)])
     fac = arith.factorize(n)
     if len(fac) == 1:
         q, r = fac[0]
         if r >= 4 or (r == 3 and q > 2):
-            yield f"M({q},{r})", _rows([("semidirect", q ** (r - 1), q, q ** (r - 2) + 1)])
+            yield f"M({q},{r})", _rows([("metacyclic", q ** (r - 1), q, q ** (r - 2) + 1)])
     if n % 2 == 0 and n >= 4:
-        yield f"D{n}", _rows([("semidirect", n // 2, 2, n // 2 - 1)])
+        yield f"D{n}", _rows([("metacyclic", n // 2, 2, n // 2 - 1)])
     if n % 4 == 0 and n >= 8:
         h = n // 4
         # Dicyclic group of order 4h, realized as SD(h, 4, h-1) for odd h.
         if h % 2 == 1 and h > 1:
-            yield f"Dic{h} = SD({h},4,{h - 1})", _rows([("semidirect", h, 4, h - 1)])
+            yield f"Dic{h} = SD({h},4,{h - 1})", _rows([("metacyclic", h, 4, h - 1)])
     for m in range(2, n):
         if n % m:
             continue
         k = n // m
         for a in arith.semidirect_actions(m, k)[1:]:  # a = 1 is the direct product
-            yield f"SD({m},{k},{a})", _rows([("semidirect", m, k, a)])
+            yield f"SD({m},{k},{a})", _rows([("metacyclic", m, k, a)])
 
 
 def abelian_invariant_chains(n: int) -> list[tuple[int, ...]]:
@@ -622,7 +622,7 @@ def _load_catalog(path: Path, n: int) -> list[CatalogClass] | None:
         return classes
     except FileNotFoundError:
         return None
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         warnings.warn(
             f"ignoring invalid cache file {path} ({type(exc).__name__}: {exc}); recomputing",
             RuntimeWarning,

@@ -2,9 +2,11 @@
 
 A generated spec (C12, A[2,6], D8, Q8, M(2,4), SD(5,4,2) and their direct
 products) is checked once, by ``_factors``, which gives its order and the
-cyclic-by-cyclic factors it is the direct product of.  Its order then
-decides how it is realized, on the same mixed-radix indices every way, so
-every way gives the same table:
+factors it is the direct product of, of two kinds: cyclic, and metacyclic
+(C_m by C_k, with a carry for Q).  Each engine maps the two kinds to its
+two rules and knows nothing of families.  The order then decides how the
+spec is realized, on the same mixed-radix indices every way, so every way
+gives the same table:
 
 * as Python rows, for every generated spec of order at most ``HARD_CAP``
   (the catalog's table bound) and every table: file.  The list rules of
@@ -23,9 +25,10 @@ every way gives the same table:
   engines, with the same rules, triples and walk:
 
   - a ``ListLaw`` on Python lists, for one group of order up to
-    ``TABLE_BUDGET`` from ``build_group``, by the same list rules of
-    ``tables`` as the rows: ``psi``, ``verify upper_bound``, ``verify mqr``
-    and ``verify equality --family-only`` load ``tables`` and no numpy;
+    ``TABLE_BUDGET`` from ``build_group``, holding only the rule that
+    ``tables._list_law`` builds by the same list rules as the rows:
+    ``psi``, ``verify upper_bound``, ``verify mqr`` and ``verify equality
+    --family-only`` load ``tables`` and no numpy;
   - a ``Law`` on numpy arrays, for a group above ``TABLE_BUDGET``, for a
     perm: closure, and for the groups a scan builds with ``build_groups``
     (``verify thm4``, ``lemma5`` and ``lemma6``), where one numpy import
@@ -36,7 +39,8 @@ and ``tables`` only where rows or a ListLaw are built.
 There are no per-family order formulas to trust: orders are walked on the
 rows or the law.  A Group keeps its element orders and its rows or law;
 ``law`` of a group made from rows or from a ListLaw is numpy's, read on
-first use, and ``table`` builds the n x n table from it afresh on each read.
+first use from the rows or built from the spec, and ``table`` builds the
+n x n table from it afresh on each read.
 Groups have no table equality; compare canonical forms
 (``enumeration.canonical_form``) of their rows.  Every spec has an element
 budget, checked before anything is built.
@@ -306,34 +310,22 @@ class Law:
         orders[cur != 0] *= p
         return orders
 
-    @staticmethod
-    def first_nonzero(cur) -> int:
-        """The index of the first element of cur that is not the identity."""
-        import numpy as np
-
-        return int(np.flatnonzero(cur)[0])
-
 
 class ListLaw(Law):
     """The law of a generated spec on Python lists, for one group of order
     up to TABLE_BUDGET, where importing numpy would cost more than the walk.
 
     ``law(x, y)`` multiplies two equally long lists of element indices
-    elementwise.  Its factors' rules are the list rules of ``tables``, the
-    ones the catalog's rows are built by: the numpy laws' rules on the same
-    indices, each one list comprehension of gathers from lists of O(n)
-    entries, so only the product list is built.  ``factors`` are the
-    spec's, as ``_factors`` lists them; ``_law_of(factors)`` is the same
-    law on numpy arrays.
+    elementwise.  Its rule is ``tables._list_law`` of the spec's factors,
+    built by the list rules the catalog's rows are built by: the numpy
+    laws' rules on the same indices, each one list comprehension of gathers
+    from lists of O(n) entries, so only the product list is built.
+    ``_law_of`` of the same factors is the same law on numpy arrays.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ()
 
     chunk = 1 << 12  # small int lists: a chunk of triples holds about 1 MB
-
-    def __init__(self, n: int, mul, factors):
-        super().__init__(n, mul)
-        self.factors = factors
 
     def indices(self):
         return list(range(self.n))
@@ -361,10 +353,6 @@ class ListLaw(Law):
     @staticmethod
     def times_where(orders, cur, p: int):
         return array("q", [o * p if c else o for o, c in zip(orders, cur)])
-
-    @staticmethod
-    def first_nonzero(cur) -> int:
-        return next(x for x, c in enumerate(cur) if c)
 
 
 def _over_budget(order) -> GroupSpecError:
@@ -407,13 +395,13 @@ def _metacyclic_law(m: int, k: int, a: int, s: int = 0) -> Law:
     (i1, j1) * (i2, j2) = (i1 + a**j1 * i2 + s [j1 + j2 >= k] mod m, j1 + j2 mod k).
 
     With s = 0 it is C_m x| C_k, conjugation by the C_k generator sending
-    the C_m generator x to x**a; with m = 2h, k = 2, a = -1 and s = h it is
-    the dicyclic group of order 4h.  ``tables._metacyclic_lists`` is the
-    same rule on lists.  The law gathers from arrays of O(n) entries instead
-    of dividing.  The unreduced sums u = i1 + a**j1 * i2 < 2m and
-    t = j1 + j2 < 2k index ``prod`` at u*2k + t, and that index is the sum
-    of three gathers: x's i1*2k + j1, the action a**j1 * i2 times 2k at
-    j1*m + i2, and y's j2.
+    the C_m generator x to x**a: SD, D and M.  With m = 2h, k = 2, a = -1
+    and s = h it is the dicyclic group of order 4h: Q.
+    ``tables._metacyclic_lists`` is the same rule on lists.  The law
+    gathers from arrays of O(n) entries instead of dividing.  The
+    unreduced sums u = i1 + a**j1 * i2 < 2m and t = j1 + j2 < 2k index
+    ``prod`` at u*2k + t, and that index is the sum of three gathers: x's
+    i1*2k + j1, the action a**j1 * i2 times 2k at j1*m + i2, and y's j2.
     """
     import numpy as np
 
@@ -428,17 +416,10 @@ def _metacyclic_law(m: int, k: int, a: int, s: int = 0) -> Law:
 
 
 def _law_of(factors) -> Law:
-    """The law of the direct product of factors as ``_factors`` lists them."""
-    rules = {"cyclic": _cyclic_law, "semidirect": _metacyclic_law,
-             "dicyclic": lambda h: _metacyclic_law(2 * h, 2, 2 * h - 1, h)}
+    """The law of the direct product of factors as ``_factors`` lists them,
+    each ``("cyclic", n)`` or ``("metacyclic", m, k, a[, s])``."""
+    rules = {"cyclic": _cyclic_law, "metacyclic": _metacyclic_law}
     return reduce(_product_law, (rules[kind](*args) for kind, *args in factors))
-
-
-def _list_law_of(factors) -> ListLaw:
-    """``_law_of(factors)`` on Python lists, by the list rules of ``tables``."""
-    from .tables import _list_law
-
-    return ListLaw(*_list_law(factors), factors)
 
 
 def _table_for(law: Law) -> np.ndarray:
@@ -597,8 +578,8 @@ def element_orders_of_table(law: Law):
                 break
             orders = law.times_where(orders, cur, p)
             cur = law.gather(pth, cur)
-        if law.any(cur):
-            x = law.first_nonzero(cur)
+        if law.any(cur):  # a rejected law: find the offender on either engine
+            x = next(x for x, c in enumerate(cur) if c)
             raise TableError(f"element {x} to the power {n} is not the identity: not a group")
     return orders
 
@@ -634,12 +615,13 @@ class Group:
 
     @property
     def law(self) -> Law:
-        """The group's law on numpy arrays, read on first use from the rows
-        or the factors of a group made from them or from a ListLaw."""
+        """The group's law on numpy arrays: read on first use from the rows
+        of a group made from them, and built from the spec of a group made
+        from a ListLaw."""
         if self._law is None:
             self._law = Law.of_table(self._rows)
         elif isinstance(self._law, ListLaw):
-            self._law = _law_of(self._law.factors)
+            self._law = _law_for(self.spec)
         return self._law
 
     @property
@@ -685,12 +667,14 @@ def _factors(spec: GroupSpec) -> tuple[int, list[tuple]]:
 
     The spec is the direct product of the factors, in order, on mixed-radix
     indices.  Each factor is ``(kind, *args)``, built by the rule of that
-    kind: C_n is ``("cyclic", n)``, C_m x| C_k with the action x -> x**a is
-    ``("semidirect", m, k, a)`` and the dicyclic group of order 4h is
-    ``("dicyclic", h)``.  A product's parts are checked in turn, each part's
-    parameters and order first and then the order of the product so far, so
-    an oversized product names the first running order past the budget.
-    Nothing is built here.
+    kind, and there are two kinds: C_n is ``("cyclic", n)``, and C_m by C_k
+    with the action x -> x**a and the carry s of ``_metacyclic_law`` is
+    ``("metacyclic", m, k, a, s)``, s left out where it is 0.  So SD, D and
+    M are metacyclic with s = 0, and Q of order 4h is
+    ``("metacyclic", 2h, 2, 2h - 1, h)``.  A product's parts are checked in
+    turn, each part's parameters and order first and then the order of the
+    product so far, so an oversized product names the first running order
+    past the budget.  Nothing is built here.
     """
     if isinstance(spec, Cyclic):
         _require(spec.n >= 1, f"cyclic order must be >= 1, got {spec.n}")
@@ -711,18 +695,18 @@ def _factors(spec: GroupSpec) -> tuple[int, list[tuple]]:
         factors = factors or [("cyclic", 1)]
     elif isinstance(spec, SemidirectCyclic):
         a = _check_action(spec.m, spec.k, spec.a)
-        n, factors = spec.m * spec.k, [("semidirect", spec.m, spec.k, a)]
+        n, factors = spec.m * spec.k, [("metacyclic", spec.m, spec.k, a)]
     elif isinstance(spec, Dihedral):
         n, m = spec.order, spec.order // 2
         _require(n >= 2 and n % 2 == 0, f"dihedral order must be even and >= 2, got {n}")
-        factors = [("semidirect", m, 2, (m - 1) % m if m > 1 else 0)]
+        factors = [("metacyclic", m, 2, (m - 1) % m if m > 1 else 0)]
     elif isinstance(spec, GeneralizedQuaternion):
         n = spec.order
         _require(
             n >= 8 and n & (n - 1) == 0,
             f"generalized quaternion order must be a power of two >= 8, got {n}",
         )
-        factors = [("dicyclic", n // 4)]
+        factors = [("metacyclic", n // 2, 2, n // 2 - 1, n // 4)]
     elif isinstance(spec, Modular):
         q, r = spec.q, spec.r
         # The budget first: is_prime cannot decide a q past SIEVE_BOUND**2,
@@ -736,7 +720,7 @@ def _factors(spec: GroupSpec) -> tuple[int, list[tuple]]:
             r >= 4 or (r == 3 and q > 2),
             f"modular group needs r >= 4, or r = 3 with q > 2; got (q={q}, r={r})",
         )
-        n, factors = q**r, [("semidirect", q ** (r - 1), q, q ** (r - 2) + 1)]
+        n, factors = q**r, [("metacyclic", q ** (r - 1), q, q ** (r - 2) + 1)]
     else:
         raise GroupSpecError(f"unknown group spec {spec!r}")
     _walkable(n)
@@ -757,10 +741,11 @@ def build_group(spec: GroupSpec, *, lists: bool = True) -> Group:
     triples.  Either is a table of at most TABLE_BUDGET elements.  A
     generated spec is checked once, by ``_factors``, and its order decides:
     up to HARD_CAP, Group gets the rows of the list rules of ``tables``
-    and checks them with validate_table; above it, Group gets the law and
-    spot-checks it, a ListLaw by the same rules up to TABLE_BUDGET and a
-    numpy law above.  Neither of the first two loads numpy.  With ``lists``
-    false every law is numpy's, as ``build_groups`` builds them.
+    and checks them with validate_table; above it, Group gets the law of
+    the factors and spot-checks it, a ListLaw by the same rules up to
+    TABLE_BUDGET and a numpy law above.  Neither of the first two loads
+    numpy.  With ``lists`` false every law is numpy's, as ``build_groups``
+    builds them.
     """
     if isinstance(spec, FromTable):
         _require_table(len(spec.rows))
@@ -779,7 +764,9 @@ def build_group(spec: GroupSpec, *, lists: bool = True) -> Group:
 
         return Group(_rows(factors), spec)
     if lists and n <= TABLE_BUDGET:
-        return Group(_list_law_of(factors), spec)
+        from .tables import _list_law
+
+        return Group(ListLaw(*_list_law(factors)), spec)
     return Group(_law_of(factors), spec)
 
 
@@ -848,7 +835,9 @@ def _read_json(path: str, kind: str):
             return json.load(fh)
     except OSError as exc:
         raise GroupSpecError(f"cannot read {kind} file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors; deep nesting
+    # raises RecursionError.
+    except (ValueError, RecursionError) as exc:
         raise GroupSpecError(f"{kind} file {path} is not valid JSON: {exc}") from exc
 
 

@@ -1,10 +1,11 @@
 """Groups in pure Python: the construction families' one list rule set, the
 rows it gives, and the package's one group check.
 
-The list rules multiply lists of element indices for C_n, direct products,
-C_m x| C_k and the dicyclic groups, on the mixed-radix indices the numpy
-laws of ``groups`` use.  ``_list_law`` folds a spec's factors into one law,
-which ``groups.ListLaw`` walks, and ``_rows`` applies that law to the grid
+The list rules multiply lists of element indices for C_n, the metacyclic
+groups C_m by C_k (the semidirect products, and with a carry the dicyclic
+groups) and direct products, on the mixed-radix indices the numpy laws of
+``groups`` use.  ``_list_law`` folds a spec's factors into one law, which
+``groups.ListLaw`` walks, and ``_rows`` applies that law to the grid
 of all pairs: a table, n rows of n element indices with the identity at 0,
 the table ``groups._table_for`` gives the spec.  ``_perm_table`` closes a
 permutation group as rows.  ``_checked_class`` checks any table in full
@@ -156,9 +157,9 @@ def _metacyclic_lists(m: int, k: int, a: int, s: int = 0):
 
 def _list_law(factors):
     """(n, mul) of the direct product of factors as ``groups._factors`` lists
-    them; no factors are the trivial group."""
-    rules = {"cyclic": _cyclic_lists, "semidirect": _metacyclic_lists,
-             "dicyclic": lambda h: _metacyclic_lists(2 * h, 2, 2 * h - 1, h)}
+    them, each ``("cyclic", n)`` or ``("metacyclic", m, k, a[, s])``; no
+    factors are the trivial group."""
+    rules = {"cyclic": _cyclic_lists, "metacyclic": _metacyclic_lists}
     factors = factors or [("cyclic", 1)]
     return reduce(_product_lists, (rules[kind](*args) for kind, *args in factors))
 

@@ -307,18 +307,16 @@ def lemma7_check(
             note="fewer than two distinct psi values at this order",
         )
     second = values[1]
+    # Every SD(m, k, a) with m a full prime-power part of n, built and
+    # checked once for all the second-maximal classes.
+    sylows = [(p**e, n // p**e) for p, e in arith.factorize(n)]
+    candidates = [((m, k, a), _checked_class(_rows([("metacyclic", m, k, a)]), n))
+                  for m, k in sylows for a in arith.semidirect_actions(m, k)]
     cases = []
     for cls in classes:
         if cls.psi != second:
             continue
-        matches = []
-        for p, e in arith.factorize(n):
-            m = p**e
-            k = n // m
-            for a in arith.semidirect_actions(m, k):
-                sd = _checked_class(_rows([("semidirect", m, k, a)]), n)
-                if isomorphic_to_canonical(sd, cls):
-                    matches.append((m, k, a))
+        matches = [mka for mka, sd in candidates if isomorphic_to_canonical(sd, cls)]
         if not matches:
             cases.append(
                 Case(

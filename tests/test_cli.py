@@ -68,6 +68,19 @@ class TestPsiCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("kind", ["table", "perm"])
+    @pytest.mark.parametrize("data", [b"[" * 200_000, b"\x7fELF\xff\xfe"],
+                             ids=["nested", "binary"])
+    def test_unreadable_json_one_error_line(self, capsys, tmp_path, kind, data):
+        # json.load raises RecursionError on deep nesting, and
+        # UnicodeDecodeError on bytes that are not UTF-8.
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "psi", f"{kind}:{path}")
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {'permutation' if kind == 'perm' else kind} "
+                              f"file {path} is not valid JSON: ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("text", ["[]", "[[]]", "[[0,1],[1]]"])
     def test_misshapen_table_file_names_the_shape(self, capsys, tmp_path, text):
@@ -198,6 +211,16 @@ class TestVerifyCommand:
                            "--cache-dir", str(tmp_path), "--format", "json")
         report = json.loads(out)["reports"][0]
         assert code == 0 and report["verdict"] == "holds" and report["cases"] == []
+
+    @pytest.mark.parametrize("claim", ["max_cyclic", "equality", "lemma7"])
+    def test_huge_nmax_stops_at_the_bound(self, capsys, cache_dir, claim):
+        # The orders are read one at a time, so order 13 stops the run
+        # before a list of 10**12 orders could be built.
+        code, out, err = run(capsys, "verify", claim, "--nmax", "1000000000000",
+                             "--cache-dir", str(cache_dir))
+        assert code == 2 and out == ""
+        assert err.startswith("error: order 13 exceeds the enumeration bound 12")
+        assert err.count("\n") == 1
 
     def test_equality_needs_n(self, capsys):
         code, _, err = run(capsys, "verify", "equality")

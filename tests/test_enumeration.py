@@ -538,6 +538,18 @@ class TestCatalogCache:
             assert catalog(8, cache_dir=tmp_path) == first
         assert path.read_bytes() == good
 
+    @pytest.mark.parametrize("data", [b"[" * 200_000, b"\xff\xfe"], ids=["nested", "binary"])
+    def test_unreadable_cache_recomputed_and_rewritten(self, tmp_path, data):
+        # json.load raises RecursionError on deep nesting, and
+        # UnicodeDecodeError on bytes that are not UTF-8.
+        first = catalog(8, cache_dir=tmp_path)
+        path = tmp_path / "catalog" / "n=8.json"
+        good = path.read_bytes()
+        path.write_bytes(data)
+        with pytest.warns(RuntimeWarning, match="invalid cache file"):
+            assert catalog(8, cache_dir=tmp_path) == first
+        assert path.read_bytes() == good
+
     @ABOVE_DEFAULT
     def test_non_abelian_class_deleted_at_order_16(self, cache_dir, tmp_path):
         # Every other check passes: only the count of OEIS A000001 catches it.

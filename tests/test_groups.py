@@ -402,6 +402,16 @@ class TestLaws:
         for spec in _family_specs(64):
             self.check(spec)
 
+    def test_two_factor_kinds(self):
+        # Every family is cyclic or metacyclic; Q of order 4h carries h.
+        for spec in _family_specs(64):
+            for kind, *args in groups._factors(spec)[1]:
+                assert (kind, len(args)) in {("cyclic", 1), ("metacyclic", 3),
+                                             ("metacyclic", 4)}, spec
+        for h in (2, 4, 8, 512):
+            assert groups._factors(GeneralizedQuaternion(4 * h)) == (
+                4 * h, [("metacyclic", 2 * h, 2, 2 * h - 1, h)])
+
     def test_no_factors_are_the_trivial_group(self):
         # The n = 1 catalog candidate A[] has an empty invariant chain, so no
         # factors; a spec's _factors always has at least one.
@@ -489,7 +499,7 @@ MAX_LAW = [[0, 1, 2], [1, 1, 2], [2, 2, 2]]
 
 
 def list_law(spec) -> ListLaw:
-    return groups._list_law_of(groups._factors(spec)[1])
+    return ListLaw(*tables._list_law(groups._factors(spec)[1]))
 
 
 def forged(rows, engine):
@@ -497,7 +507,7 @@ def forged(rows, engine):
     if engine is Law:
         return Law.of_table(np.array(rows))
     n, flat = len(rows), [v for row in rows for v in row]
-    return ListLaw(n, lambda x, y: [flat[a * n + b] for a, b in zip(x, y)], None)
+    return ListLaw(n, lambda x, y: [flat[a * n + b] for a, b in zip(x, y)])
 
 
 def drawn(law, spec) -> list[tuple[int, int, int]]:
