@@ -230,6 +230,18 @@ def _thm4(args) -> list:
     return [_theorems().thm4_family_check(args.q, args.kmax)]
 
 
+def _equality(args) -> list:
+    reports = []
+    for n in _orders_in_play(args):
+        if n > args.enum_bound and not args.family_only:  # theorems names the keyword
+            raise ValueError(f"order {n} exceeds the enumeration bound {args.enum_bound}; "
+                             "pass --family-only for a family-restricted check")
+        reports.append(_theorems().verify_equality_classification(
+            n, args.q, bound=args.enum_bound, cache_dir=args.cache_dir,
+            family_only=args.family_only))
+    return reports
+
+
 def _mqr(args) -> list:
     if (args.q is None) != (args.r is None):
         raise ValueError("mqr needs both --q and --r, or neither")
@@ -243,11 +255,7 @@ CLAIMS = {
         _theorems().verify_max_cyclic(n, bound=args.enum_bound, cache_dir=args.cache_dir)
         for n in _orders_in_play(args)],
     "upper_bound": _upper_bound,
-    "equality": lambda args: [
-        _theorems().verify_equality_classification(
-            n, args.q, bound=args.enum_bound, cache_dir=args.cache_dir,
-            family_only=args.family_only)
-        for n in _orders_in_play(args)],
+    "equality": _equality,
     "thm4": _thm4,
     "mqr": _mqr,
     "lemma5": lambda args: [_theorems().lemma5_check(_mk_max(args))],

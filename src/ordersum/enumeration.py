@@ -23,10 +23,14 @@ index 0, using five ingredients:
   "Practical graph isomorphism II", 2014): two complete labelings with equal
   flattenings differ by an automorphism, which the scan records.  Before
   choosing the next generator it merges the unlabeled elements into orbits
-  under the recorded automorphisms that fix every generator chosen so far,
-  and tries one candidate per orbit, since an automorphism maps the subtree
-  of one candidate onto that of another with equal flattenings.  The least
-  flattening, and so the canonical form, is the same as without pruning;
+  under the recorded automorphisms that fix every generator chosen so far
+  (none until one does), and tries one candidate per orbit, since an
+  automorphism maps the subtree of one candidate onto that of another with
+  equal flattenings.  The least flattening, and so the canonical form, is
+  the same as without pruning.  Each run resumes where its parent stalled.
+  A test against a target class gives labels only to elements of the
+  target's color there; ``_is_canonical`` and ``canonical_form`` look for
+  labelings below a table, which need not keep colors, so stay uncolored;
 
 * a backtracking search that builds tables directly in BFS-labeled form,
   propagating associativity constraints after every cell assignment and
@@ -63,6 +67,7 @@ import os
 import warnings
 from collections import namedtuple
 from functools import lru_cache
+from operator import eq
 from pathlib import Path
 
 from . import DEFAULT_BOUND, HARD_CAP, arith
@@ -98,7 +103,16 @@ def flatten(rows) -> tuple[int, ...]:
     return tuple(rows[i][j] for i, j in shell_cells(len(rows)))
 
 
-def _scan_labelings(rows, target: tuple | None = None, order: list | None = None):
+def _find(root: list[int], x: int) -> int:
+    """The root of x in a union-find forest, halving the path on the way."""
+    while root[x] != x:
+        root[x] = root[root[x]]
+        x = root[x]
+    return x
+
+
+def _scan_labelings(rows, target: tuple | None = None, order: list | None = None,
+                    colors: tuple | None = None):
     """Depth-first search over the BFS labelings of a complete table.
 
     Returns (best_flat, best_order, autos): the least flattening found, the
@@ -111,105 +125,107 @@ def _scan_labelings(rows, target: tuple | None = None, order: list | None = None
     without one the scan also stops at the first labeling that flattens
     equal to the target, and best_order stays None when there is none.
 
+    A run appends its generator to the run where its parent stalled (the
+    labeled set closed) and continues from that cell.
+
     A completed labeling L that flattens equal to the best one is recorded
     as the automorphism best_order[i] -> L[i].  At each choice of the next
     generator, a candidate is skipped when the automorphisms found so far
     that fix every earlier generator map an explored candidate onto it: such
     an automorphism maps one subtree onto the other with equal flattenings.
+
+    colors, with a target and no order, pairs a color of each element of
+    rows with one of each label of the target, both kept by isomorphisms.
+    A label goes only to an element of its color, so a labeling equal to
+    the target is still found, and one below it may be missed.
     """
     n = len(rows)
     cells = shell_cells(n)
+    ncells = len(cells)
     best_flat, best_order = target, order
     autos: list[list[int]] = []  # automorphisms found, as lists of images
     stopped = False
+    color, tcolor = colors or (None, None)
+    # The current run: L[label] is the element with that label, pos[x] the
+    # label of x (-1 while unlabeled), gens its generators after the identity.
+    L = [0]
+    pos = [0] + [-1] * (n - 1)
+    gens: list[int] = []
 
-    def run(gens: list[int]):
-        """Deterministic closure for one generator sequence.
-
-        Emits flattened values in shell order, comparing against best_flat.
-        Returns (status, L) with status one of "pruned", "stall", "leaf"
-        (equal to best_flat), "below" (a new best).
-        """
-        L = [0]
-        pos = {0: 0}
-        rest = iter(gens)
-        prefix_lt = best_flat is None
-        for p, (i, j) in enumerate(cells):
-            if i == len(L):
-                # The shell i starts past the labeled set: the next
-                # generator gets label i, or the run ends here.
-                g = next(rest, None)
-                if g is None:
-                    break
-                pos[g] = i
-                L.append(g)
-            x = rows[L[i]][L[j]]
-            lab = pos.get(x)
-            if lab is None:
-                lab = len(L)
-                pos[x] = lab
-                L.append(x)
-            if not prefix_lt:
-                c = best_flat[p]
-                if lab > c:
-                    return "pruned", L
-                if lab < c:
-                    prefix_lt = True
-        if len(L) < n:
-            return "stall", L
-        return ("below" if prefix_lt else "leaf"), L
-
-    def rec(gens: list[int]):
+    def rec(p: int, below: bool) -> None:
+        """Continue the run from cell p, its cells before p already compared
+        with best_flat (below: they already flatten strictly below it)."""
         nonlocal best_flat, best_order, stopped
-        status, L = run(gens)
-        if status == "pruned":
-            return
-        if status == "leaf":
-            if best_order is None:  # the first labeling equal to the target
-                best_order = L
+        flat = best_flat
+        m = len(L)
+        for p in range(p, ncells):
+            i, j = cells[p]
+            if i == m:
+                break  # the shell m starts past the labeled set: a stall
+            x = rows[L[i]][L[j]]
+            lab = pos[x]
+            if lab < 0:
+                if color is not None and color[x] != tcolor[m]:
+                    return
+                lab = pos[x] = m
+                L.append(x)
+                m += 1
+            if not below:
+                c = flat[p]
+                if lab > c:
+                    return
+                if lab < c:
+                    below = True
+        else:  # a complete labeling
+            if below:  # a new best
+                best_flat = tuple(pos[rows[L[i]][L[j]]] for i, j in cells)
+                best_order = L[:]
+                stopped = target is not None
+            elif best_order is None:  # the first labeling equal to the target
+                best_order = L[:]
                 stopped = True
-                return
-            auto = [0] * n
-            for x, y in zip(best_order, L):
-                auto[x] = y
-            autos.append(auto)
-            return
-        if status == "below":
-            posmap = {x: i for i, x in enumerate(L)}
-            best_flat = tuple(posmap[rows[L[i]][L[j]]] for i, j in cells)
-            best_order = L
-            stopped = target is not None
+            else:
+                auto = [0] * n
+                for x, y in zip(best_order, L):
+                    auto[x] = y
+                autos.append(auto)
             return
         # Stall: orbits of the unlabeled elements under the automorphisms
-        # found that fix every generator, kept as a union-find forest.
-        labeled = set(L)
-        root = list(range(n))
-
-        def find(x: int) -> int:
-            while root[x] != x:
-                root[x] = root[root[x]]
-                x = root[x]
-            return x
-
+        # found that fix every generator, kept as a union-find forest once
+        # there is one; until then each candidate is its own orbit.
+        root = None
         used = 0
         explored: list[int] = []
         for g in range(1, n):
-            if g in labeled:
+            if pos[g] >= 0 or (color is not None and color[g] != tcolor[m]):
                 continue
             for auto in autos[used:]:
                 if all(auto[x] == x for x in gens):
-                    for x in range(n):
-                        root[find(x)] = find(auto[x])
+                    if root is None:
+                        root = list(range(n))
+                    for x, y in enumerate(auto):
+                        if x != y:
+                            root[_find(root, x)] = _find(root, y)
             used = len(autos)
-            r = find(g)
-            if any(find(e) == r for e in explored):
-                continue
+            if root is not None:
+                r = _find(root, g)
+                if any(_find(root, e) == r for e in explored):
+                    continue
             explored.append(g)
-            rec(gens + [g])
+            gens.append(g)
+            pos[g] = m
+            L.append(g)
+            # A best found since this run stalled came from one of its own
+            # children, so it shares the cells before p: they are not below.
+            rec(p, below and best_flat is flat)
+            for x in L[m:]:
+                pos[x] = -1
+            del L[m:]
+            gens.pop()
             if stopped:
                 return
 
-    rec([])
+    rec(0, target is None)
     return best_flat, best_order, autos
 
 
@@ -237,18 +253,33 @@ def canonical_form(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(posmap[table[x][y]] for y in best_order) for x in best_order)
 
 
+def _colors(cls: CatalogClass) -> list[tuple[int, int, int]]:
+    """Each element's order, centralizer size and number of square roots,
+    which every isomorphism keeps."""
+    table = cls.table
+    roots = [0] * len(table)
+    for x, row in enumerate(table):
+        roots[row[x]] += 1
+    return [(o, sum(map(eq, row, col)), r)
+            for o, row, col, r in zip(cls.orders, table, zip(*table), roots)]
+
+
 def isomorphic_to_canonical(g: CatalogClass, canon: CatalogClass) -> bool:
     """Whether the class ``g``, in any labeling, is the catalog class ``canon``.
 
-    Classes with different order profiles are not isomorphic.  Otherwise the
-    BFS labelings of g are scanned against the flattening of canon's table:
-    one equal to it is an isomorphism, and one below it shows that g is not
-    isomorphic to canon, whose flattening is the least of its class.
+    Classes whose element orders, or element colors (``_colors``), differ
+    as multisets are not isomorphic.  Otherwise the colored BFS labelings
+    of g are scanned against the flattening of canon's table: one equal to
+    it is an isomorphism, and one below it shows that g is not isomorphic
+    to canon, whose flattening is the least of its class.
     """
-    if len(g.table) != len(canon.table) or g.order_profile() != canon.order_profile():
+    if sorted(g.orders) != sorted(canon.orders):
+        return False
+    colors, tcolors = _colors(g), _colors(canon)
+    if sorted(colors) != sorted(tcolors):
         return False
     target = flatten(canon.table)
-    flat, order, _ = _scan_labelings(g.table, target)
+    flat, order, _ = _scan_labelings(g.table, target, colors=(colors, tcolors))
     return order is not None and flat == target
 
 

@@ -232,6 +232,15 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("orders", [["--n", "13"], ["--nmax", "13"]])
+    def test_over_bound_hint_names_the_flag(self, capsys, cache_dir, orders):
+        # The Python keyword is family_only=True; the command line's is the flag.
+        code, out, err = run(capsys, "verify", "equality", *orders,
+                             "--cache-dir", str(cache_dir))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--family-only" in err and "family_only" not in err
+
     def test_mqr_defaults(self, capsys):
         code, out, _ = run(capsys, "verify", "mqr", "--format", "json")
         doc = json.loads(out)

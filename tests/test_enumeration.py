@@ -226,6 +226,36 @@ class TestIsomorphicToCanonical:
             for cls in classes:
                 assert isomorphic_to_canonical(as_class(h), cls) is (g == cls)
 
+    @ABOVE_DEFAULT
+    def test_colors_keep_the_uncolored_answer(self, cache_dir):
+        # Every family candidate of order 1-16, and a relabeling of each,
+        # against every class of its order.
+        rng = random.Random(16)
+        pairs = 0
+        for n in range(1, 17):
+            classes = catalog(n, bound=16, cache_dir=cache_dir)
+            for desc, rows in _family_candidates(n):
+                g = Group(rows)
+                for cand in [as_class(g), *map(as_class, _relabelings(g, 1, rng))]:
+                    for cls in classes:
+                        assert isomorphic_to_canonical(cand, cls) is _uncolored_isomorphic(
+                            cand, cls), (desc, cls.description)
+                        pairs += 1
+        assert pairs == 540
+
+    def test_colors_at_order_24(self):
+        # A relabeling of each class of order 24, from the search golden so
+        # the search does not run, against every class of the order.
+        golden = Path(__file__).resolve().parent / "golden" / "search" / "n=24.json"
+        classes = [_checked_class(t, 24) for t in json.loads(golden.read_text())]
+        rng = random.Random(24)
+        for cls in classes:
+            g = as_class(next(_relabelings(Group(cls.table), 1, rng)))
+            for other in classes:
+                found = isomorphic_to_canonical(g, other)
+                assert found is _uncolored_isomorphic(g, other)
+                assert found is (other is cls)
+
     def test_other_order(self):
         c4 = next(cls for cls in catalog(4) if cls.is_cyclic())
         c6 = next(cls for cls in catalog(6) if cls.is_cyclic())
@@ -290,6 +320,133 @@ def _unpruned_scan(rows, ref=None, stop_below_ref=False):
     return found_below, tuple(best_flat)
 
 
+def _replayed_scan(rows, target: tuple | None = None, order: list | None = None):
+    """The labeling scan as it was before runs resumed, kept as an oracle:
+    each run is replayed from the identity, and the orbits are rebuilt from
+    every recorded automorphism at each stall.
+
+    Returns (best_flat, best_order, autos): the least flattening found, the
+    labeling giving it (best_order lists the original element played by
+    each new label) and the automorphisms recorded on the way.  Without a
+    target the scan finds the least flattening.  With a target flattening
+    it compares against it and stops at the first labeling that flattens
+    strictly below it.  order is a labeling known to flatten to the target
+    (``_is_canonical`` passes the table's own flattening and the identity);
+    without one the scan also stops at the first labeling that flattens
+    equal to the target, and best_order stays None when there is none.
+
+    A completed labeling L that flattens equal to the best one is recorded
+    as the automorphism best_order[i] -> L[i].  At each choice of the next
+    generator, a candidate is skipped when the automorphisms found so far
+    that fix every earlier generator map an explored candidate onto it: such
+    an automorphism maps one subtree onto the other with equal flattenings.
+    """
+    n = len(rows)
+    cells = shell_cells(n)
+    best_flat, best_order = target, order
+    autos: list[list[int]] = []  # automorphisms found, as lists of images
+    stopped = False
+
+    def run(gens: list[int]):
+        """Deterministic closure for one generator sequence.
+
+        Emits flattened values in shell order, comparing against best_flat.
+        Returns (status, L) with status one of "pruned", "stall", "leaf"
+        (equal to best_flat), "below" (a new best).
+        """
+        L = [0]
+        pos = {0: 0}
+        rest = iter(gens)
+        prefix_lt = best_flat is None
+        for p, (i, j) in enumerate(cells):
+            if i == len(L):
+                # The shell i starts past the labeled set: the next
+                # generator gets label i, or the run ends here.
+                g = next(rest, None)
+                if g is None:
+                    break
+                pos[g] = i
+                L.append(g)
+            x = rows[L[i]][L[j]]
+            lab = pos.get(x)
+            if lab is None:
+                lab = len(L)
+                pos[x] = lab
+                L.append(x)
+            if not prefix_lt:
+                c = best_flat[p]
+                if lab > c:
+                    return "pruned", L
+                if lab < c:
+                    prefix_lt = True
+        if len(L) < n:
+            return "stall", L
+        return ("below" if prefix_lt else "leaf"), L
+
+    def rec(gens: list[int]):
+        nonlocal best_flat, best_order, stopped
+        status, L = run(gens)
+        if status == "pruned":
+            return
+        if status == "leaf":
+            if best_order is None:  # the first labeling equal to the target
+                best_order = L
+                stopped = True
+                return
+            auto = [0] * n
+            for x, y in zip(best_order, L):
+                auto[x] = y
+            autos.append(auto)
+            return
+        if status == "below":
+            posmap = {x: i for i, x in enumerate(L)}
+            best_flat = tuple(posmap[rows[L[i]][L[j]]] for i, j in cells)
+            best_order = L
+            stopped = target is not None
+            return
+        # Stall: orbits of the unlabeled elements under the automorphisms
+        # found that fix every generator, kept as a union-find forest.
+        labeled = set(L)
+        root = list(range(n))
+
+        def find(x: int) -> int:
+            while root[x] != x:
+                root[x] = root[root[x]]
+                x = root[x]
+            return x
+
+        used = 0
+        explored: list[int] = []
+        for g in range(1, n):
+            if g in labeled:
+                continue
+            for auto in autos[used:]:
+                if all(auto[x] == x for x in gens):
+                    for x in range(n):
+                        root[find(x)] = find(auto[x])
+            used = len(autos)
+            r = find(g)
+            if any(find(e) == r for e in explored):
+                continue
+            explored.append(g)
+            rec(gens + [g])
+            if stopped:
+                return
+
+    rec([])
+    return best_flat, best_order, autos
+
+
+def _uncolored_isomorphic(g, canon) -> bool:
+    """``isomorphic_to_canonical`` without element colors: the order profiles,
+    then the replayed scan against canon's flattening."""
+    if len(g.table) != len(canon.table) or g.order_profile() != canon.order_profile():
+        return False
+    target = flatten(canon.table)
+    flat, order, _ = _replayed_scan(g.table, target)
+    return order is not None and flat == target
+
+
 def _relabelings(g: Group, count: int, rng: random.Random):
     for _ in range(count):
         yield relabel(g, [0] + rng.sample(range(1, g.order), g.order - 1))
@@ -323,6 +480,49 @@ class TestPrunedScan:
                 assert canonical_form(rows) == cls.table, cls.description
                 if as_class(g).table != cls.table:
                     assert not _is_canonical(rows), cls.description
+
+    @ABOVE_DEFAULT
+    def test_matches_replayed_scan(self, cache_dir):
+        # Every class of order 1-16 and three relabelings of each, in the
+        # three kinds of call: no target (canonical_form), the table's own
+        # flattening with the identity labeling (_is_canonical), and each
+        # class of the order as a target without a labeling.  The search
+        # reads the automorphisms, so they must match as well.
+        rng = random.Random(24)
+        for n in range(1, 17):
+            classes = catalog(n, bound=16, cache_dir=cache_dir)
+            targets = [flatten(cls.table) for cls in classes]
+            for cls in classes:
+                relabeled = [g.table.tolist() for g in _relabelings(Group(cls.table), 3, rng)]
+                for rows in [cls.table, *relabeled]:
+                    assert _scan_labelings(rows) == _replayed_scan(rows), (n, rows)
+                    own = flatten(rows)
+                    assert (_scan_labelings(rows, own, list(range(n)))
+                            == _replayed_scan(rows, own, list(range(n)))), (n, rows)
+                    for target in targets:
+                        assert (_scan_labelings(rows, target)
+                                == _replayed_scan(rows, target)), (n, rows, target)
+
+    @ABOVE_DEFAULT
+    def test_resumed_runs_read_fewer_cells(self, cache_dir):
+        # _is_canonical's scan of the 14 classes of order 16 reads 44,347
+        # table cells when every run is replayed from the identity, and
+        # 27,749 when each run resumes where its parent stalled.
+        class Row(list):
+            def __getitem__(self, j):
+                reads[0] += 1
+                return list.__getitem__(self, j)
+
+        classes = catalog(16, bound=16, cache_dir=cache_dir)
+        reads = [0]
+        counts = []
+        for scan in (_replayed_scan, _scan_labelings):
+            reads[0] = 0
+            for cls in classes:
+                scan([Row(r) for r in cls.table], flatten(cls.table), list(range(16)))
+            counts.append(reads[0])
+        assert counts[0] == 44_347
+        assert counts[1] <= 28_000
 
     def test_prunes_by_automorphisms(self):
         # C2 x C2 x C2 has 168 BFS labelings, all flattening alike; pruning by

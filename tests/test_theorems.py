@@ -158,7 +158,7 @@ class TestEqualityClassification:
     def test_bound_exceeded_without_family_flag(self):
         from ordersum.enumeration import EnumerationBoundError
 
-        with pytest.raises(EnumerationBoundError):
+        with pytest.raises(EnumerationBoundError, match="pass family_only=True"):
             verify_equality_classification(100)
 
     def test_bound_checked_before_the_witness_is_built(self, monkeypatch):
