@@ -13,15 +13,18 @@ load the groups and the enumerator only where a claim needs them).  The
 enumerator checks, walks and names catalog classes on pure-Python tables,
 so ``catalog``, ``spectrum`` and ``verify max_cyclic``/``equality``/
 ``lemma7`` load neither the groups nor numpy, with a cached catalog or
-without.  The groups build every generated group of order at most
-HARD_CAP, and every ``table:`` file, as pure-Python rows, checked in full,
-and one generated group of order up to TABLE_BUDGET as a law on lists, by
-the list rules of ``tables``, so ``psi Q8``, ``psi C2048``, ``psi
-table:FILE``, ``upper_bound``, ``mqr``, ``equality --family-only`` and
-the scans on small groups (``thm4 --q 2 --kmax 4``) load no numpy.  Numpy
-is loaded where a group above TABLE_BUDGET, a ``perm:`` closure or a
-scan's groups above HARD_CAP are built as a law: ``psi C4096``, and
-``lemma5``, ``lemma6`` and ``thm4`` at their usual ranges.
+without.  Those three claims check every order of their range before any
+search, then search the orders not yet cached on all allowed CPUs, largest
+first, with no option (``enumeration.search_ahead``).  The groups build
+every generated group of order at most HARD_CAP, and every ``table:``
+file, as pure-Python rows, checked in full, and one generated group of
+order up to TABLE_BUDGET as a law on lists, by the list rules of
+``tables``, so ``psi Q8``, ``psi C2048``, ``psi table:FILE``,
+``upper_bound``, ``mqr``, ``equality --family-only`` and the scans on
+small groups (``thm4 --q 2 --kmax 4``) load no numpy.  Numpy is loaded
+where a group above TABLE_BUDGET, a ``perm:`` closure or a scan's groups
+above HARD_CAP are built as a law: ``psi C4096``, and ``lemma5``,
+``lemma6`` and ``thm4`` at their usual ranges.
 
 Of the standard library, no command imports ``dataclasses`` (which
 brings ``inspect``, ``ast`` and ``dis``): the group specs are ``__slots__``
@@ -142,21 +145,46 @@ def _emit_reports(args, reports, command: str, extra: dict) -> int:
     return 0 if ok else 1
 
 
+def _at_least(args, flag: str, least: int, what: str) -> int:
+    """The value of --flag, a usage error below least, which leaves what."""
+    value = getattr(args, flag)
+    if value < least:
+        raise ValueError(f"--{flag} {value} leaves {what}: it must be at least {least}")
+    return value
+
+
 def _orders_in_play(args) -> list[int] | range:
     if args.n is None and args.nmax is None:
         raise ValueError("this claim needs --n or --nmax")
+    if args.n is not None and args.nmax is not None:
+        raise ValueError("--n and --nmax cannot be given together")
     if args.n is not None:
         return [args.n]
-    if args.nmax < 2:
-        raise ValueError(f"--nmax {args.nmax} leaves no order to check: it must be at least 2")
-    return range(2, args.nmax + 1)  # lazy: the bound check stops a huge --nmax
+    return range(2, _at_least(args, "nmax", 2, "no order to check") + 1)
 
 
-def _mk_max(args, least: int = 2) -> int:
-    if args.mkmax < least:
-        raise ValueError(
-            f"--mkmax {args.mkmax} leaves no (m, k) to check: it must be at least {least}")
-    return args.mkmax
+def _catalog_reports(args, checker: str, check=lambda n: None, **kwargs) -> list:
+    """The report of the theorems checker for each order in play, once
+    check(n) has passed on all.
+
+    Every usage error comes before any search: the orders are checked in
+    turn, and the first over the bound stops a huge --nmax.  Then the
+    catalogs not yet cached are all searched at once, on every CPU
+    (``enumeration.search_ahead``), and each report reads its own.
+    """
+    from . import enumeration
+
+    orders = []
+    for n in _orders_in_play(args):
+        check(n)
+        enumeration._check_bound(n, args.enum_bound)
+        orders.append(n)
+    try:
+        enumeration.search_ahead(orders, args.cache_dir)
+        return [getattr(_theorems(), checker)(
+            n, bound=args.enum_bound, cache_dir=args.cache_dir, **kwargs) for n in orders]
+    finally:
+        enumeration._searched.clear()
 
 
 def _run_psi(args) -> int:
@@ -225,21 +253,21 @@ def _upper_bound(args) -> list:
 def _thm4(args) -> list:
     if args.q is None or args.kmax is None:
         raise ValueError("thm4 needs --q and --kmax")
-    if args.kmax < 1:
-        raise ValueError(f"--kmax {args.kmax} leaves no k to check: it must be at least 1")
-    return [_theorems().thm4_family_check(args.q, args.kmax)]
+    return [_theorems().thm4_family_check(args.q, _at_least(args, "kmax", 1, "no k to check"))]
 
 
 def _equality(args) -> list:
-    reports = []
-    for n in _orders_in_play(args):
-        if n > args.enum_bound and not args.family_only:  # theorems names the keyword
+    if args.family_only:
+        return [_theorems().verify_equality_classification(n, args.q, family_only=True)
+                for n in _orders_in_play(args)]
+
+    def check(n):
+        if n > args.enum_bound:  # theorems names the keyword
             raise ValueError(f"order {n} exceeds the enumeration bound {args.enum_bound}; "
                              "pass --family-only for a family-restricted check")
-        reports.append(_theorems().verify_equality_classification(
-            n, args.q, bound=args.enum_bound, cache_dir=args.cache_dir,
-            family_only=args.family_only))
-    return reports
+        _theorems().equality_prime(n, args.q)
+
+    return _catalog_reports(args, "verify_equality_classification", check, q=args.q)
 
 
 def _mqr(args) -> list:
@@ -251,19 +279,17 @@ def _mqr(args) -> list:
 
 # Claim id -> the claim's reports for the parsed arguments.
 CLAIMS = {
-    "max_cyclic": lambda args: [
-        _theorems().verify_max_cyclic(n, bound=args.enum_bound, cache_dir=args.cache_dir)
-        for n in _orders_in_play(args)],
+    "max_cyclic": lambda args: _catalog_reports(args, "verify_max_cyclic"),
     "upper_bound": _upper_bound,
     "equality": _equality,
     "thm4": _thm4,
     "mqr": _mqr,
-    "lemma5": lambda args: [_theorems().lemma5_check(_mk_max(args))],
+    "lemma5": lambda args: [_theorems().lemma5_check(
+        _at_least(args, "mkmax", 2, "no (m, k) to check"))],
     # SD(3,2,2), at mk = 6, is the first non-central action.
-    "lemma6": lambda args: [_theorems().lemma6_check(_mk_max(args, 6))],
-    "lemma7": lambda args: [
-        _theorems().lemma7_check(n, bound=args.enum_bound, cache_dir=args.cache_dir)
-        for n in _orders_in_play(args)],
+    "lemma6": lambda args: [_theorems().lemma6_check(
+        _at_least(args, "mkmax", 6, "no (m, k) to check"))],
+    "lemma7": lambda args: _catalog_reports(args, "lemma7_check"),
 }
 
 
@@ -272,7 +298,11 @@ def _run_verify(args) -> int:
 
 
 def _run_audit(args) -> int:
-    report = _theorems().proof_inequality_audit(args.qmax, args.pmax, args.smax)
+    # Item (a) needs primes q >= 3 and p >= q + 2; items (b) and (e) need s >= 1.
+    ranges = [_at_least(args, "qmax", 3, "item (a) with no instance"),
+              _at_least(args, "pmax", 5, "item (a) with no instance"),
+              _at_least(args, "smax", 1, "items (b) and (e) with no instance")]
+    report = _theorems().proof_inequality_audit(*ranges)
     return _emit_reports(args, [report], "audit", {})
 
 

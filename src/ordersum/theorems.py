@@ -141,6 +141,15 @@ def _require_least_prime(n: int, q: int) -> None:
         raise ValueError(f"{q} is not the least prime divisor of {n}")
 
 
+def equality_prime(n: int, q: int | None) -> int:
+    """The prime of the equality claim at order n: q, which must be the least
+    prime divisor of n, or that divisor when q is None."""
+    if q is None:
+        q = arith.least_prime_factor(n)
+    _require_least_prime(n, q)
+    return q
+
+
 # ---------------------------------------------------------------------------
 # Catalog-backed checks
 # ---------------------------------------------------------------------------
@@ -214,9 +223,7 @@ def verify_equality_classification(
     from .enumeration import EnumerationBoundError, catalog, isomorphic_to_canonical
     from .tables import _checked_class, _rows
 
-    if q is None:
-        q = arith.least_prime_factor(n)
-    _require_least_prime(n, q)
+    q = equality_prime(n, q)
     k = _witness_cofactor(n, q)
     target = f_ratio(q) * psi_cyclic(n)
 

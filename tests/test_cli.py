@@ -1,14 +1,24 @@
 import json
+import os
 import re
 import time
 from pathlib import Path
 
 import pytest
 
-from ordersum import cli, theorems
+from ordersum import cli, enumeration, theorems
 from ordersum.enumeration import canonical_form
 from ordersum.groups import build_group, parse_spec
 from test_groups import INVALID_SMALL_SPECS
+
+
+def refuse_search(monkeypatch):
+    """Make any catalog search or fork fail the command."""
+    def refuse(*args):
+        raise AssertionError("searched or forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(enumeration, "_search_groups", refuse)
 
 
 def run(capsys, *argv):
@@ -222,6 +232,38 @@ class TestVerifyCommand:
         assert err.startswith("error: order 13 exceeds the enumeration bound 12")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("claim", ["max_cyclic", "equality", "lemma7"])
+    def test_n_and_nmax_together_is_usage_error(self, capsys, monkeypatch, claim):
+        refuse_search(monkeypatch)
+        code, out, err = run(capsys, "verify", claim, "--n", "1", "--nmax", "5")
+        assert code == 2 and out == ""
+        assert err == "error: --n and --nmax cannot be given together\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["equality", "--n", "16", "--q", "3"], "3 is not the least prime divisor of 16"),
+        (["equality", "--nmax", "16", "--q", "2"], "2 is not the least prime divisor of 3"),
+        (["equality", "--nmax", "17"], "order 17 exceeds the enumeration bound 16; "
+                                       "pass --family-only for a family-restricted check"),
+        (["max_cyclic", "--nmax", "1000000000000"], "order 17 exceeds the enumeration bound 16"),
+        (["lemma7", "--n", "0"], "order must be >= 1, got 0"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_usage_error_before_any_search(self, capsys, monkeypatch, tmp_path, argv, message):
+        # Every order is checked before any catalog is searched or a worker forked.
+        refuse_search(monkeypatch)
+        code, out, err = run(capsys, "verify", *argv, "--enum-bound", "16",
+                             "--acknowledge-slow", "--cache-dir", str(tmp_path))
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+        assert not (tmp_path / "catalog").exists()
+
+    def test_warm_commands_fork_nothing(self, capsys, monkeypatch, tmp_path):
+        cache = ["--cache-dir", str(tmp_path)]
+        assert run(capsys, "verify", "max_cyclic", "--nmax", "12", *cache)[0] == 0
+        refuse_search(monkeypatch)
+        for claim in ("max_cyclic", "equality", "lemma7"):
+            assert run(capsys, "verify", claim, "--nmax", "12", *cache)[0] == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_equality_needs_n(self, capsys):
         code, _, err = run(capsys, "verify", "equality")
         assert code == 2 and "--n" in err
@@ -262,6 +304,23 @@ class TestAuditCommand:
     def test_table_format(self, capsys):
         code, out, _ = run(capsys, "audit", "--qmax", "5", "--pmax", "11", "--smax", "2")
         assert code == 0 and "[HOLDS] audit" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--qmax", "2"], "--qmax 2 leaves item (a) with no instance: it must be at least 3"),
+        (["--pmax", "4"], "--pmax 4 leaves item (a) with no instance: it must be at least 5"),
+        (["--smax", "0"],
+         "--smax 0 leaves items (b) and (e) with no instance: it must be at least 1"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_empty_item_is_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, "audit", *argv)
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+
+    def test_least_ranges_give_every_item(self, capsys):
+        code, out, _ = run(capsys, "audit", "--qmax", "3", "--pmax", "5", "--smax", "1",
+                           "--format", "json")
+        report = json.loads(out)["reports"][0]
+        assert code == 0 and report["verdict"] == "holds"
+        assert {c["params"]["item"] for c in report["cases"]} == set("abcde")
 
 
 class TestOutputContracts:

@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import random
+import re
 import shutil
+import time
 import warnings
 from pathlib import Path
 
@@ -582,6 +585,94 @@ class TestSearchPruning:
             assert sorted(auto) == list(range(8)) and auto[0] == 0
             assert all(auto[rows[x][y]] == rows[auto[x]][auto[y]]
                        for x in range(8) for y in range(8))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Each os.fork call, counted; the command must leave no child behind."""
+    calls = []
+    real = os.fork
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counting)
+    yield calls
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSearchAhead:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_tables_equal_the_serial_search(self, monkeypatch, forks, cpus):
+        monkeypatch.setattr(enumeration, "_cpus", lambda: cpus)
+        try:
+            enumeration.search_ahead(range(2, 17))
+            searched = {n: [[list(row) for row in t] for t in tables]
+                        for n, tables in enumeration._searched.items()}
+        finally:
+            enumeration._searched.clear()
+        assert len(forks) == cpus - 1
+        assert searched == {n: [[list(row) for row in t] for t in _search_groups(n)]
+                            for n in range(2, 17)}
+
+    def test_cached_orders_are_not_searched(self, monkeypatch, forks, tmp_path):
+        for n in (2, 3):
+            catalog(n, cache_dir=tmp_path)
+        monkeypatch.setattr(enumeration, "_cpus", lambda: 2)
+        try:
+            enumeration.search_ahead([2, 3], tmp_path)
+            assert enumeration._searched == {}
+            enumeration.search_ahead([2, 3, 4], tmp_path)
+            assert sorted(enumeration._searched) == [4]
+        finally:
+            enumeration._searched.clear()
+        assert forks == []  # one missing order: one worker, this process
+
+    @pytest.mark.parametrize("fault", ["raises", "exits"])
+    def test_failed_child_is_one_error(self, capsys, monkeypatch, forks, tmp_path, fault):
+        # Each order this process takes waits, so the child takes one; its
+        # search fails, and no catalog of any order is written.
+        parent = os.getpid()
+        real = enumeration._search_groups
+
+        def search(n):
+            if os.getpid() == parent:
+                time.sleep(0.1)
+                return real(n)
+            if fault == "exits":
+                os._exit(3)
+            raise KeyError("boom")
+
+        monkeypatch.setattr(enumeration, "_cpus", lambda: 2)
+        monkeypatch.setattr(enumeration, "_search_groups", search)
+        code = cli.main(["verify", "max_cyclic", "--nmax", "8", "--cache-dir", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and len(forks) == 1
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and re.fullmatch(
+            r"error: RuntimeError: the search of order [2-8] failed: KeyError: 'boom'"
+            if fault == "raises" else
+            r"error: RuntimeError: a search worker exited with code 3 and no tables", errors[0])
+        assert not (tmp_path / "catalog").exists()
+        assert enumeration._searched == {}
+
+    def test_failed_parent_reaps_its_child(self, capsys, monkeypatch, forks, tmp_path):
+        parent = os.getpid()
+        real = enumeration._search_groups
+
+        def search(n):
+            if os.getpid() == parent:
+                raise KeyError("boom")
+            return real(n)
+
+        monkeypatch.setattr(enumeration, "_cpus", lambda: 2)
+        monkeypatch.setattr(enumeration, "_search_groups", search)
+        code = cli.main(["verify", "lemma7", "--nmax", "8", "--cache-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2 and len(forks) == 1 and err.endswith("error: KeyError: 'boom'\n")
+        assert not (tmp_path / "catalog").exists()
 
 
 class TestCompleteness:
