@@ -24,7 +24,13 @@ order up to TABLE_BUDGET as a law on lists, by the list rules of
 small groups (``thm4 --q 2 --kmax 4``) load no numpy.  Numpy is loaded
 where a group above TABLE_BUDGET, a ``perm:`` closure or a scan's groups
 above HARD_CAP are built as a law: ``psi C4096``, and ``lemma5``,
-``lemma6`` and ``thm4`` at their usual ranges.
+``lemma6`` and ``thm4`` at their usual ranges.  The scans walk their
+groups on all allowed CPUs too, largest first, with no option
+(``groups.build_groups``), on the same worker pool as the search
+(``pool.run``).  A range that reaches past its budget is refused before
+anything is built: ``thm4`` and ``lemma5``/``lemma6`` past the element
+budget of a group law, and ``equality --family-only`` past an ``--nmax``
+of TABLE_BUDGET.
 
 Of the standard library, no command imports ``dataclasses`` (which
 brings ``inspect``, ``ast`` and ``dis``): the group specs are ``__slots__``
@@ -258,8 +264,17 @@ def _thm4(args) -> list:
 
 def _equality(args) -> list:
     if args.family_only:
+        # One family report per order, each witness walked on list laws up to
+        # TABLE_BUDGET: --nmax 1000 took 2.4 s, 2000 took 10.2 s and 8000
+        # took 28.4 s (2-vCPU Xeon), so a range stops at that budget.
+        from .groups import TABLE_BUDGET
+
+        orders = _orders_in_play(args)
+        if args.nmax is not None and args.nmax > TABLE_BUDGET:
+            raise ValueError(f"--nmax {args.nmax} exceeds {TABLE_BUDGET}, the largest "
+                             "--family-only range")
         return [_theorems().verify_equality_classification(n, args.q, family_only=True)
-                for n in _orders_in_play(args)]
+                for n in orders]
 
     def check(n):
         if n > args.enum_bound:  # theorems names the keyword

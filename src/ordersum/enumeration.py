@@ -61,10 +61,11 @@ from a cache file, loads numpy.
 
 Each order's search is independent of every other's.  ``search_ahead``
 searches the orders whose catalog is not cached on all the CPUs this
-process may run on, largest order first, with no option to turn it off:
-it forks one worker less than there are CPUs (or orders), searches too,
-and reaps every worker before it returns.  ``catalog`` then takes those
-tables in place of a search of its own.
+process may run on, largest order first, with no option to turn it off,
+on the package's one worker pool (``pool.run``), which forks one worker
+less than there are CPUs (or orders), runs jobs itself too, and reaps
+every worker before it returns.  ``catalog`` then takes those tables in
+place of a search of its own.
 """
 
 from __future__ import annotations
@@ -507,99 +508,27 @@ def _search_groups(n: int) -> list[tuple[tuple[int, ...], ...]]:
 _searched: dict[int, list] = {}
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def _queued(queue: int):
-    """The orders read off the queue pipe, one fixed-width token at a time,
-    until it is empty; other workers read the same pipe."""
-    while token := os.read(queue, 4):
-        yield int(token)
-
-
-def _search_worker(queue: int, reply: int, end: int) -> None:
-    """A forked worker: search the orders it takes off the queue, write their
-    tables (or the first error) as JSON to the end of its reply pipe, and
-    exit; it never returns into its caller."""
-    status = 1
-    try:
-        os.close(reply)
-        found: dict[int, list] = {}
-        n = 0
-        try:
-            for n in _queued(queue):
-                found[n] = _search_groups(n)
-            doc = {"tables": found}
-        except Exception as exc:
-            doc = {"error": f"the search of order {n} failed: {type(exc).__name__}: {exc}"}
-        with open(end, "w") as fh:
-            json.dump(doc, fh)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def search_ahead(orders, cache_dir: str | Path | None = None) -> None:
     """Search every order whose catalog is not cached, on all allowed CPUs.
 
     The orders whose cache file does not exist (every order, with no
-    cache_dir) are queued largest first, as 4-byte tokens on a pipe.  W =
-    min(CPUs, orders) workers take them: this process and W - 1 forked
-    children, each of which writes its tables to its own pipe.  This process
-    reads each child's pipe to EOF and reaps it, on every path; a child that
-    failed raises RuntimeError here.  ``catalog`` then takes the tables from
-    ``_searched`` in place of searching, and checks, names and saves them as
-    ever.  The caller checks that every order is within the bound.  The
-    commands that call this run no other thread, so the fork copies no lock
-    another thread holds.
+    cache_dir) are searched largest first by ``pool.run``: this process and
+    one forked child less than there are CPUs (or orders), every child
+    reaped on every path; a child that failed raises RuntimeError here.
+    ``catalog`` then takes the tables from ``_searched`` in place of
+    searching, and checks, names and saves them as ever.  The caller checks
+    that every order is within the bound.
     """
     missing = sorted((n for n in orders
                       if cache_dir is None or not _cache_file(cache_dir, n).exists()),
                      reverse=True)
     if not missing:
         return
-    queue, tokens = os.pipe()
-    os.write(tokens, b"".join(b"%4d" % n for n in missing))
-    os.close(tokens)
-    found: dict[int, list] = {}
-    children: list[tuple[int, int]] = []  # (pid, reply pipe)
-    replies: list[tuple[int, bytes]] = []  # (exit code, reply)
-    try:
-        for _ in range(min(_cpus(), len(missing)) - 1):
-            reply, end = os.pipe()
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _search_worker(queue, reply, end)
-            except BaseException:
-                os.close(reply)
-                raise
-            finally:
-                os.close(end)
-            children.append((pid, reply))
-        for n in _queued(queue):
-            found[n] = _search_groups(n)
-    finally:
-        while os.read(queue, 4096):
-            pass  # on a failure here, the children take no further order
-        os.close(queue)
-        for pid, reply in children:
-            with open(reply, "rb") as fh:
-                text = fh.read()
-            replies.append((os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), text))
-    for code, text in replies:
-        if code or not text:
-            raise RuntimeError(f"a search worker exited with code {code} and no tables")
-        doc = json.loads(text)
-        if "error" in doc:
-            raise RuntimeError(doc["error"])
-        found.update((int(n), tables) for n, tables in doc["tables"].items())
-    _searched.update(found)
+    from . import pool
+
+    tables = pool.run(missing, _search_groups, "the search of order {}",
+                      "a search worker exited with code {} and no tables")
+    _searched.update(zip(missing, tables))
 
 
 def _increasing(tables) -> bool:

@@ -30,9 +30,12 @@ gives the same table:
     ``psi``, ``verify upper_bound``, ``verify mqr`` and ``verify equality
     --family-only`` load ``tables`` and no numpy;
   - a ``Law`` on numpy arrays, for a group above ``TABLE_BUDGET``, for a
-    perm: closure, and for the groups a scan builds with ``build_groups``
+    perm: closure, and for the groups above ``HARD_CAP`` of a scan
     (``verify thm4``, ``lemma5`` and ``lemma6``), where one numpy import
-    pays for itself.
+    pays for itself.  A scan's specs go to ``build_groups``, which checks
+    them all first and then walks their groups on every CPU, largest
+    first, in workers of ``pool.run`` forked after numpy is imported; each
+    worker sends back psi alone and keeps no law.
 
 numpy is imported only inside the functions that build or walk a numpy law,
 and ``tables`` only where rows or a ListLaw are built.
@@ -770,15 +773,44 @@ def build_group(spec: GroupSpec, *, lists: bool = True) -> Group:
     return Group(_law_of(factors), spec)
 
 
-def build_groups(specs):
-    """Realize each spec in turn, lazily, as ``build_group`` with numpy laws.
+def _scan_psi(spec: GroupSpec):
+    """psi of a scan's group, built, spot-checked and walked as
+    ``build_group(spec, lists=False)`` does; the error is returned, not
+    raised, so a scan can raise the first in its own order."""
+    try:
+        return build_group(spec, lists=False).psi()
+    except Exception as exc:
+        return exc
 
-    For a scan over many groups: past the first, numpy walks a law of order
-    above HARD_CAP several times faster than lists do, so one import pays
-    for itself.
+
+def build_groups(specs) -> list[int]:
+    """The psi of each generated spec's group, in the specs' order.
+
+    For a scan over many groups.  Every spec is checked by ``_factors``
+    first, in order, so a bad spec raises here before anything is built.
+    The groups are then built, spot-checked and walked as by
+    ``build_group(spec, lists=False)``, largest order first, on every CPU
+    (``pool.run``); a worker keeps no law once its group is walked and
+    sends back its psi alone.  A failed build, spot check or walk raises
+    the first error in the specs' order, as a serial scan would.  numpy,
+    which walks a law above HARD_CAP several times faster than lists do,
+    is imported here before the fork rather than once in each worker.
     """
-    for spec in specs:
-        yield build_group(spec, lists=False)
+    from . import pool
+
+    specs = list(specs)
+    orders = [_factors(spec)[0] for spec in specs]
+    if max(orders, default=0) > HARD_CAP:
+        import numpy  # noqa: F401
+    ranked = sorted(range(len(specs)), key=orders.__getitem__, reverse=True)
+    found = pool.run([specs[i] for i in ranked], _scan_psi, "the walk of {!r}",
+                     "a scan worker exited with code {} and no psi")
+    psi = [0] * len(specs)
+    for i, value in zip(ranked, found):
+        psi[i] = value
+    if error := next((v for v in psi if isinstance(v, Exception)), None):
+        raise error
+    return psi
 
 
 def _check_action(m: int, k: int, a: int) -> int:

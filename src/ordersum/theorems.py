@@ -43,8 +43,12 @@ groups with ``groups``: as checked pure-Python rows up to order HARD_CAP and
 as laws above it.  ``upper_bound``, ``mqr`` and ``equality --family-only``
 build one or two groups each with ``build_group``, which walks a law of
 order up to 2048 on Python lists, without numpy; the scans ``thm4``,
-``lemma5`` and ``lemma6`` build theirs with ``build_groups``, whose laws
-are numpy's.
+``lemma5`` and ``lemma6`` list their specs and hand them to
+``build_groups``, which walks the groups on every CPU, on numpy laws above
+HARD_CAP, and returns their psi in scan order.  A scan's range is refused
+before any spec is listed where it would reach past the law budget:
+``thm4`` at its first witness past it, ``lemma5`` and ``lemma6`` at an
+mk_max past it.
 """
 
 from __future__ import annotations
@@ -371,19 +375,21 @@ def thm4_family_check(q: int, k_max: int) -> VerificationReport:
     psi must differ from f(q*) * psi(C_n), where q* is the least prime
     divisor of n = q^2 k.  Family-restricted by construction.
     """
-    from .groups import Cyclic, build_groups, format_spec
+    from .groups import LAW_BUDGET, Cyclic, _factors, build_groups, format_spec
 
     if not arith.is_prime(q):
         raise ValueError(f"{q} is not prime")
+    if k_max > LAW_BUDGET // (q * q):
+        # The first witness over the law budget, which build_groups would
+        # refuse first, is refused before 2 k_max specs are listed.
+        _factors(_witness_spec(q, LAW_BUDGET // (q * q) + 1))
     cases = []
-    built = build_groups(spec for k in range(1, k_max + 1)
-                         for spec in (_witness_spec(q, k), Cyclic(q * q * k)))
-    for k in range(1, k_max + 1):
+    ks = range(1, k_max + 1)
+    witnesses = [_witness_spec(q, k) for k in ks]
+    psi = build_groups(spec for k, witness in zip(ks, witnesses)
+                       for spec in (witness, Cyclic(q * q * k)))
+    for k, witness, lhs, cyc in zip(ks, witnesses, psi[0::2], psi[1::2]):
         n = q * q * k
-        group, cyclic = next(built), next(built)
-        witness = group.spec
-        lhs = group.psi()
-        cyc = cyclic.psi()
         params = {"q": q, "k": k, "n": n}
         note = ""
         small = None if k == 1 else arith.least_prime_factor(k)
@@ -460,7 +466,15 @@ def mqr_formula_check(q: int, r: int) -> VerificationReport:
 
 
 def _sylow_semidirect_parameters(mk_max: int):
-    """All (m, k, a) with m a prime power coprime to k, mk <= mk_max, valid a."""
+    """All (m, k, a) with m a prime power coprime to k, mk <= mk_max, valid a.
+
+    An mk_max past the law budget is refused before any is yielded.
+    """
+    from .groups import LAW_BUDGET
+
+    if mk_max > LAW_BUDGET:
+        raise ValueError(f"mk_max {mk_max} exceeds the element budget {LAW_BUDGET} "
+                         "of a group law")
     for m in range(2, mk_max + 1):
         if len(arith.factorize(m)) != 1:
             continue
@@ -495,8 +509,7 @@ def lemma5_check(mk_max: int = 200) -> VerificationReport:
 
     cases = []
     params = list(_sylow_semidirect_parameters(mk_max))
-    for (m, k, a), g in zip(params, build_groups(SemidirectCyclic(*p) for p in params)):
-        lhs = g.psi()
+    for (m, k, a), lhs in zip(params, build_groups(SemidirectCyclic(*p) for p in params)):
         rhs = psi_cyclic(m) * psi_cyclic(k)
         cases.append(
             Case(
@@ -533,9 +546,8 @@ def lemma6_check(mk_max: int = 200) -> VerificationReport:
     cases = []
     params = [(m, k, a) for m, k, a in _sylow_semidirect_parameters(mk_max)
               if k > 1 and a != 1]
-    for (m, k, a), g in zip(params, build_groups(SemidirectCyclic(*p) for p in params)):
+    for (m, k, a), lhs in zip(params, build_groups(SemidirectCyclic(*p) for p in params)):
         z = kernel_of_action(m, k, a)
-        lhs = g.psi()
         rhs = (
             psi_cyclic(m)
             * psi_cyclic(k)

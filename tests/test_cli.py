@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ordersum import cli, enumeration, theorems
+from ordersum import cli, enumeration, groups, theorems
 from ordersum.enumeration import canonical_form
 from ordersum.groups import build_group, parse_spec
 from test_groups import INVALID_SMALL_SPECS
@@ -254,6 +254,32 @@ class TestVerifyCommand:
                              "--acknowledge-slow", "--cache-dir", str(tmp_path))
         assert code == 2 and out == "" and err == f"error: {message}\n"
         assert not (tmp_path / "catalog").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["equality", "--family-only", "--nmax", "1000000000000"],
+         "--nmax 1000000000000 exceeds 2048, the largest --family-only range"),
+        (["thm4", "--q", "5", "--kmax", "1000000000"],
+         "order 1048600 exceeds the element budget 1048576 of a group law"),
+        (["thm4", "--q", "2", "--kmax", "262145"],
+         "order 1048580 exceeds the element budget 1048576 of a group law"),
+        (["lemma5", "--mkmax", "100000000"],
+         "mk_max 100000000 exceeds the element budget 1048576 of a group law"),
+        (["lemma6", "--mkmax", "1048577"],
+         "mk_max 1048577 exceeds the element budget 1048576 of a group law"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_range_past_its_budget_is_refused_up_front(self, capsys, monkeypatch, argv,
+                                                       message):
+        # Refused before any group is built or any worker forked.
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a group")
+
+        refuse_search(monkeypatch)
+        monkeypatch.setattr(groups, "build_group", refuse)
+        monkeypatch.setattr(groups, "build_groups", refuse)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "" and err == f"error: {message}\n"
 
     def test_warm_commands_fork_nothing(self, capsys, monkeypatch, tmp_path):
         cache = ["--cache-dir", str(tmp_path)]

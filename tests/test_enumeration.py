@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ordersum import HARD_CAP, arith, cli, enumeration
+from ordersum import HARD_CAP, arith, cli, enumeration, pool
 from ordersum.enumeration import (
     A000001,
     DEFAULT_BOUND,
@@ -587,26 +587,10 @@ class TestSearchPruning:
                        for x in range(8) for y in range(8))
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Each os.fork call, counted; the command must leave no child behind."""
-    calls = []
-    real = os.fork
-
-    def counting():
-        calls.append(1)
-        return real()
-
-    monkeypatch.setattr(os, "fork", counting)
-    yield calls
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestSearchAhead:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_tables_equal_the_serial_search(self, monkeypatch, forks, cpus):
-        monkeypatch.setattr(enumeration, "_cpus", lambda: cpus)
+        monkeypatch.setattr(pool, "_cpus", lambda: cpus)
         try:
             enumeration.search_ahead(range(2, 17))
             searched = {n: [[list(row) for row in t] for t in tables]
@@ -620,7 +604,7 @@ class TestSearchAhead:
     def test_cached_orders_are_not_searched(self, monkeypatch, forks, tmp_path):
         for n in (2, 3):
             catalog(n, cache_dir=tmp_path)
-        monkeypatch.setattr(enumeration, "_cpus", lambda: 2)
+        monkeypatch.setattr(pool, "_cpus", lambda: 2)
         try:
             enumeration.search_ahead([2, 3], tmp_path)
             assert enumeration._searched == {}
@@ -645,7 +629,7 @@ class TestSearchAhead:
                 os._exit(3)
             raise KeyError("boom")
 
-        monkeypatch.setattr(enumeration, "_cpus", lambda: 2)
+        monkeypatch.setattr(pool, "_cpus", lambda: 2)
         monkeypatch.setattr(enumeration, "_search_groups", search)
         code = cli.main(["verify", "max_cyclic", "--nmax", "8", "--cache-dir", str(tmp_path)])
         out, err = capsys.readouterr()
@@ -667,7 +651,7 @@ class TestSearchAhead:
                 raise KeyError("boom")
             return real(n)
 
-        monkeypatch.setattr(enumeration, "_cpus", lambda: 2)
+        monkeypatch.setattr(pool, "_cpus", lambda: 2)
         monkeypatch.setattr(enumeration, "_search_groups", search)
         code = cli.main(["verify", "lemma7", "--nmax", "8", "--cache-dir", str(tmp_path)])
         err = capsys.readouterr().err

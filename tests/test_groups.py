@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -6,6 +7,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ordersum import HARD_CAP, arith, enumeration, groups, tables
+from ordersum import HARD_CAP, arith, cli, enumeration, groups, pool, tables, theorems
 from ordersum.arith import semidirect_actions
 from ordersum.enumeration import _checked_class, canonical_form, catalog
 from ordersum.groups import (
@@ -269,7 +271,15 @@ def family_specs(draw, limit: int = 2048):
 @st.composite
 def products_of_two(draw, limit: int = 2048):
     a = draw(family_specs(limit // 2))
-    return DirectProduct([a, draw(family_specs(limit // build_group(a).order))])
+    return DirectProduct([a, draw(family_specs(limit // _built(a).order))])
+
+
+@functools.cache
+def _built(spec) -> Group:
+    """build_group(spec), built once for all the tests that read its group:
+    the hypothesis strategies, TestLaws and TestPsi build many of the same
+    groups, and reading a Group changes nothing that it reports."""
+    return build_group(spec)
 
 
 def _invariant_factors(limit: int, least: int = 2):
@@ -432,9 +442,9 @@ class TestLaws:
     @settings(deadline=None)
     @given(products_of_two())
     def test_psi_multiplicative_over_coprime_orders(self, spec):
-        a, b = (build_group(part) for part in spec.parts)
+        a, b = (_built(part) for part in spec.parts)
         assume(math.gcd(a.order, b.order) == 1)
-        assert build_group(spec).psi() == a.psi() * b.psi()
+        assert _built(spec).psi() == a.psi() * b.psi()
 
     @settings(deadline=None)
     @given(st.integers(1, 50_000))
@@ -584,15 +594,109 @@ class TestEngines:
         assert type(g.law) is Law
         assert np.array_equal(g.table, groups._table_for(groups._law_for(Dihedral(64))))
 
-    def test_engine_by_order(self):
+    def test_engine_by_order(self, monkeypatch):
         specs = [Cyclic(HARD_CAP), Cyclic(HARD_CAP + 1), Cyclic(TABLE_BUDGET),
                  Cyclic(TABLE_BUDGET + 1)]
         assert [type(build_group(s)._law) for s in specs] == [
             type(None), ListLaw, ListLaw, Law]
-        # A scan's groups above HARD_CAP are numpy's, built one at a time.
-        built = groups.build_groups(iter(specs))
-        assert next(built)._law is None
-        assert [type(g._law) for g in built] == [Law, Law, Law]
+        # A scan's groups above HARD_CAP are numpy's; the scan keeps their psi.
+        laws = {}
+        real = groups.build_group
+
+        def recording(spec, **kwargs):
+            g = real(spec, **kwargs)
+            laws[spec] = type(g._law)
+            return g
+
+        monkeypatch.setattr(pool, "_cpus", lambda: 1)
+        monkeypatch.setattr(groups, "build_group", recording)
+        assert groups.build_groups(iter(specs)) == [arith.psi_cyclic(s.n) for s in specs]
+        assert [laws[s] for s in specs] == [type(None), Law, Law, Law]
+
+
+def _scan_specs() -> dict[str, list]:
+    """The specs that lemma5 and lemma6 --mkmax 60, and thm4 at q = 2, 3, 5
+    with k <= 30, scan, in scan order."""
+    params = list(theorems._sylow_semidirect_parameters(60))
+    return {
+        "lemma5": [SemidirectCyclic(*p) for p in params],
+        "lemma6": [SemidirectCyclic(m, k, a) for m, k, a in params if k > 1 and a != 1],
+        **{f"thm4 q={q}": [spec for k in range(1, 31)
+                           for spec in (_witness_spec(q, k), Cyclic(q * q * k))]
+           for q in (2, 3, 5)},
+    }
+
+
+class TestBuildGroups:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_psi_equals_the_serial_build(self, monkeypatch, forks, cpus):
+        monkeypatch.setattr(pool, "_cpus", lambda: cpus)
+        for name, specs in _scan_specs().items():
+            assert groups.build_groups(specs) == [
+                build_group(spec, lists=False).psi() for spec in specs], name
+        assert len(forks) == (cpus - 1) * len(_scan_specs())
+
+    @pytest.mark.parametrize("fault", ["spot check", "walk"])
+    def test_failed_child_is_the_serial_error(self, capsys, monkeypatch, forks, fault):
+        # Every metacyclic law of order above HARD_CAP is forged: a law that
+        # fails the spot check, or an associative one that fails the walk.
+        # With a child, this process waits at each group it takes, so the
+        # child walks most, and fails at the first it takes.
+        parent, taken = os.getpid(), []
+
+        def forged(m, k, a, s=0):
+            if os.getpid() == parent:
+                taken.append((m, k, a))
+                time.sleep(0.05 if pool._cpus() > 1 else 0)
+            n = m * k
+            return Law(n, (lambda x, y: (x + 2 * y) % n) if fault == "spot check"
+                       else np.maximum)
+
+        monkeypatch.setattr(groups, "_metacyclic_law", forged)
+        argv = ["verify", "lemma5", "--mkmax", "40"]
+        runs = []
+        for cpus in (1, 2):
+            taken.clear()
+            monkeypatch.setattr(pool, "_cpus", lambda: cpus)
+            runs.append((cli.main(argv), capsys.readouterr()))
+        (serial, s), (parallel, p) = runs
+        assert serial == parallel == 2 and s.out == p.out == "" and len(forks) == 1
+        assert (2, 9, 1) not in taken  # the child failed at it
+        assert s.err == p.err == {
+            "spot check": "error: the law of SemidirectCyclic(m=2, k=9, a=1) failed "
+                          "an associativity spot check\n",
+            "walk": "error: element 1 to the power 18 is not the identity: not a group\n",
+        }[fault]
+
+    def test_more_jobs_than_tokens(self, monkeypatch, forks):
+        # Past pool.TOKENS jobs a token stands for a run of them; on more
+        # workers than there are cores, every job still runs once and comes
+        # back in the jobs' order.
+        monkeypatch.setattr(pool, "_cpus", lambda: 4)
+        jobs = list(range(3 * pool.TOKENS + 5))
+        assert pool.run(jobs, lambda x: -x, "{}", "{}") == [-x for x in jobs]
+        assert len(forks) == 3
+
+    def test_child_that_exits_is_one_error(self, capsys, monkeypatch, forks):
+        # This process waits at the first group it takes, so the child
+        # takes one too.
+        parent, taken = os.getpid(), []
+        real = groups.build_group
+
+        def build(spec, **kwargs):
+            if os.getpid() == parent:
+                time.sleep(0 if taken else 0.2)
+                taken.append(spec)
+                return real(spec, **kwargs)
+            os._exit(3)
+
+        monkeypatch.setattr(pool, "_cpus", lambda: 2)
+        monkeypatch.setattr(groups, "build_group", build)
+        assert cli.main(["verify", "thm4", "--q", "5", "--kmax", "10"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(forks) == 1
+        assert err.splitlines()[-1] == (
+            "error: RuntimeError: a scan worker exited with code 3 and no psi")
 
 
 # The first check each spec fails, in the order the checks run: each part's
@@ -655,6 +759,46 @@ class TestBudgets:
             build_group(FromTable(rows))
 
 
+# The orders of C_n checked against the definition, which costs n table steps
+# over all of C_n (about 20 s for every n <= 1500 on a 2-vCPU Xeon): n <= 400
+# and 2^9, 2^10, 3*5*7*11, 11^3, 2^5*3^2*5, the prime 1499 and 1500.
+CYCLIC_DEFINED = {*range(1, 401), 512, 1024, 1155, 1331, 1440, 1499, 1500}
+
+
+def _products_of_two() -> list:
+    """Both factors of order 2..16, one product per unordered pair, of
+    order up to 256.  An SD with a == 1 is itself the product C_m x C_k,
+    so it is left out."""
+    pool = [(s, _built(s).order) for s in _family_specs(16)
+            if not (isinstance(s, SemidirectCyclic) and s.a == 1)]
+    pool = [(s, n) for s, n in pool if n > 1]
+    return [DirectProduct([a, b]) for i, (a, na) in enumerate(pool)
+            for b, nb in pool[i:] if na * nb <= 256]
+
+
+def _walk(job):
+    """The element orders of build_group(spec) and, if asked for, the
+    definitional orders of its table."""
+    spec, defined = job
+    g = build_group(spec)
+    return np.asarray(g.element_orders), _definitional_orders(g.table) if defined else None
+
+
+@pytest.fixture(scope="session")
+def walks() -> dict:
+    """spec -> (orders, definitional orders or None) for every group that
+    TestOrderWalk checks: each built and walked once for all its tests, on
+    every CPU (``pool.run``)."""
+    jobs = {spec: True for spec in [*_family_specs(256), *_products_of_two(),
+                                    *(_witness_spec(q, k) for q in (2, 3, 5)
+                                      for k in range(1, 61))]}
+    for n in range(1, 1501):
+        jobs[Cyclic(n)] = jobs.get(Cyclic(n), False) or n in CYCLIC_DEFINED
+    found = pool.run(list(jobs.items()), _walk, "the walk of {!r}",
+                     "a walk worker exited with code {} and no orders")
+    return dict(zip(jobs, found))
+
+
 class TestOrderWalk:
     """The prime-power walk agrees with the one-step-per-power definition."""
 
@@ -662,37 +806,33 @@ class TestOrderWalk:
     def check(g: Group) -> None:
         assert np.array_equal(g.element_orders, _definitional_orders(g.table)), g
 
-    def test_family_specs(self):
+    @staticmethod
+    def walked(walks, spec) -> None:
+        orders, defined = walks[spec]
+        assert np.array_equal(orders, defined), spec
+
+    def test_family_specs(self, walks):
         for spec in _family_specs(256):
-            self.check(build_group(spec))
+            self.walked(walks, spec)
 
-    def test_products_of_two(self):
-        # Both factors of order 2..16, one product per unordered pair.  An SD
-        # with a == 1 is itself the product C_m x C_k, so it is left out.
-        pool = [(s, build_group(s).order) for s in _family_specs(16)
-                if not (isinstance(s, SemidirectCyclic) and s.a == 1)]
-        pool = [(s, n) for s, n in pool if n > 1]
-        for i, (a, na) in enumerate(pool):
-            for b, nb in pool[i:]:
-                if na * nb <= 256:
-                    self.check(build_group(DirectProduct([a, b])))
+    def test_products_of_two(self, walks):
+        for spec in _products_of_two():
+            self.walked(walks, spec)
 
-    def test_thm4_witnesses(self):
+    def test_thm4_witnesses(self, walks):
         for q in (2, 3, 5):
             for k in range(1, 61):
-                self.check(build_group(_witness_spec(q, k)))
+                self.walked(walks, _witness_spec(q, k))
 
-    def test_cyclic(self):
-        # The definition costs n table steps over all of C_n (about 20 s for
-        # every n <= 1500 on a 2-vCPU Xeon), so every n is checked against
-        # ord(x) = n / gcd(x, n) and the definition against n <= 400 and
-        # 2^9, 2^10, 3*5*7*11, 11^3, 2^5*3^2*5, the prime 1499 and 1500.
+    def test_cyclic(self, walks):
+        # Every n is checked against ord(x) = n / gcd(x, n), and the
+        # definition against the n of CYCLIC_DEFINED.
         for n in range(1, 1501):
-            g = build_group(Cyclic(n))
+            orders, _ = walks[Cyclic(n)]
             x = np.arange(n)
-            assert np.array_equal(g.element_orders, n // np.gcd(x, n)), n
-            if n <= 400 or n in (512, 1024, 1155, 1331, 1440, 1499, 1500):
-                self.check(g)
+            assert np.array_equal(orders, n // np.gcd(x, n)), n
+            if n in CYCLIC_DEFINED:
+                self.walked(walks, Cyclic(n))
 
     @ABOVE_DEFAULT
     def test_catalog_relabelings(self, cache_dir):
@@ -720,7 +860,7 @@ class TestPsi:
 
     def test_cyclic_matches_closed_form(self):
         for n in range(1, 80):
-            assert build_group(Cyclic(n)).psi() == arith.psi_cyclic(n)
+            assert _built(Cyclic(n)).psi() == arith.psi_cyclic(n)
 
     def test_odd_for_every_group(self):
         specs = [Dihedral(14), GeneralizedQuaternion(32), Modular(5, 3),

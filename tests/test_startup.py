@@ -7,7 +7,8 @@ closure, one group of order above TABLE_BUDGET, or the groups of a scan
 either, `psi`, `catalog` and `spectrum` load no `fractions` or `typing`,
 and only the catalog commands and those that load numpy load `pathlib`.
 A command that builds only numpy laws, of groups above TABLE_BUDGET or of a
-scan's groups above HARD_CAP, loads no `tables`.
+scan's groups above HARD_CAP, loads no `tables`.  The worker pool that the
+search and the scans share, `ordersum.pool`, loads no layer.
 
 Each case runs in a fresh interpreter and reports the `ordersum` modules,
 numpy and the WATCHED standard modules that it left in `sys.modules` beyond
@@ -29,7 +30,7 @@ from ordersum.enumeration import catalog
 
 SRC = str(Path(ordersum.__file__).resolve().parents[1])
 LAYERS = {"ordersum.arith", "ordersum.tables", "ordersum.groups", "ordersum.enumeration",
-          "ordersum.theorems", "ordersum.cli"}
+          "ordersum.theorems", "ordersum.cli", "ordersum.pool"}
 
 # Standard modules that no command, or not every command, needs: each is run
 # at import, and `dataclasses` brings `inspect`, `ast` and `dis`.  numpy
@@ -93,6 +94,12 @@ def test_import_cli_loads_no_layer():
 def test_import_layer_loads_no_groups(layer, below):
     assert loaded_after(f"import ordersum.{layer}") == {
         "ordersum", "ordersum.arith", f"ordersum.{layer}"} | below
+
+
+def test_import_pool_loads_no_layer():
+    # The worker pool of the search and the scans loads nothing of the
+    # package, nor numpy or pathlib, so a scan still loads no catalog layer.
+    assert loaded_after("import ordersum.pool") == {"ordersum", "ordersum.pool"}
 
 
 # Command -> (argv, modules it must not load).  One generated group of order
@@ -182,6 +189,18 @@ def test_law_walks_load_groups(argv, loads_numpy):
     loaded = loaded_by_command(argv)
     assert "ordersum.groups" in loaded
     assert ("numpy" in loaded) == loads_numpy
+
+
+def test_parallel_small_scan_loads_no_numpy():
+    # thm4 --q 2 --kmax 4 builds only rows (orders up to 16); walked on two
+    # workers, it loads no numpy in this process, before the fork or after.
+    code = ("import contextlib, io\n"
+            "from ordersum import cli, pool\n"
+            "pool._cpus = lambda: 2\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['verify', 'thm4', '--q', '2', '--kmax', '4']) == 0\n")
+    loaded = loaded_after(code)
+    assert "ordersum.pool" in loaded and "numpy" not in loaded
 
 
 def test_perm_file_loads_numpy(tmp_path):
