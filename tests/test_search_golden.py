@@ -1,4 +1,4 @@
-"""Search goldens: the orderly search's exact output for orders 17 to 24.
+"""Search goldens: the orderly search's exact output for orders 17 to 31.
 
 The CLI caps enumeration at order 16, so the cache-file goldens stop there.
 `tests/golden/search/n=<n>.json` holds the list of canonical tables that
@@ -19,7 +19,8 @@ from ordersum.enumeration import A000001, _search_groups
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "search"
 # OEIS A000001, the number of groups of order n.
-CLASS_COUNTS = {17: 1, 18: 5, 19: 1, 20: 5, 21: 2, 22: 2, 23: 1, 24: 15}
+CLASS_COUNTS = {17: 1, 18: 5, 19: 1, 20: 5, 21: 2, 22: 2, 23: 1, 24: 15,
+                25: 2, 26: 2, 27: 5, 28: 4, 29: 1, 30: 4, 31: 1}
 
 
 def _dump(tables) -> str:
