@@ -27,10 +27,12 @@ above HARD_CAP are built as a law: ``psi C4096``, and ``lemma5``,
 ``lemma6`` and ``thm4`` at their usual ranges.  The scans walk their
 groups on all allowed CPUs too, largest first, with no option
 (``groups.build_groups``), on the same worker pool as the search
-(``pool.run``).  A range that reaches past its budget is refused before
-anything is built: ``thm4`` and ``lemma5``/``lemma6`` past the element
-budget of a group law, and ``equality --family-only`` past an ``--nmax``
-of TABLE_BUDGET.
+(``pool.run``).  On any number of CPUs, a failed search or walk exits 2
+with the error of the first failing order or group in the command's own
+order, the one a run on one CPU gives.  A range that reaches past its
+budget is refused before anything is built: ``thm4`` and
+``lemma5``/``lemma6`` past the element budget of a group law, and
+``equality --family-only`` past an ``--nmax`` of TABLE_BUDGET.
 
 Of the standard library, no command imports ``dataclasses`` (which
 brings ``inspect``, ``ast`` and ``dis``): the group specs are ``__slots__``

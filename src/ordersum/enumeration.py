@@ -512,23 +512,18 @@ def search_ahead(orders, cache_dir: str | Path | None = None) -> None:
     """Search every order whose catalog is not cached, on all allowed CPUs.
 
     The orders whose cache file does not exist (every order, with no
-    cache_dir) are searched largest first by ``pool.run``: this process and
-    one forked child less than there are CPUs (or orders), every child
-    reaped on every path; a child that failed raises RuntimeError here.
-    ``catalog`` then takes the tables from ``_searched`` in place of
-    searching, and checks, names and saves them as ever.  The caller checks
-    that every order is within the bound.
+    cache_dir) are searched by ``pool.run``, largest first; a failed search
+    raises its own error, that of the first failing order in ``orders``, on
+    any number of CPUs.  ``catalog`` then takes the tables from
+    ``_searched`` in place of searching, and checks, names and saves them as
+    ever.  The caller checks that every order is within the bound.
     """
-    missing = sorted((n for n in orders
-                      if cache_dir is None or not _cache_file(cache_dir, n).exists()),
-                     reverse=True)
+    missing = [n for n in orders if cache_dir is None or not _cache_file(cache_dir, n).exists()]
     if not missing:
         return
     from . import pool
 
-    tables = pool.run(missing, _search_groups, "the search of order {}",
-                      "a search worker exited with code {} and no tables")
-    _searched.update(zip(missing, tables))
+    _searched.update(zip(missing, pool.run(missing, _search_groups, missing)))
 
 
 def _increasing(tables) -> bool:
@@ -677,8 +672,10 @@ def _load_catalog(path: Path, n: int) -> list[CatalogClass] | None:
     increasing flatten order, as catalog writes them, so no class is
     stored twice, and there must be A000001[n] of them: distinct canonical
     tables are distinct classes, so the file then holds every class of order
-    n.  A file that fails any check is reported in a warning and treated as
-    a miss; a file of another generator version is a plain miss.
+    n.  Each stored description must be the name ``_describe_classes``
+    gives the class.  A file that fails any check is reported in a warning
+    and treated as a miss; a file of another generator version is a plain
+    miss.
     """
     try:
         with open(path) as fh:
@@ -693,6 +690,8 @@ def _load_catalog(path: Path, n: int) -> list[CatalogClass] | None:
         classes = [_load_class(entry, n) for entry in data["classes"]]
         if not _increasing(cls.table for cls in classes):
             raise ValueError("the stored tables are not in strictly increasing flatten order")
+        if [cls.description for cls in classes] != _describe_classes(n, classes):
+            raise ValueError("a stored description differs from the class's name")
         return classes
     except FileNotFoundError:
         return None

@@ -773,16 +773,6 @@ def build_group(spec: GroupSpec, *, lists: bool = True) -> Group:
     return Group(_law_of(factors), spec)
 
 
-def _scan_psi(spec: GroupSpec):
-    """psi of a scan's group, built, spot-checked and walked as
-    ``build_group(spec, lists=False)`` does; the error is returned, not
-    raised, so a scan can raise the first in its own order."""
-    try:
-        return build_group(spec, lists=False).psi()
-    except Exception as exc:
-        return exc
-
-
 def build_groups(specs) -> list[int]:
     """The psi of each generated spec's group, in the specs' order.
 
@@ -792,9 +782,10 @@ def build_groups(specs) -> list[int]:
     ``build_group(spec, lists=False)``, largest order first, on every CPU
     (``pool.run``); a worker keeps no law once its group is walked and
     sends back its psi alone.  A failed build, spot check or walk raises
-    the first error in the specs' order, as a serial scan would.  numpy,
-    which walks a law above HARD_CAP several times faster than lists do,
-    is imported here before the fork rather than once in each worker.
+    its own error, that of the first failing spec in the specs' order, on
+    any number of CPUs, as a serial scan would.  numpy, which walks a law
+    above HARD_CAP several times faster than lists do, is imported here
+    before the fork rather than once in each worker.
     """
     from . import pool
 
@@ -802,15 +793,7 @@ def build_groups(specs) -> list[int]:
     orders = [_factors(spec)[0] for spec in specs]
     if max(orders, default=0) > HARD_CAP:
         import numpy  # noqa: F401
-    ranked = sorted(range(len(specs)), key=orders.__getitem__, reverse=True)
-    found = pool.run([specs[i] for i in ranked], _scan_psi, "the walk of {!r}",
-                     "a scan worker exited with code {} and no psi")
-    psi = [0] * len(specs)
-    for i, value in zip(ranked, found):
-        psi[i] = value
-    if error := next((v for v in psi if isinstance(v, Exception)), None):
-        raise error
-    return psi
+    return pool.run(specs, lambda spec: build_group(spec, lists=False).psi(), orders)
 
 
 def _check_action(m: int, k: int, a: int) -> int:

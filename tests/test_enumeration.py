@@ -2,7 +2,6 @@ import json
 import math
 import os
 import random
-import re
 import shutil
 import time
 import warnings
@@ -11,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ordersum import HARD_CAP, arith, cli, enumeration, pool
+from ordersum import HARD_CAP, arith, cli, enumeration, groups, pool
 from ordersum.enumeration import (
     A000001,
     DEFAULT_BOUND,
@@ -614,10 +613,9 @@ class TestSearchAhead:
             enumeration._searched.clear()
         assert forks == []  # one missing order: one worker, this process
 
-    @pytest.mark.parametrize("fault", ["raises", "exits"])
-    def test_failed_child_is_one_error(self, capsys, monkeypatch, forks, tmp_path, fault):
-        # Each order this process takes waits, so the child takes one; its
-        # search fails, and no catalog of any order is written.
+    def test_child_that_exits_is_one_error(self, capsys, monkeypatch, forks, tmp_path):
+        # Each order this process takes waits, so the child takes one; it
+        # exits with no reply, and no catalog of any order is written.
         parent = os.getpid()
         real = enumeration._search_groups
 
@@ -625,20 +623,65 @@ class TestSearchAhead:
             if os.getpid() == parent:
                 time.sleep(0.1)
                 return real(n)
-            if fault == "exits":
-                os._exit(3)
-            raise KeyError("boom")
+            os._exit(3)
 
         monkeypatch.setattr(pool, "_cpus", lambda: 2)
         monkeypatch.setattr(enumeration, "_search_groups", search)
         code = cli.main(["verify", "max_cyclic", "--nmax", "8", "--cache-dir", str(tmp_path)])
         out, err = capsys.readouterr()
         assert code == 2 and out == "" and len(forks) == 1
-        errors = [line for line in err.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and re.fullmatch(
-            r"error: RuntimeError: the search of order [2-8] failed: KeyError: 'boom'"
-            if fault == "raises" else
-            r"error: RuntimeError: a search worker exited with code 3 and no tables", errors[0])
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: RuntimeError: a worker exited with code 3 and sent no reply"]
+        assert not (tmp_path / "catalog").exists()
+        assert enumeration._searched == {}
+
+    @pytest.mark.parametrize("faulted", ["one", "two"])
+    @pytest.mark.parametrize("fault", [KeyError, ValueError])
+    @pytest.mark.parametrize("command", ["search", "scan"])
+    def test_failed_job_is_the_serial_error(self, capsys, monkeypatch, forks, tmp_path,
+                                            command, fault, faulted):
+        # A fault in one job, or in two, of a search (orders 2-8) or of a
+        # scan (84 groups): on one CPU, and on two with first this process
+        # and then the child as the slow worker, so that each takes a share
+        # of the jobs, the command gives the same error, that of the first
+        # faulted job in the jobs' order.  The later faulted job is the
+        # larger, so two workers take it first.
+        argv, jobs = {
+            "search": (["verify", "max_cyclic", "--nmax", "8"], (5, 7)),
+            "scan": (["verify", "lemma5", "--mkmax", "40"],
+                     (SemidirectCyclic(2, 5, 1), SemidirectCyclic(37, 1, 1))),
+        }[command]
+        if faulted == "one":
+            jobs = jobs[1:]
+        parent, slow = os.getpid(), {"worker": None}
+
+        def faulty(real):
+            def run(job, **kwargs):
+                if slow["worker"] == ("parent" if os.getpid() == parent else "child"):
+                    time.sleep(0.02)
+                if job in jobs:
+                    raise fault(f"boom {job!r}")
+                return real(job, **kwargs)
+            return run
+
+        if command == "search":
+            monkeypatch.setattr(enumeration, "_search_groups",
+                                faulty(enumeration._search_groups))
+        else:
+            monkeypatch.setattr(groups, "build_group", faulty(groups.build_group))
+        runs = []
+        for cpus, worker in [(1, None), (2, "parent"), (2, "child")]:
+            monkeypatch.setattr(pool, "_cpus", lambda: cpus)
+            slow["worker"] = worker
+            code = cli.main([*argv, "--cache-dir", str(tmp_path)])
+            out, err = capsys.readouterr()
+            runs.append((code, out, [line for line in err.splitlines()
+                                     if line.startswith("error:")]))
+            if fault is ValueError:
+                assert err == f"error: boom {jobs[0]!r}\n"
+        line = (f"error: boom {jobs[0]!r}" if fault is ValueError
+                else f"error: KeyError: 'boom {jobs[0]!r}'")
+        assert runs == [(2, "", [line])] * 3 and len(forks) == 2
         assert not (tmp_path / "catalog").exists()
         assert enumeration._searched == {}
 
@@ -733,6 +776,12 @@ def _swap_intercalate(data: dict) -> None:
                for x in range(n) for y in range(n) for z in range(n))
 
 
+def _swap_c8_and_q8(data: dict) -> None:
+    """Swap the stored names of C8 and Q8; every table and value stays valid."""
+    named = {c["description"]: c for c in data["classes"]}
+    named["C8"]["description"], named["Q8"]["description"] = "Q8", "C8"
+
+
 def _delete_class(data: dict, description: str) -> None:
     """Drop one class; the rest stay canonical, in order and correctly valued."""
     classes = data["classes"]
@@ -788,6 +837,7 @@ class TestCatalogCache:
             lambda d: d["classes"].__setitem__(2, d["classes"][1]),  # a class twice
             lambda d: d["classes"].insert(1, d["classes"].pop(2)),  # two classes swapped
             _relabel_q8,
+            pytest.param(_swap_c8_and_q8, id="C8 and Q8 names swapped"),
             pytest.param(lambda d: _delete_class(d, "C8"), id="C8 deleted"),
             pytest.param(lambda d: _delete_class(d, "A[2,4]"), id="A[2,4] deleted"),
             pytest.param(lambda d: _delete_class(d, "Q8"), id="Q8 deleted"),

@@ -674,7 +674,7 @@ class TestBuildGroups:
         # back in the jobs' order.
         monkeypatch.setattr(pool, "_cpus", lambda: 4)
         jobs = list(range(3 * pool.TOKENS + 5))
-        assert pool.run(jobs, lambda x: -x, "{}", "{}") == [-x for x in jobs]
+        assert pool.run(jobs, lambda x: -x, jobs) == [-x for x in jobs]
         assert len(forks) == 3
 
     def test_child_that_exits_is_one_error(self, capsys, monkeypatch, forks):
@@ -696,7 +696,7 @@ class TestBuildGroups:
         out, err = capsys.readouterr()
         assert out == "" and len(forks) == 1
         assert err.splitlines()[-1] == (
-            "error: RuntimeError: a scan worker exited with code 3 and no psi")
+            "error: RuntimeError: a worker exited with code 3 and sent no reply")
 
 
 # The first check each spec fails, in the order the checks run: each part's
@@ -788,14 +788,13 @@ def _walk(job):
 def walks() -> dict:
     """spec -> (orders, definitional orders or None) for every group that
     TestOrderWalk checks: each built and walked once for all its tests, on
-    every CPU (``pool.run``)."""
+    every CPU, largest order first (``pool.run``)."""
     jobs = {spec: True for spec in [*_family_specs(256), *_products_of_two(),
                                     *(_witness_spec(q, k) for q in (2, 3, 5)
                                       for k in range(1, 61))]}
     for n in range(1, 1501):
         jobs[Cyclic(n)] = jobs.get(Cyclic(n), False) or n in CYCLIC_DEFINED
-    found = pool.run(list(jobs.items()), _walk, "the walk of {!r}",
-                     "a walk worker exited with code {} and no orders")
+    found = pool.run(list(jobs.items()), _walk, [groups._factors(spec)[0] for spec in jobs])
     return dict(zip(jobs, found))
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from ordersum import pool
 from ordersum.enumeration import A000001, _search_groups
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "search"
@@ -27,9 +28,16 @@ def _dump(tables) -> str:
     return "[\n" + ",\n".join(json.dumps([list(r) for r in t]) for t in tables) + "\n]\n"
 
 
+@pytest.fixture(scope="module")
+def searched() -> dict:
+    """Each order's tables, searched once for the module on every CPU."""
+    orders = sorted(CLASS_COUNTS)
+    return dict(zip(orders, pool.run(orders, _search_groups, orders)))
+
+
 @pytest.mark.parametrize("n", sorted(CLASS_COUNTS))
-def test_search_matches_golden(n):
-    tables = _search_groups(n)
+def test_search_matches_golden(searched, n):
+    tables = searched[n]
     assert len(tables) == CLASS_COUNTS[n] == A000001[n]
     assert _dump(tables) == (GOLDEN / f"n={n}.json").read_text()
 
