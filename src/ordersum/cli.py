@@ -44,11 +44,24 @@ install, or ``PYTHONDONTWRITEBYTECODE`` set), every process compiles each
 of the package's modules it imports from source, and runs every module it
 imports, so the number and size of the modules a command loads are part of
 its start-up time.
+
+A process runs ``entry``: the ``ordersum`` console script and ``python -m
+ordersum.cli`` alike.  It turns the cyclic collector off, runs ``main`` and,
+however main ends, freezes every object then alive.  No collection set off
+by a command's imports, and not the one the interpreter runs as it
+finalizes, then walks every object the process has loaded, which took about
+a tenth of a short command's time.  The package's hot paths make no
+reference cycle, so memory stays bounded without the collector.  Exit
+handlers still run and stdout is still flushed, and forked workers inherit
+the setting.  ``main(argv)`` itself never touches the collector: called
+in-process, by the tests or the benchmark's traced run, it leaves the
+caller's collector as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -355,5 +368,16 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> None:
+    """The ``ordersum`` process: main() with the cyclic collector off, and
+    every object alive at its end frozen, on every path, a usage error's
+    SystemExit and a crash too (see the module docstring)."""
+    gc.disable()
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -233,7 +233,10 @@ def _scan_labelings(rows, target: tuple | None = None, order: list | None = None
             if stopped:
                 return
 
-    rec(0, target is None)
+    try:
+        rec(0, target is None)
+    finally:
+        del rec  # its closure holds it: a cycle that only the collector would free
     return best_flat, best_order, autos
 
 
@@ -498,7 +501,10 @@ def _search_groups(n: int) -> list[tuple[tuple[int, ...], ...]]:
             if fresh:
                 k -= 1
 
-    dfs(0, [([0], [0] + [-1] * (n - 1))], [])
+    try:
+        dfs(0, [([0], [0] + [-1] * (n - 1))], [])
+    finally:
+        del dfs  # its closure holds it, and it every other helper: a cycle
     return results
 
 
@@ -586,17 +592,14 @@ def _family_candidates(n: int):
             yield f"SD({m},{k},{a})", _rows([("metacyclic", m, k, a)])
 
 
-def abelian_invariant_chains(n: int) -> list[tuple[int, ...]]:
-    """All invariant-factor chains d1 | d2 | ... with product n, sorted: those
-    of m with every factor a multiple of d are (e, *rest), for each divisor
-    e > 1 of m with d | e and each such chain rest of m/e over e."""
-    def chains(m: int, d: int) -> list[tuple[int, ...]]:
-        if m == 1:
-            return [()]
-        return [(e, *rest) for e in arith.divisors(m) if e > 1 and e % d == 0
-                for rest in chains(m // e, e)]
-
-    return chains(n, 1)
+def abelian_invariant_chains(n: int, d: int = 1) -> list[tuple[int, ...]]:
+    """All invariant-factor chains d1 | d2 | ... with product n and every
+    factor a multiple of d, sorted: (e, *rest), for each divisor e > 1 of n
+    with d | e and each such chain rest of n/e over e."""
+    if n == 1:
+        return [()]
+    return [(e, *rest) for e in arith.divisors(n) if e > 1 and e % d == 0
+            for rest in abelian_invariant_chains(n // e, e)]
 
 
 def _describe_classes(n: int, classes: list[CatalogClass]) -> list[str]:

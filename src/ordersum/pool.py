@@ -15,7 +15,9 @@ One failure rule holds on any number of CPUs: a failed job raises its own
 exception, and of several, the one first in the jobs' order.  W = 1 runs
 the jobs in their order and stops at the first error; W > 1 workers run
 every job and raise it once every child is reaped.  Only a child that
-exits without a reply raises an error of the pool's own.
+exits without a reply raises an error of the pool's own, and a child's
+failure that a pickle cannot carry comes back as
+RuntimeError("<TypeName>: <message>").
 
 A fork copies only the thread that calls it.  The package starts no
 thread; numpy, which a scan imports before it forks, starts an OpenBLAS
@@ -63,15 +65,24 @@ def _take(queue: int, jobs: list, work, ranked: list[int], size: int):
 
 def _child(queue: int, reply: int, end: int, jobs: list, work, ranked: list[int], size: int):
     """A forked worker: pickle what ``_take`` found to the end of its reply
-    pipe, and exit; it never returns into its caller."""
+    pipe, and exit; it never returns into its caller.  A failure that fails
+    a pickle round trip, such as an exception whose ``__init__`` takes
+    other arguments than its ``args``, is sent as its type name and message
+    in a RuntimeError."""
     import pickle
 
     status = 1
     try:
         os.close(reply)
-        doc = _take(queue, jobs, work, ranked, size)
+        done, first = _take(queue, jobs, work, ranked, size)
+        if first is not None:
+            i, exc = first
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                first = i, RuntimeError(f"{type(exc).__name__}: {exc}")
         with open(end, "wb") as fh:
-            pickle.dump(doc, fh)
+            pickle.dump((done, first), fh)
         status = 0
     finally:
         os._exit(status)

@@ -627,6 +627,14 @@ def _scan_specs() -> dict[str, list]:
     }
 
 
+class PairError(Exception):
+    """An exception that pickles but does not unpickle: its __init__ takes
+    two arguments, and its args hold one."""
+
+    def __init__(self, job, what):
+        super().__init__(f"job {job} {what}")
+
+
 class TestBuildGroups:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_psi_equals_the_serial_build(self, monkeypatch, forks, cpus):
@@ -676,6 +684,25 @@ class TestBuildGroups:
         jobs = list(range(3 * pool.TOKENS + 5))
         assert pool.run(jobs, lambda x: -x, jobs) == [-x for x in jobs]
         assert len(forks) == 3
+
+    def test_failure_that_does_not_unpickle(self, monkeypatch, forks):
+        # This process waits at each job it takes, so the child takes the
+        # others and fails at each.  Its first failure would not unpickle
+        # here, so it comes back as its type name and message.
+        with pytest.raises(TypeError, match="__init__"):
+            pickle.loads(pickle.dumps(PairError(1, "failed")))
+        parent = os.getpid()
+
+        def work(job):
+            if os.getpid() == parent:
+                time.sleep(0.2)
+                return job
+            raise PairError(job, "failed")
+
+        monkeypatch.setattr(pool, "_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match=r"^PairError: job [123] failed$"):
+            pool.run([1, 2, 3], work, [1, 2, 3])
+        assert len(forks) == 1
 
     def test_child_that_exits_is_one_error(self, capsys, monkeypatch, forks):
         # This process waits at the first group it takes, so the child
