@@ -54,10 +54,12 @@ lists.  The classes are named by matching them against the tables of the
 construction families, ``tables._rows``: the list rules of ``tables``, which
 ``groups`` walks its list laws by too, applied to the grid of all pairs,
 so they give the same tables as the laws of ``groups``; ``isomorphic_to_canonical``
-is the one test of whether a table is a given class.  This module does not
-import ``groups``: every function, ``canonical_form`` too, takes tables as
-rows and returns them as tuples of tuples, so no catalog, computed or read
-from a cache file, loads numpy.
+is the one test of whether a table is a given class.  ``_classes`` is the
+one rule for a complete catalog, searched or cached, and a cache file must
+also be the file ``_save_catalog`` writes.  This module does not import
+``groups``: every function, ``canonical_form`` too, takes tables as rows and
+returns them as tuples of tuples, so no catalog, computed or read from a
+cache file, loads numpy.
 
 Each order's search is independent of every other's.  ``search_ahead``
 searches the orders whose catalog is not cached on all the CPUs this
@@ -84,8 +86,7 @@ from .tables import CatalogClass, _checked_class, _perm_table, _rows
 GENERATOR_VERSION = 1
 
 # The number of groups of order n up to isomorphism, for n = 0..48: OEIS
-# A000001.  Every catalog, computed or read from a cache file, must hold
-# A000001[n] classes.
+# A000001, the size of a complete catalog of order n (``_classes``).
 A000001 = (0, 1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1, 14, 1, 5, 1, 5, 2, 2, 1, 15,
            2, 2, 5, 4, 1, 4, 1, 51, 1, 2, 1, 14, 1, 2, 2, 14, 1, 6, 1, 4, 2, 2, 1, 52)
 
@@ -532,12 +533,6 @@ def search_ahead(orders, cache_dir: str | Path | None = None) -> None:
     _searched.update(zip(missing, pool.run(missing, _search_groups, missing)))
 
 
-def _increasing(tables) -> bool:
-    """Whether the tables are in strictly increasing flatten order, so none repeats."""
-    flats = [flatten(t) for t in tables]
-    return all(a < b for a, b in zip(flats, flats[1:]))
-
-
 # ---------------------------------------------------------------------------
 # Catalog with persistence
 # ---------------------------------------------------------------------------
@@ -602,9 +597,9 @@ def abelian_invariant_chains(n: int, d: int = 1) -> list[tuple[int, ...]]:
             for rest in abelian_invariant_chains(n // e, e)]
 
 
-def _describe_classes(n: int, classes: list[CatalogClass]) -> list[str]:
-    """Each class is named by the first family candidate isomorphic to it;
-    every candidate table is checked as a class first."""
+def _describe_classes(n: int, classes: list[CatalogClass]) -> list[CatalogClass]:
+    """The classes, each named by the first family candidate isomorphic to
+    it; every candidate table is checked as a class first."""
     descs: list[str | None] = [None] * len(classes)
     for desc, rows in _family_candidates(n):
         cand = _checked_class(rows, n)
@@ -614,10 +609,24 @@ def _describe_classes(n: int, classes: list[CatalogClass]) -> list[str]:
                 break
         if None not in descs:
             break
-    return [
-        desc or f"order-{n} class #{idx} with order profile {cls.order_profile()}"
-        for idx, (cls, desc) in enumerate(zip(classes, descs))
-    ]
+    return [cls._replace(description=desc or f"order-{n} class #{idx} with order "
+                                          f"profile {cls.order_profile()}")
+            for idx, (cls, desc) in enumerate(zip(classes, descs))]
+
+
+def _classes(n: int, tables: list) -> list[CatalogClass]:
+    """The named classes of order n, when tables, searched or cached, are a
+    complete catalog: A000001[n] tables that pass ``_checked_class``, in
+    strictly increasing flatten order, so none repeats (canonical ones are
+    then every class).  Raises ValueError naming the first rule broken."""
+    if len(tables) != A000001[n]:
+        raise ValueError(f"it holds {len(tables)} classes, "
+                         f"not the {A000001[n]} groups of order {n}")
+    classes = [_checked_class(rows, n) for rows in tables]
+    flats = [flatten(cls.table) for cls in classes]
+    if any(a >= b for a, b in zip(flats, flats[1:])):
+        raise ValueError("the tables are not in strictly increasing flatten order")
+    return _describe_classes(n, classes)
 
 
 def catalog(
@@ -642,21 +651,13 @@ def catalog(
             RuntimeWarning,
             stacklevel=2,
         )
-    # The search's output is complete when its tables are in strictly
-    # increasing flatten order, so none repeats, and there are A000001[n] of
-    # them.  A search that fails either is at fault, never a failed claim.
     tables = _searched.pop(n, None)
     if tables is None:
         tables = _search_groups(n)
-    if not _increasing(tables):
-        raise RuntimeError(f"the search's tables of order {n} are not in "
-                           "strictly increasing flatten order")
-    if len(tables) != A000001[n]:
-        raise RuntimeError(f"the search found {len(tables)} classes of order {n}, "
-                           f"not the {A000001[n]} of OEIS A000001")
-    found = [_checked_class(rows, n) for rows in tables]
-    classes = [cls._replace(description=desc)
-               for cls, desc in zip(found, _describe_classes(n, found))]
+    try:
+        classes = _classes(n, tables)
+    except ValueError as exc:  # a faulty search, never a failed claim
+        raise RuntimeError(f"the search's output of order {n} is faulty: {exc}") from None
     if path is not None:
         _save_catalog(path, n, classes)
     return classes
@@ -669,32 +670,24 @@ def _cache_file(cache_dir: str | Path, n: int) -> Path:
 def _load_catalog(path: Path, n: int) -> list[CatalogClass] | None:
     """The catalog cached at ``path``, or None when it has to be computed.
 
-    Cache files are untrusted: every stored table must pass
-    ``_checked_class`` and be canonical, and its stored psi and order
-    profile must equal the walked ones.  The tables must be in strictly
-    increasing flatten order, as catalog writes them, so no class is
-    stored twice, and there must be A000001[n] of them: distinct canonical
-    tables are distinct classes, so the file then holds every class of order
-    n.  Each stored description must be the name ``_describe_classes``
-    gives the class.  A file that fails any check is reported in a warning
-    and treated as a miss; a file of another generator version is a plain
-    miss.
+    Cache files are untrusted.  The stored tables must pass the rule the
+    search's tables pass, ``_classes`` (A000001[n] group tables in strictly
+    increasing flatten order), and be canonical, and the file must be, as
+    JSON text with sorted keys, the one ``_save_catalog`` writes for those
+    classes, names included.  A file that fails is named in a warning, with
+    the first rule broken or the first key that differs, and is a miss; so,
+    with no warning, is a file of another generator version.
     """
     try:
         with open(path) as fh:
             data = json.load(fh)
         if data["generator_version"] != GENERATOR_VERSION:
             return None
-        if data["n"] != n:
-            raise ValueError(f"it holds order {data['n']}")
-        if len(data["classes"]) != A000001[n]:
-            raise ValueError(f"it holds {len(data['classes'])} classes, "
-                             f"not the {A000001[n]} groups of order {n}")
-        classes = [_load_class(entry, n) for entry in data["classes"]]
-        if not _increasing(cls.table for cls in classes):
-            raise ValueError("the stored tables are not in strictly increasing flatten order")
-        if [cls.description for cls in classes] != _describe_classes(n, classes):
-            raise ValueError("a stored description differs from the class's name")
+        classes = _classes(n, [entry["table"] for entry in data["classes"]])
+        if not all(_is_canonical(cls.table) for cls in classes):
+            raise ValueError("a stored table is not canonical")
+        if at := _differs_at(data, _document(n, classes)):
+            raise ValueError(f"its {at} differs from the file catalog writes")
         return classes
     except FileNotFoundError:
         return None
@@ -707,15 +700,18 @@ def _load_catalog(path: Path, n: int) -> list[CatalogClass] | None:
         return None
 
 
-def _load_class(entry: dict, n: int) -> CatalogClass:
-    cls = _checked_class(entry["table"], n, entry["description"])
-    if not isinstance(cls.description, str):
-        raise TypeError("a stored description is not a string")
-    if not _is_canonical(cls.table):
-        raise ValueError("a stored table is not canonical")
-    if entry != class_to_dict(cls):
-        raise ValueError("a stored psi or order profile differs from the walked one")
-    return cls
+def _differs_at(got, want) -> str:
+    """The keys and indices of the first value where the JSON value got
+    differs from want as JSON text with sorted keys, where 1.0 and true
+    differ from 1; empty when they are equal or differ as wholes."""
+    if type(got) is type(want) is list:
+        got, want = dict(enumerate(got)), dict(enumerate(want))
+    if type(got) is type(want) is dict:
+        for key in {**want, **got}:  # want's keys, then got's others
+            if key not in got or key not in want or (
+                    json.dumps(got[key], sort_keys=True) != json.dumps(want[key], sort_keys=True)):
+                return f"[{key!r}]" + _differs_at(got.get(key), want.get(key))
+    return ""
 
 
 def class_to_dict(cls: CatalogClass) -> dict:
@@ -728,20 +724,23 @@ def class_to_dict(cls: CatalogClass) -> dict:
     }
 
 
+def _document(n: int, classes: list[CatalogClass]) -> dict:
+    """The cache file of the catalog of order n, as JSON."""
+    return {"schema": 1, "n": n, "generator_version": GENERATOR_VERSION,
+            "classes": [class_to_dict(cls) for cls in classes]}
+
+
 def _save_catalog(path: Path, n: int, classes: list[CatalogClass]) -> None:
     """Write the cache file atomically: a temporary file, then os.replace."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    data = {
-        "schema": 1,
-        "n": n,
-        "generator_version": GENERATOR_VERSION,
-        "classes": [class_to_dict(cls) for cls in classes],
-    }
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(_document(n, classes), fh, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 SpectrumEntry = namedtuple("SpectrumEntry", ("psi", "count", "witnesses"))

@@ -69,7 +69,7 @@ def _generating_set(table) -> list[int]:
     return gens
 
 
-def _checked_class(rows, n: int, description: str = "") -> CatalogClass:
+def _checked_class(rows, n: int) -> CatalogClass:
     """The class of an order-n table that is a group's, with its element orders.
 
     The package's one group check: of catalog tables, computed or cached,
@@ -115,7 +115,7 @@ def _checked_class(rows, n: int, description: str = "") -> CatalogClass:
         if y or n % k:
             raise ValueError(f"element {x} to the power {n} is not the identity: not a group")
         orders.append(k)
-    return CatalogClass(table, description, tuple(orders))
+    return CatalogClass(table, "", tuple(orders))
 
 
 # The family rules on Python lists, on the mixed-radix indices of the numpy

@@ -15,6 +15,7 @@ import gc
 import importlib
 import inspect
 import io
+import json
 import os
 import re
 import shutil
@@ -65,6 +66,26 @@ def test_hot_paths_make_no_cycle(monkeypatch, tmp_path):
     gc.collect()
     with collector(False):
         work()
+        assert gc.collect() == 0
+
+
+def test_cold_catalog_writes_make_no_cycle(monkeypatch, tmp_path):
+    # A cold catalog of orders 2-12, each searched, named and written to a
+    # cache file, in this process.  The cache bytes need json.dump with
+    # indent=1, which runs the standard library's pure-Python encoder: its
+    # closures make 33 cycles a file.  json.dumps with no indent runs the C
+    # encoder, which makes none, so the writer that replaces json.dump here
+    # leaves only the program's own part of the write path to check.
+    monkeypatch.setattr(json, "dump", lambda obj, fh, **kwargs: fh.write(json.dumps(obj)))
+
+    def work(cache):
+        for n in range(2, 13):
+            catalog(n, cache_dir=cache)
+
+    work(tmp_path / "first")
+    gc.collect()
+    with collector(False):
+        work(tmp_path / "second")
         assert gc.collect() == 0
 
 

@@ -85,11 +85,13 @@ class TestAllGroups:
         # A search that loses a class is a fault, never a failed claim: exit 2.
         real = enumeration._search_groups
         monkeypatch.setattr(enumeration, "_search_groups", lambda n: real(n)[:-1])
-        with pytest.raises(RuntimeError, match="found 4 classes of order 8, not the 5"):
+        message = "the search's output of order 8 is faulty: it holds 4 classes, not the 5"
+        with pytest.raises(RuntimeError, match=message):
             catalog(8)
         assert cli.main(["catalog", "8", "--cache-dir", str(tmp_path)]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.endswith("not the 5 of OEIS A000001\n")
+        assert out == "" and [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: RuntimeError: {message} groups of order 8"]
         assert not (tmp_path / "catalog" / "n=8.json").exists()
 
     def test_search_order_is_checked(self, capsys, monkeypatch, tmp_path):
@@ -788,6 +790,11 @@ def _delete_class(data: dict, description: str) -> None:
     classes.remove(next(c for c in classes if c["description"] == description))
 
 
+def _disk_full(obj, fh, **kwargs):
+    fh.write("{")
+    raise OSError(28, "No space left on device")
+
+
 class TestCatalogCache:
     def test_roundtrip(self, tmp_path):
         first = catalog(8, cache_dir=tmp_path)
@@ -850,6 +857,13 @@ class TestCatalogCache:
             pytest.param(lambda d: _set_entry(d, 1, 1, 2**70), id="entry 2**70"),
             pytest.param(lambda d: d["classes"][1]["table"][3].pop(), id="ragged row"),
             pytest.param(_swap_intercalate, id="non-associative loop"),
+            pytest.param(lambda d: d.update(schema=2), id="schema 2"),
+            pytest.param(lambda d: d.update(note="edited"), id="extra key"),
+            # 43.0 and true compare equal to the ints the program writes.
+            pytest.param(lambda d: d["classes"][0].update(psi=float(d["classes"][0]["psi"])),
+                         id="float psi"),
+            pytest.param(lambda d: d["classes"][0]["order_profile"][0].__setitem__(1, True),
+                         id="true count"),
         ],
     )
     def test_invalid_cache_recomputed_and_rewritten(self, tmp_path, tamper):
@@ -892,6 +906,27 @@ class TestCatalogCache:
     def test_save_leaves_no_temporary_file(self, tmp_path):
         catalog(6, cache_dir=tmp_path)
         assert [p.name for p in (tmp_path / "catalog").iterdir()] == ["n=6.json"]
+
+    def test_failed_save_removes_its_temporary_file(self, monkeypatch, tmp_path):
+        # A full disk fails the write part-way; the file in place stays as it was.
+        classes = catalog(6, cache_dir=tmp_path)
+        path = tmp_path / "catalog" / "n=6.json"
+        good = path.read_bytes()
+        monkeypatch.setattr(json, "dump", _disk_full)
+        with pytest.raises(OSError, match="No space left on device"):
+            enumeration._save_catalog(path, 6, classes)
+        with pytest.raises(OSError, match="No space left on device"):
+            catalog(4, cache_dir=tmp_path)
+        assert [p.name for p in path.parent.iterdir()] == ["n=6.json"]
+        assert path.read_bytes() == good
+
+    def test_failed_save_is_one_error_line(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(json, "dump", _disk_full)
+        code = cli.main(["verify", "max_cyclic", "--n", "6", "--cache-dir", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: [Errno 28] No space left on device\n"
+        assert list((tmp_path / "catalog").iterdir()) == []
 
 
 class TestDescriptions:
