@@ -9,7 +9,11 @@ import pytest
 from ordersum import cli, enumeration, groups, theorems
 from ordersum.enumeration import canonical_form
 from ordersum.groups import build_group, parse_spec
-from test_groups import INVALID_SMALL_SPECS
+from test_groups import CHECK_ORDER, INVALID_SMALL_SPECS
+
+# Each invalid spec, small or past the budget, with the message of the first
+# check it fails.
+REFUSED_SPECS = {**INVALID_SMALL_SPECS, **CHECK_ORDER}
 
 
 def refuse_search(monkeypatch):
@@ -101,11 +105,11 @@ class TestPsiCommand:
         assert code == 2 and out == "" and len(err.splitlines()) == 1
         assert re.match(r"error: (a table is not \d+ rows of|a group table needs at least)", err)
 
-    @pytest.mark.parametrize("spec", INVALID_SMALL_SPECS)
+    @pytest.mark.parametrize("spec", REFUSED_SPECS)
     def test_invalid_small_spec_one_error_line(self, capsys, spec):
         code, out, err = run(capsys, "psi", spec)
         assert code == 2 and out == ""
-        assert err == f"error: {INVALID_SMALL_SPECS[spec]}\n"
+        assert err == f"error: {REFUSED_SPECS[spec]}\n"
 
     @pytest.mark.parametrize(
         "spec", ["C2000000", "A[1024,2048]", "SD(1,1000000000000,0)", "M(3,30000000)",

@@ -726,11 +726,13 @@ class TestBuildGroups:
             "error: RuntimeError: a worker exited with code 3 and sent no reply")
 
 
-# The first check each spec fails, in the order the checks run: each part's
-# parameters and order, then the order of the product so far.  M(q,r) is
-# refused by its order before q is tested for primality, which the sieve
-# cannot decide for q = 1000000000039.
+# The first check each spec fails, in the order the checks run: every
+# atom's syntax, then each part's parameters and order, then the order of
+# the product so far.  M(q,r) is refused by its order before q is tested
+# for primality, which the sieve cannot decide for q = 1000000000039.
 CHECK_ORDER = {
+    "C0xZ5": "malformed group spec 'Z5'",
+    "C1024xC2048xC0": "order 2097152 exceeds the element budget 1048576 of a group law",
     "C1024xC1024xC2": "order 2097152 exceeds the element budget 1048576 of a group law",
     "C2048xC1024xC1024": "order 2097152 exceeds the element budget 1048576 of a group law",
     "C2097152xD7": "order 2097152 exceeds the element budget 1048576 of a group law",

@@ -142,6 +142,14 @@ def test_usage_error_loads_no_groups(argv):
     assert loaded_by_command(argv, exit_code=2) == {"ordersum", "ordersum.cli"}
 
 
+@pytest.mark.parametrize("spec", ["C0", "M(2,100)"])
+def test_refused_spec_builds_nothing(spec):
+    # A spec that fails its checks is refused before any group is built.
+    loaded = loaded_by_command(["psi", spec], exit_code=2)
+    assert "ordersum.groups" in loaded
+    assert not loaded & {"numpy", "ordersum.tables"}
+
+
 def test_cold_catalog_claim_loads_no_groups():
     # With no cache the classes are named by the families' pure-Python tables.
     loaded = loaded_by_command(["verify", "max_cyclic", "--n", "6"])
