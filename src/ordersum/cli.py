@@ -35,8 +35,8 @@ budget is refused before anything is built: ``thm4`` and
 ``equality --family-only`` past an ``--nmax`` of TABLE_BUDGET.
 
 Of the standard library, no command imports ``dataclasses`` (which
-brings ``inspect``, ``ast`` and ``dis``): the group specs are ``__slots__``
-classes and the value records named tuples.  ``traceback`` is imported only
+brings ``inspect``, ``ast`` and ``dis``): the group specs and the value
+records are named tuples.  ``traceback`` is imported only
 when a command crashes, and ``fractions`` (with ``decimal``) only by
 ``theorems`` and ``arith.f_ratio``, so ``psi``, ``catalog`` and
 ``spectrum`` load neither.  Where no bytecode cache is kept (a read-only

@@ -1,12 +1,12 @@
 """Finite groups over index domains 0..n-1, each given by its rows or its law.
 
-A generated spec (C12, A[2,6], D8, Q8, M(2,4), SD(5,4,2) and their direct
-products) is checked once, by ``_factors``, which gives its order and the
-factors it is the direct product of, of two kinds: cyclic, and metacyclic
-(C_m by C_k, with a carry for Q).  Each engine maps the two kinds to its
-two rules and knows nothing of families.  The order then decides how the
-spec is realized, on the same mixed-radix indices every way, so every way
-gives the same table:
+A spec is one record, ``GroupSpec``, made by a constructor that checks it
+once.  A generated spec (C12, A[2,6], D8, Q8, M(2,4), SD(5,4,2) and their
+direct products) holds its order and the factors it is the direct product
+of, of two kinds: cyclic, and metacyclic (C_m by C_k, with a carry for Q).
+Each engine maps the two kinds to its two rules and knows nothing of
+families.  The order then decides how the spec is realized, on the same
+mixed-radix indices every way, so every way gives the same table:
 
 * as Python rows, for every generated spec of order at most ``HARD_CAP``
   (the catalog's table bound) and every table: file.  The list rules of
@@ -46,7 +46,7 @@ first use from the rows or built from the spec, and ``table`` builds the
 n x n table from it afresh on each read.
 Groups have no table equality; compare canonical forms
 (``enumeration.canonical_form``) of their rows.  Every spec has an element
-budget, checked before anything is built.
+budget, checked when the spec is made, before anything is built.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import reduce
 
 from . import HARD_CAP, arith
@@ -73,153 +73,143 @@ class TableError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class _Spec:
-    """A group spec: an immutable record of the fields named in ``__slots__``.
+class GroupSpec(namedtuple("GroupSpec", ("text", "order", "factors", "payload"))):
+    """A checked group spec: its text in the grammar, its order, its factors
+    and, for a group given from outside, its rows or generators.
 
-    Specs of one type are equal, and hash alike, when their fields are;
-    specs of different types are never equal, so ``Cyclic(8) != Dihedral(8)``.
-    ``repr`` is ``Name(field=value, ...)``: the spot check seeds its triples
-    from it and error messages print it.  Each spec's ``__init__`` checks or
-    converts its arguments and sets the fields, in ``__slots__`` order,
-    with ``_init``; ``__reduce__`` passes them back to it, so a spec can be
-    copied and pickled.
+    Each constructor below checks its parameters and the element budget and
+    returns the record, so a spec that exists is valid.  A generated spec
+    (C12, A[2,6], D8, Q8, M(2,4), SD(5,4,2) and their direct products) is
+    the direct product of its ``factors``, in order, on mixed-radix indices,
+    and its ``payload`` is None.  Each factor is ``(kind, *args)``, built by
+    the rule of that kind, and there are two kinds: C_n is ``("cyclic",
+    n)``, and C_m by C_k with the action x -> x**a and the carry s of
+    ``_metacyclic_law`` is ``("metacyclic", m, k, a, s)``, s left out where
+    it is 0.  So SD, D and M are metacyclic with s = 0, and Q of order 4h is
+    ``("metacyclic", 2h, 2, 2h - 1, h)``.  A table: spec's payload is
+    ``("table", rows)`` and its order the number of rows; a perm: spec's is
+    ``("perm", generators)`` and its order None until the closure is built.
+    Neither has factors, and ``text`` is None for one made with no path.
+
+    Specs are equal, and hash alike, when their fields are, so ``Cyclic(8)
+    != Dihedral(8)``; the spot check seeds its triples from the repr.
     """
 
     __slots__ = ()
 
-    def _init(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._fields()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+def Cyclic(n: int) -> GroupSpec:
+    _require(n >= 1, f"cyclic order must be >= 1, got {n}")
+    _walkable(n)
+    return GroupSpec(f"C{n}", n, (("cyclic", n),), None)
 
 
-class Cyclic(_Spec):
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        self._init(n)
-
-
-class Abelian(_Spec):
+def Abelian(factors) -> GroupSpec:
     """Abelian group given by invariant factors d1 | d2 | ... | dr."""
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors):
-        self._init(tuple(int(d) for d in factors))
-
-
-class DirectProduct(_Spec):
-    """Direct product of generated specs; as in the grammar, a table: or
-    perm: part is refused."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        parts = tuple(parts)
-        _require(not any(isinstance(p, (FromTable, FromPermutations)) for p in parts),
-                 "a direct product cannot have a table: or perm: part")
-        self._init(parts)
+    given = tuple(int(d) for d in factors)
+    chain = [d for d in given if d != 1]
+    _require(all(d >= 1 for d in given), f"invalid invariant factors {given}")
+    for d1, d2 in zip(chain, chain[1:]):
+        _require(d2 % d1 == 0, f"invariant factors must form a divisibility chain: {chain}")
+    text = "A[" + ",".join(map(str, given)) + "]"
+    return DirectProduct(map(Cyclic, chain))._replace(text=text)
 
 
-class SemidirectCyclic(_Spec):
+def DirectProduct(parts) -> GroupSpec:
+    """Direct product of generated specs, taken part by part: each part is
+    checked as it is made, then the order of the product so far, so an
+    oversized product names the first running order past the budget.  As
+    in the grammar, a table: or perm: part is refused."""
+    n, texts, factors = 1, [], []
+    for part in parts:
+        _require(part.payload is None, "a direct product cannot have a table: or perm: part")
+        n *= part.order
+        _walkable(n)
+        texts.append(part.text)
+        factors += part.factors
+    return GroupSpec("x".join(texts), n, tuple(factors) or (("cyclic", 1),), None)
+
+
+def SemidirectCyclic(m: int, k: int, a: int) -> GroupSpec:
     """C_m  x|  C_k where the C_k generator acts on C_m by x -> x**a."""
-
-    __slots__ = ("m", "k", "a")
-
-    def __init__(self, m: int, k: int, a: int):
-        self._init(m, k, a)
+    factor = ("metacyclic", m, k, _check_action(m, k, a))
+    _walkable(m * k)
+    return GroupSpec(f"SD({m},{k},{a})", m * k, (factor,), None)
 
 
-class Dihedral(_Spec):
+def Dihedral(order: int) -> GroupSpec:
     """Dihedral group; the argument is the group order 2m."""
+    m = order // 2
+    _require(order >= 2 and order % 2 == 0, f"dihedral order must be even and >= 2, got {order}")
+    _walkable(order)
+    factor = ("metacyclic", m, 2, (m - 1) % m if m > 1 else 0)
+    return GroupSpec(f"D{order}", order, (factor,), None)
 
-    __slots__ = ("order",)
 
-    def __init__(self, order: int):
-        self._init(order)
-
-
-class GeneralizedQuaternion(_Spec):
+def GeneralizedQuaternion(order: int) -> GroupSpec:
     """Generalized quaternion group of order 2**m >= 8."""
+    _require(
+        order >= 8 and order & (order - 1) == 0,
+        f"generalized quaternion order must be a power of two >= 8, got {order}",
+    )
+    _walkable(order)
+    h = order // 4
+    return GroupSpec(f"Q{order}", order, (("metacyclic", 2 * h, 2, 2 * h - 1, h),), None)
 
-    __slots__ = ("order",)
 
-    def __init__(self, order: int):
-        self._init(order)
-
-
-class Modular(_Spec):
+def Modular(q: int, r: int) -> GroupSpec:
     """Modular group of order q**r: <a, b | a^(q^(r-1)) = b^q = 1, a^b = a^(q^(r-2)+1)>.
 
     Defined for r >= 4, or r = 3 with q > 2 (the order-8 case would degenerate
     to the dihedral group and is rejected).
     """
+    # The budget first: is_prime cannot decide a q past SIEVE_BOUND**2,
+    # and any such q**r with r >= 2 is past the budget, prime or not.
+    if q >= 2 and r >= 0:
+        if r >= LAW_BUDGET.bit_length():  # q**r >= 2**r is past the budget: not computed
+            raise _over_budget(f"{q}^{r}")
+        _walkable(q**r)
+    _require(arith.is_prime(q), f"modular group parameter q must be prime, got {q}")
+    _require(
+        r >= 4 or (r == 3 and q > 2),
+        f"modular group needs r >= 4, or r = 3 with q > 2; got (q={q}, r={r})",
+    )
+    factor = ("metacyclic", q ** (r - 1), q, q ** (r - 2) + 1)
+    return GroupSpec(f"M({q},{r})", q**r, (factor,), None)
 
-    __slots__ = ("q", "r")
 
-    def __init__(self, q: int, r: int):
-        self._init(q, r)
-
-
-class FromTable(_Spec):
+def FromTable(rows, path: str | None = None) -> GroupSpec:
     """A table from outside.  build_group hands its rows to Group, which
     checks its entries in full with validate_table; here the rows need only
     be a list of lists, to be held as tuples.
     """
-
-    __slots__ = ("rows", "path")
-
-    def __init__(self, rows, path: str | None = None):
-        _require(
-            isinstance(rows, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in rows),
-            f"{path or 'a table'} must hold a JSON list of lists",
-        )
-        self._init(tuple(map(tuple, rows)), path)
+    _require(
+        isinstance(rows, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in rows),
+        f"{path or 'a table'} must hold a JSON list of lists",
+    )
+    text = None if path is None else f"table:{path}"
+    return GroupSpec(text, len(rows), None, ("table", tuple(map(tuple, rows))))
 
 
-class FromPermutations(_Spec):
+def FromPermutations(degree, generators, path: str | None = None) -> GroupSpec:
     """Group generated by permutations of 0..degree-1 in one-line notation."""
-
-    __slots__ = ("degree", "generators", "path")
-
-    def __init__(self, degree, generators, path: str | None = None):
-        # Entries are checked, never converted: int(0.9) would read 0.  A bool
-        # is an int subclass, so `type(v) is int` also rejects true and false.
+    # Entries are checked, never converted: int(0.9) would read 0.  A bool
+    # is an int subclass, so `type(v) is int` also rejects true and false.
+    _require(
+        isinstance(generators, (list, tuple)) and all(
+            isinstance(g, (list, tuple)) and all(type(v) is int for v in g)
+            for g in generators),
+        f"{path or 'a permutation list'} must hold a JSON list of lists of integers",
+    )
+    degree, generators = int(degree), tuple(map(tuple, generators))
+    _require(degree >= 1, f"degree must be >= 1, got {degree}")
+    for g in generators:
         _require(
-            isinstance(generators, (list, tuple)) and all(
-                isinstance(g, (list, tuple)) and all(type(v) is int for v in g)
-                for g in generators),
-            f"{path or 'a permutation list'} must hold a JSON list of lists of integers",
+            len(g) == degree and sorted(g) == list(range(degree)),
+            f"{g} is not a permutation of 0..{degree - 1}",
         )
-        self._init(int(degree), tuple(map(tuple, generators)), path)
-
-
-# Any of the spec types above.
-GroupSpec = _Spec
+    text = None if path is None else f"perm:{path}"
+    return GroupSpec(text, None, None, ("perm", generators))
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +409,8 @@ def _metacyclic_law(m: int, k: int, a: int, s: int = 0) -> Law:
 
 
 def _law_of(factors) -> Law:
-    """The law of the direct product of factors as ``_factors`` lists them,
-    each ``("cyclic", n)`` or ``("metacyclic", m, k, a[, s])``."""
+    """The law of the direct product of factors as ``GroupSpec.factors``
+    lists them, each ``("cyclic", n)`` or ``("metacyclic", m, k, a[, s])``."""
     rules = {"cyclic": _cyclic_law, "metacyclic": _metacyclic_law}
     return reduce(_product_law, (rules[kind](*args) for kind, *args in factors))
 
@@ -434,7 +424,7 @@ def _table_for(law: Law) -> np.ndarray:
     return law(r[:, None], r[None, :])
 
 
-def _perm_closure(degree: int, gens) -> tuple[np.ndarray, list[tuple[int, int]]]:
+def _perm_closure(gens) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Breadth-first closure of the generated permutation group, identity first.
 
     Products are composites, (x * y)(t) = x(y(t)).  Returns (right, parent):
@@ -449,6 +439,7 @@ def _perm_closure(degree: int, gens) -> tuple[np.ndarray, list[tuple[int, int]]]
     """
     import numpy as np
 
+    degree = len(gens[0]) if gens else 1  # no generators: the trivial group
     gens = np.array(gens, dtype=np.int64).reshape(len(gens), degree)
     perms = np.empty((64, degree), dtype=np.min_scalar_type(max(degree - 1, 0)))
     perms[0] = np.arange(degree)
@@ -478,7 +469,7 @@ def _perm_closure(degree: int, gens) -> tuple[np.ndarray, list[tuple[int, int]]]
     return np.array(right, dtype=np.int64), parent
 
 
-def _perm_table(degree: int, gens) -> np.ndarray:
+def _perm_table(gens) -> np.ndarray:
     """The table of a permutation group, filled column by column.
 
     For x_j = x_p * g, x_i * x_j = (x_i * x_p) * g, so column j is right[g]
@@ -486,7 +477,7 @@ def _perm_table(degree: int, gens) -> np.ndarray:
     """
     import numpy as np
 
-    right, parent = _perm_closure(degree, gens)
+    right, parent = _perm_closure(gens)
     n = len(parent)
     table = np.empty((n, n), dtype=np.int64)
     table[:, 0] = np.arange(n)
@@ -536,7 +527,8 @@ def _spot_check_associativity(law: Law, spec: GroupSpec) -> None:
     """Probabilistic associativity check of a law: (ab)c = a(bc) on 10n triples."""
     for a, b, c in _spot_triples(law, spec):
         if not law.same(law(law(a, b), c), law(a, law(b, c))):
-            raise TableError(f"the law of {spec!r} failed an associativity spot check")
+            raise TableError(
+                f"the law of {_label(spec, law.n)} failed an associativity spot check")
 
 
 def _power_map(law: Law, idx, sq, e: int):
@@ -624,7 +616,7 @@ class Group:
         if self._law is None:
             self._law = Law.of_table(self._rows)
         elif isinstance(self._law, ListLaw):
-            self._law = _law_for(self.spec)
+            self._law = _law_of(self.spec.factors)
         return self._law
 
     @property
@@ -638,10 +630,7 @@ class Group:
     @property
     def label(self) -> str:
         """The spec in the grammar, or ``order-n table`` where it has none."""
-        try:
-            return format_spec(self.spec)
-        except GroupSpecError:  # no spec, or a table: or perm: spec with no path
-            return f"order-{self.order} table"
+        return _label(self.spec, self.order)
 
     def psi(self) -> int:
         """Sum of the orders of all elements."""
@@ -665,120 +654,44 @@ def _require(cond: bool, message: str) -> None:
         raise GroupSpecError(message)
 
 
-def _factors(spec: GroupSpec) -> tuple[int, list[tuple]]:
-    """Check a generated spec's parameters and budgets; its order and factors.
-
-    The spec is the direct product of the factors, in order, on mixed-radix
-    indices.  Each factor is ``(kind, *args)``, built by the rule of that
-    kind, and there are two kinds: C_n is ``("cyclic", n)``, and C_m by C_k
-    with the action x -> x**a and the carry s of ``_metacyclic_law`` is
-    ``("metacyclic", m, k, a, s)``, s left out where it is 0.  So SD, D and
-    M are metacyclic with s = 0, and Q of order 4h is
-    ``("metacyclic", 2h, 2, 2h - 1, h)``.  A product's parts are checked in
-    turn, each part's parameters and order first and then the order of the
-    product so far, so an oversized product names the first running order
-    past the budget.  Nothing is built here.
-    """
-    if isinstance(spec, Cyclic):
-        _require(spec.n >= 1, f"cyclic order must be >= 1, got {spec.n}")
-        n, factors = spec.n, [("cyclic", spec.n)]
-    elif isinstance(spec, Abelian):
-        factors = [d for d in spec.factors if d != 1]
-        _require(all(d >= 1 for d in spec.factors), f"invalid invariant factors {spec.factors}")
-        for d1, d2 in zip(factors, factors[1:]):
-            _require(d2 % d1 == 0, f"invariant factors must form a divisibility chain: {factors}")
-        return _factors(DirectProduct(Cyclic(d) for d in factors))
-    elif isinstance(spec, DirectProduct):
-        n, factors = 1, []
-        for part in spec.parts:
-            order, part_factors = _factors(part)
-            n *= order
-            _walkable(n)
-            factors += part_factors
-        factors = factors or [("cyclic", 1)]
-    elif isinstance(spec, SemidirectCyclic):
-        a = _check_action(spec.m, spec.k, spec.a)
-        n, factors = spec.m * spec.k, [("metacyclic", spec.m, spec.k, a)]
-    elif isinstance(spec, Dihedral):
-        n, m = spec.order, spec.order // 2
-        _require(n >= 2 and n % 2 == 0, f"dihedral order must be even and >= 2, got {n}")
-        factors = [("metacyclic", m, 2, (m - 1) % m if m > 1 else 0)]
-    elif isinstance(spec, GeneralizedQuaternion):
-        n = spec.order
-        _require(
-            n >= 8 and n & (n - 1) == 0,
-            f"generalized quaternion order must be a power of two >= 8, got {n}",
-        )
-        factors = [("metacyclic", n // 2, 2, n // 2 - 1, n // 4)]
-    elif isinstance(spec, Modular):
-        q, r = spec.q, spec.r
-        # The budget first: is_prime cannot decide a q past SIEVE_BOUND**2,
-        # and any such q**r with r >= 2 is past the budget, prime or not.
-        if q >= 2 and r >= 0:
-            if r >= LAW_BUDGET.bit_length():  # q**r >= 2**r is past the budget: not computed
-                raise _over_budget(f"{q}^{r}")
-            _walkable(q**r)
-        _require(arith.is_prime(q), f"modular group parameter q must be prime, got {q}")
-        _require(
-            r >= 4 or (r == 3 and q > 2),
-            f"modular group needs r >= 4, or r = 3 with q > 2; got (q={q}, r={r})",
-        )
-        n, factors = q**r, [("metacyclic", q ** (r - 1), q, q ** (r - 2) + 1)]
-    else:
-        raise GroupSpecError(f"unknown group spec {spec!r}")
-    _walkable(n)
-    return n, factors
-
-
-def _law_for(spec: GroupSpec) -> Law:
-    """The law of a generated spec, its parameters and order checked first."""
-    return _law_of(_factors(spec)[1])
-
-
 def build_group(spec: GroupSpec, *, lists: bool = True) -> Group:
     """Realize a GroupSpec as a Group.
 
-    A table: spec's rows are given to Group, which checks them in full with
-    validate_table.  A perm: spec's generators are checked and closed, and
-    the law that gathers from the closure's table is spot-checked with 10n
-    triples.  Either is a table of at most TABLE_BUDGET elements.  A
-    generated spec is checked once, by ``_factors``, and its order decides:
-    up to HARD_CAP, Group gets the rows of the list rules of ``tables``
+    The spec was checked when it was made.  A table: spec's rows are given
+    to Group, which checks them in full with validate_table.  A perm:
+    spec's generators are closed, and the law that gathers from the
+    closure's table is spot-checked with 10n triples.  Either is a table of
+    at most TABLE_BUDGET elements.  A generated spec's order decides: up to
+    HARD_CAP, Group gets the rows of the list rules of ``tables``
     and checks them with validate_table; above it, Group gets the law of
     the factors and spot-checks it, a ListLaw by the same rules up to
     TABLE_BUDGET and a numpy law above.  Neither of the first two loads
     numpy.  With ``lists`` false every law is numpy's, as ``build_groups``
     builds them.
     """
-    if isinstance(spec, FromTable):
-        _require_table(len(spec.rows))
-        return Group(spec.rows, spec)
-    if isinstance(spec, FromPermutations):
-        _require(spec.degree >= 1, f"degree must be >= 1, got {spec.degree}")
-        for g in spec.generators:
-            _require(
-                len(g) == spec.degree and sorted(g) == list(range(spec.degree)),
-                f"{g} is not a permutation of 0..{spec.degree - 1}",
-            )
-        return Group(Law.of_table(_perm_table(spec.degree, spec.generators)), spec)
-    n, factors = _factors(spec)
-    if n <= HARD_CAP:
+    if spec.payload is not None:
+        kind, data = spec.payload
+        if kind == "table":
+            _require_table(spec.order)
+            return Group(data, spec)
+        return Group(Law.of_table(_perm_table(data)), spec)
+    if spec.order <= HARD_CAP:
         from .tables import _rows
 
-        return Group(_rows(factors), spec)
-    if lists and n <= TABLE_BUDGET:
+        return Group(_rows(spec.factors), spec)
+    if lists and spec.order <= TABLE_BUDGET:
         from .tables import _list_law
 
-        return Group(ListLaw(*_list_law(factors)), spec)
-    return Group(_law_of(factors), spec)
+        return Group(ListLaw(*_list_law(spec.factors)), spec)
+    return Group(_law_of(spec.factors), spec)
 
 
 def build_groups(specs) -> list[int]:
     """The psi of each generated spec's group, in the specs' order.
 
-    For a scan over many groups.  Every spec is checked by ``_factors``
-    first, in order, so a bad spec raises here before anything is built.
-    The groups are then built, spot-checked and walked as by
+    For a scan over many groups.  The specs are listed first, so a bad one
+    raises when it is made, before anything is built.  The groups are then
+    built, spot-checked and walked as by
     ``build_group(spec, lists=False)``, largest order first, on every CPU
     (``pool.run``); a worker keeps no law once its group is walked and
     sends back its psi alone.  A failed build, spot check or walk raises
@@ -790,7 +703,7 @@ def build_groups(specs) -> list[int]:
     from . import pool
 
     specs = list(specs)
-    orders = [_factors(spec)[0] for spec in specs]
+    orders = [spec.order for spec in specs]
     if max(orders, default=0) > HARD_CAP:
         import numpy  # noqa: F401
     return pool.run(specs, lambda spec: build_group(spec, lists=False).psi(), orders)
@@ -825,7 +738,12 @@ def kernel_of_action(m: int, k: int, a: int) -> int:
 
 
 def parse_spec(text: str) -> GroupSpec:
-    """Parse the group-spec grammar used on the command line."""
+    """Parse the group-spec grammar used on the command line.
+
+    Every atom of a product is read before any is made; then DirectProduct
+    makes each part and checks the order so far.  One atom is a product of
+    one part, whose record is that part's.
+    """
     text = text.strip()
     if not text:
         raise GroupSpecError("empty group spec")
@@ -838,10 +756,8 @@ def parse_spec(text: str) -> GroupSpec:
         if not perms or not all(isinstance(p, list) for p in perms):
             raise GroupSpecError(f"{path} must hold a JSON list of one-line permutations")
         return FromPermutations(len(perms[0]), perms, path=path)
-    parts = [_parse_atom(p) for p in text.split("x")]
-    if len(parts) == 1:
-        return parts[0]
-    return DirectProduct(parts)
+    atoms = [_parse_atom(p) for p in text.split("x")]
+    return DirectProduct(make(*args) for make, args in atoms)
 
 
 def _read_json(path: str, kind: str):
@@ -856,50 +772,37 @@ def _read_json(path: str, kind: str):
         raise GroupSpecError(f"{kind} file {path} is not valid JSON: {exc}") from exc
 
 
-def _parse_atom(text: str) -> GroupSpec:
+def _parse_atom(text: str):
+    """The constructor of one atom and its arguments, read but not checked:
+    parse_spec reads every atom before it makes any, outside this ``try``."""
     text = text.strip()
     try:
         if text.startswith("C"):
-            return Cyclic(int(text[1:]))
+            return Cyclic, (int(text[1:]),)
         if text.startswith("A[") and text.endswith("]"):
-            return Abelian(int(v) for v in text[2:-1].split(","))
+            return Abelian, ([int(v) for v in text[2:-1].split(",")],)
         if text.startswith("D"):
-            return Dihedral(int(text[1:]))
+            return Dihedral, (int(text[1:]),)
         if text.startswith("Q"):
-            return GeneralizedQuaternion(int(text[1:]))
+            return GeneralizedQuaternion, (int(text[1:]),)
         if text.startswith("M(") and text.endswith(")"):
             q, r = (int(v) for v in text[2:-1].split(","))
-            return Modular(q, r)
+            return Modular, (q, r)
         if text.startswith("SD(") and text.endswith(")"):
             m, k, a = (int(v) for v in text[3:-1].split(","))
-            return SemidirectCyclic(m, k, a)
+            return SemidirectCyclic, (m, k, a)
     except ValueError as exc:
         raise GroupSpecError(f"malformed group spec {text!r}: {exc}") from exc
     raise GroupSpecError(f"malformed group spec {text!r}")
 
 
-def format_spec(spec: GroupSpec) -> str:
-    """Inverse of parse_spec for every spec the grammar can express."""
-    if isinstance(spec, Cyclic):
-        return f"C{spec.n}"
-    if isinstance(spec, Abelian):
-        return "A[" + ",".join(str(d) for d in spec.factors) + "]"
-    if isinstance(spec, DirectProduct):
-        return "x".join(format_spec(p) for p in spec.parts)
-    if isinstance(spec, SemidirectCyclic):
-        return f"SD({spec.m},{spec.k},{spec.a})"
-    if isinstance(spec, Dihedral):
-        return f"D{spec.order}"
-    if isinstance(spec, GeneralizedQuaternion):
-        return f"Q{spec.order}"
-    if isinstance(spec, Modular):
-        return f"M({spec.q},{spec.r})"
-    if isinstance(spec, FromTable):
-        if spec.path is None:
-            raise GroupSpecError("cannot format an in-memory table spec")
-        return f"table:{spec.path}"
-    if isinstance(spec, FromPermutations):
-        if spec.path is None:
-            raise GroupSpecError("cannot format an in-memory permutation spec")
-        return f"perm:{spec.path}"
-    raise GroupSpecError(f"unknown group spec {spec!r}")
+def format_spec(spec: GroupSpec) -> str | None:
+    """Inverse of parse_spec: the spec's text, None for a table: or perm:
+    spec made with no path."""
+    return spec.text
+
+
+def _label(spec: GroupSpec | None, n: int) -> str:
+    """The spec's text, or ``order-n table`` where there is none."""
+    text = None if spec is None else spec.text
+    return f"order-{n} table" if text is None else text

@@ -156,9 +156,9 @@ def _metacyclic_lists(m: int, k: int, a: int, s: int = 0):
 
 
 def _list_law(factors):
-    """(n, mul) of the direct product of factors as ``groups._factors`` lists
-    them, each ``("cyclic", n)`` or ``("metacyclic", m, k, a[, s])``; no
-    factors are the trivial group."""
+    """(n, mul) of the direct product of factors as a ``groups.GroupSpec``
+    lists them, each ``("cyclic", n)`` or ``("metacyclic", m, k, a[, s])``;
+    no factors are the trivial group."""
     rules = {"cyclic": _cyclic_lists, "metacyclic": _metacyclic_lists}
     factors = factors or [("cyclic", 1)]
     return reduce(_product_lists, (rules[kind](*args) for kind, *args in factors))

@@ -375,14 +375,14 @@ def thm4_family_check(q: int, k_max: int) -> VerificationReport:
     psi must differ from f(q*) * psi(C_n), where q* is the least prime
     divisor of n = q^2 k.  Family-restricted by construction.
     """
-    from .groups import LAW_BUDGET, Cyclic, _factors, build_groups, format_spec
+    from .groups import LAW_BUDGET, Cyclic, build_groups, format_spec
 
     if not arith.is_prime(q):
         raise ValueError(f"{q} is not prime")
     if k_max > LAW_BUDGET // (q * q):
-        # The first witness over the law budget, which build_groups would
-        # refuse first, is refused before 2 k_max specs are listed.
-        _factors(_witness_spec(q, LAW_BUDGET // (q * q) + 1))
+        # Making the first witness over the law budget refuses the range,
+        # with the error listing them would give, before 2 k_max are listed.
+        _witness_spec(q, LAW_BUDGET // (q * q) + 1)
     cases = []
     ks = range(1, k_max + 1)
     witnesses = [_witness_spec(q, k) for k in ks]
@@ -435,7 +435,7 @@ def mqr_formula_check(q: int, r: int) -> VerificationReport:
     assert num % (q + 1) == 0
     closed = num // (q + 1)
     cases = []
-    # The modular group comes first: building it validates the (q, r) domain.
+    # The modular group comes first: making it validates the (q, r) domain.
     for spec in (Modular(q, r), Abelian([q, q ** (r - 1)])):
         psi = build_group(spec).psi()
         cases.append(

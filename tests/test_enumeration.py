@@ -681,8 +681,9 @@ class TestSearchAhead:
                                      if line.startswith("error:")]))
             if fault is ValueError:
                 assert err == f"error: boom {jobs[0]!r}\n"
-        line = (f"error: boom {jobs[0]!r}" if fault is ValueError
-                else f"error: KeyError: 'boom {jobs[0]!r}'")
+        # A KeyError prints the repr of its message, whatever quotes that takes.
+        message = f"boom {jobs[0]!r}"
+        line = f"error: {message}" if fault is ValueError else f"error: KeyError: {message!r}"
         assert runs == [(2, "", [line])] * 3 and len(forks) == 2
         assert not (tmp_path / "catalog").exists()
         assert enumeration._searched == {}

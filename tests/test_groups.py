@@ -5,6 +5,7 @@ import math
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import time
@@ -153,26 +154,34 @@ def _dicyclic_table(h: int) -> np.ndarray:
 
 
 def _builder_table(spec):
-    """The table the old builders give a family spec or a product of them."""
-    if isinstance(spec, Cyclic):
-        return _cyclic_table(spec.n)
-    if isinstance(spec, Abelian):
-        return _builder_table(DirectProduct(Cyclic(d) for d in spec.factors if d != 1))
-    if isinstance(spec, DirectProduct):
-        table = _cyclic_table(1)
-        for part in spec.parts:
-            table = _product_table(table, _builder_table(part))
-        return table
-    if isinstance(spec, SemidirectCyclic):
-        return _semidirect_table(spec.m, spec.k, spec.a % spec.m)
-    if isinstance(spec, Dihedral):
-        m = spec.order // 2
+    """The table the old builders give a family spec or a product of them.
+
+    The spec is read from its text, by this reading of the grammar, and
+    never from the factors the package made of it.
+    """
+    table = _cyclic_table(1)
+    for atom in filter(None, spec.text.split("x")):
+        table = _product_table(table, _atom_table(atom))
+    return table
+
+
+def _atom_table(atom: str) -> np.ndarray:
+    family, args = re.fullmatch(r"(C|A|D|Q|M|SD)[\[(]?([-\d,]*)[\])]?", atom).groups()
+    args = [int(v) for v in args.split(",") if v]
+    if family == "C":
+        return _cyclic_table(*args)
+    if family == "A":  # a factor 1 is the trivial group
+        return functools.reduce(_product_table, map(_cyclic_table, args), _cyclic_table(1))
+    if family == "SD":
+        m, k, a = args
+        return _semidirect_table(m, k, a % m)
+    if family == "D":
+        m = args[0] // 2
         return _semidirect_table(m, 2, (m - 1) % m if m > 1 else 0)
-    if isinstance(spec, GeneralizedQuaternion):
-        return _dicyclic_table(spec.order // 4)
-    if isinstance(spec, Modular):
-        return _semidirect_table(spec.q ** (spec.r - 1), spec.q, spec.q ** (spec.r - 2) + 1)
-    raise AssertionError(f"no builder for {spec!r}")
+    if family == "Q":
+        return _dicyclic_table(args[0] // 4)
+    q, r = args
+    return _semidirect_table(q ** (r - 1), q, q ** (r - 2) + 1)
 
 
 def _loop_perm_table(degree: int, gens) -> np.ndarray:
@@ -269,9 +278,20 @@ def family_specs(draw, limit: int = 2048):
 
 
 @st.composite
-def products_of_two(draw, limit: int = 2048):
+def pairs_of_specs(draw, limit: int = 2048):
+    """Two family specs whose product has order <= limit."""
     a = draw(family_specs(limit // 2))
-    return DirectProduct([a, draw(family_specs(limit // _built(a).order))])
+    return a, draw(family_specs(limit // a.order))
+
+
+def products_of_two(limit: int = 2048):
+    return pairs_of_specs(limit).map(DirectProduct)
+
+
+def law_of(spec) -> Law:
+    """The numpy law of a generated spec, which build_group takes only above
+    TABLE_BUDGET or for a scan."""
+    return groups._law_of(spec.factors)
 
 
 @functools.cache
@@ -393,18 +413,18 @@ class TestLaws:
 
     Up to HARD_CAP the list rules of ``tables`` give the same table as rows,
     which pass the catalog check with the same orders.  The laws are built
-    with _law_for, since build_group takes the rows up to HARD_CAP.
+    with law_of, since build_group takes the rows up to HARD_CAP.
     """
 
     @staticmethod
     def check(spec) -> None:
-        law = groups._law_for(spec)
+        law = law_of(spec)
         orders = element_orders_of_table(law)
         table = _builder_table(spec)
         assert np.array_equal(groups._table_for(law), table), spec
         assert np.array_equal(orders, element_orders_of_table(Law.of_table(table))), spec
         if len(law) <= HARD_CAP:
-            rows = tables._rows(groups._factors(spec)[1])
+            rows = tables._rows(spec.factors)
             assert np.array_equal(np.array(rows), table), spec
             assert _checked_class(rows, len(law)).orders == tuple(orders.tolist()), spec
 
@@ -415,21 +435,21 @@ class TestLaws:
     def test_two_factor_kinds(self):
         # Every family is cyclic or metacyclic; Q of order 4h carries h.
         for spec in _family_specs(64):
-            for kind, *args in groups._factors(spec)[1]:
+            for kind, *args in spec.factors:
                 assert (kind, len(args)) in {("cyclic", 1), ("metacyclic", 3),
                                              ("metacyclic", 4)}, spec
         for h in (2, 4, 8, 512):
-            assert groups._factors(GeneralizedQuaternion(4 * h)) == (
-                4 * h, [("metacyclic", 2 * h, 2, 2 * h - 1, h)])
+            spec = GeneralizedQuaternion(4 * h)
+            assert (spec.order, spec.factors) == (4 * h, (("metacyclic", 2 * h, 2, 2 * h - 1, h),))
 
     def test_no_factors_are_the_trivial_group(self):
         # The n = 1 catalog candidate A[] has an empty invariant chain, so no
-        # factors; a spec's _factors always has at least one.
+        # factors; a spec's factors always hold at least one.
         assert tables._rows(()) == [[0]]
         assert list(enumeration._family_candidates(1)) == [("C1", [[0]]), ("A[]", [[0]])]
 
     def test_products_of_two(self):
-        pool = [s for s in _family_specs(12) if build_group(s).order > 1]
+        pool = [s for s in _family_specs(12) if s.order > 1]
         for i, a in enumerate(pool):
             for b in pool[i:]:
                 self.check(DirectProduct([a, b]))
@@ -440,11 +460,11 @@ class TestLaws:
         self.check(spec)
 
     @settings(deadline=None)
-    @given(products_of_two())
-    def test_psi_multiplicative_over_coprime_orders(self, spec):
-        a, b = (_built(part) for part in spec.parts)
+    @given(pairs_of_specs())
+    def test_psi_multiplicative_over_coprime_orders(self, pair):
+        a, b = map(_built, pair)
         assume(math.gcd(a.order, b.order) == 1)
-        assert _built(spec).psi() == a.psi() * b.psi()
+        assert _built(DirectProduct(pair)).psi() == a.psi() * b.psi()
 
     @settings(deadline=None)
     @given(st.integers(1, 50_000))
@@ -452,7 +472,9 @@ class TestLaws:
         assert arith.psi_cyclic(n) == arith.psi_cyclic_oracle(n) == build_group(Cyclic(n)).psi()
 
     @given(st.one_of(family_specs(), products_of_two(),
-                     st.lists(family_specs(100), min_size=3, max_size=4).map(DirectProduct)))
+                     st.lists(family_specs(100), min_size=3, max_size=4)
+                     .filter(lambda parts: math.prod(p.order for p in parts) <= LAW_BUDGET)
+                     .map(DirectProduct)))
     def test_format_parse_roundtrip(self, spec):
         assert parse_spec(format_spec(spec)) == spec
 
@@ -463,7 +485,7 @@ class TestRowsAndLawAgree:
 
     @staticmethod
     def check(spec) -> None:
-        g, ref = build_group(spec), Group(groups._law_for(spec), spec)
+        g, ref = build_group(spec), Group(law_of(spec), spec)
         assert g._law is None, spec  # realized from rows, not from a law
         assert g.psi() == ref.psi(), spec
         assert g.order_profile() == ref.order_profile(), spec
@@ -475,11 +497,10 @@ class TestRowsAndLawAgree:
             self.check(spec)
 
     def test_products_of_two(self):
-        pool = [(s, len(groups._law_for(s))) for s in _family_specs(HARD_CAP)]
-        pool = [(s, n) for s, n in pool if n > 1]
-        for i, (a, na) in enumerate(pool):
-            for b, nb in pool[i:]:
-                if na * nb <= HARD_CAP:
+        pool = [s for s in _family_specs(HARD_CAP) if s.order > 1]
+        for i, a in enumerate(pool):
+            for b in pool[i:]:
+                if a.order * b.order <= HARD_CAP:
                     self.check(DirectProduct([a, b]))
 
     def test_above_the_cap_is_a_law(self):
@@ -489,10 +510,10 @@ class TestRowsAndLawAgree:
 
     @pytest.mark.parametrize("text", INVALID_SMALL_SPECS)
     def test_invalid_small_specs_keep_their_message(self, text):
-        for realize in (build_group, groups._law_for):
-            with pytest.raises(GroupSpecError) as exc:
-                realize(parse_spec(text))
-            assert str(exc.value) == INVALID_SMALL_SPECS[text], realize
+        # Refused when the spec is made, before rows or a law are built.
+        with pytest.raises(GroupSpecError) as exc:
+            parse_spec(text)
+        assert str(exc.value) == INVALID_SMALL_SPECS[text]
 
 
 # Specs of every family, and products, of orders HARD_CAP + 1 to TABLE_BUDGET:
@@ -509,7 +530,7 @@ MAX_LAW = [[0, 1, 2], [1, 1, 2], [2, 2, 2]]
 
 
 def list_law(spec) -> ListLaw:
-    return ListLaw(*tables._list_law(groups._factors(spec)[1]))
+    return ListLaw(*tables._list_law(spec.factors))
 
 
 def forged(rows, engine):
@@ -533,7 +554,7 @@ class TestEngines:
 
     @staticmethod
     def check(spec) -> None:
-        lists, arrays = list_law(spec), groups._law_for(spec)
+        lists, arrays = list_law(spec), law_of(spec)
         assert len(lists) == len(arrays) and HARD_CAP < len(lists) <= TABLE_BUDGET, spec
         assert drawn(lists, spec) == drawn(arrays, spec), spec
         orders = element_orders_of_table(lists)
@@ -552,22 +573,22 @@ class TestEngines:
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(family_specs(), products_of_two()))
     def test_random_specs(self, spec):
-        assume(len(groups._law_for(spec)) > HARD_CAP)
+        assume(spec.order > HARD_CAP)
         self.check(spec)
 
     def test_first_triples(self):
         # Pinned: a change to the stream changes which triples check every law.
         spec = Cyclic(2048)
-        expected = [(1920, 462, 1758), (186, 1975, 819), (18, 1044, 1673), (1456, 1483, 197)]
-        for law in (list_law(spec), groups._law_for(spec)):
+        expected = [(1062, 1509, 946), (6, 60, 108), (1936, 1392, 10), (353, 455, 1389)]
+        for law in (list_law(spec), law_of(spec)):
             assert drawn(law, spec)[:4] == expected
-        assert random.Random(repr(spec)).randbytes(4) == bytes.fromhex("06c31cf0")
+        assert random.Random(repr(spec)).randbytes(4) == bytes.fromhex("7d29d784")
 
     @pytest.mark.parametrize("engine", [Law, ListLaw])
     def test_chunks_join_to_one_draw(self, engine, monkeypatch):
         # 10n = 180 triples, drawn 7 at a time or in one draw of 2160 bytes.
         spec = Dihedral(HARD_CAP + 2)
-        law = list_law(spec) if engine is ListLaw else groups._law_for(spec)
+        law = list_law(spec) if engine is ListLaw else law_of(spec)
         whole = drawn(law, spec)
         monkeypatch.setattr(engine, "chunk", 7)
         assert drawn(law, spec) == whole and len(whole) == 180
@@ -579,7 +600,7 @@ class TestEngines:
         spec = Cyclic(5)
         with pytest.raises(TableError) as exc:
             Group(forged(NON_ASSOCIATIVE, engine), spec)
-        assert str(exc.value) == "the law of Cyclic(n=5) failed an associativity spot check"
+        assert str(exc.value) == "the law of C5 failed an associativity spot check"
         with pytest.raises(TableError) as exc:
             element_orders_of_table(forged(NON_ASSOCIATIVE, engine))
         assert str(exc.value) == "element 1 to the power 5 is not the identity: not a group"
@@ -592,7 +613,7 @@ class TestEngines:
         g = build_group(Dihedral(64))
         assert isinstance(g._law, ListLaw)
         assert type(g.law) is Law
-        assert np.array_equal(g.table, groups._table_for(groups._law_for(Dihedral(64))))
+        assert np.array_equal(g.table, groups._table_for(law_of(Dihedral(64))))
 
     def test_engine_by_order(self, monkeypatch):
         specs = [Cyclic(HARD_CAP), Cyclic(HARD_CAP + 1), Cyclic(TABLE_BUDGET),
@@ -610,7 +631,7 @@ class TestEngines:
 
         monkeypatch.setattr(pool, "_cpus", lambda: 1)
         monkeypatch.setattr(groups, "build_group", recording)
-        assert groups.build_groups(iter(specs)) == [arith.psi_cyclic(s.n) for s in specs]
+        assert groups.build_groups(iter(specs)) == [arith.psi_cyclic(s.order) for s in specs]
         assert [laws[s] for s in specs] == [type(None), Law, Law, Law]
 
 
@@ -671,8 +692,7 @@ class TestBuildGroups:
         assert serial == parallel == 2 and s.out == p.out == "" and len(forks) == 1
         assert (2, 9, 1) not in taken  # the child failed at it
         assert s.err == p.err == {
-            "spot check": "error: the law of SemidirectCyclic(m=2, k=9, a=1) failed "
-                          "an associativity spot check\n",
+            "spot check": "error: the law of SD(2,9,1) failed an associativity spot check\n",
             "walk": "error: element 1 to the power 18 is not the identity: not a group\n",
         }[fault]
 
@@ -746,22 +766,22 @@ CHECK_ORDER = {
 class TestBudgets:
     @pytest.mark.parametrize("text", CHECK_ORDER)
     def test_check_order(self, text):
-        for realize in (build_group, groups._law_for):
-            with pytest.raises(GroupSpecError) as exc:
-                realize(parse_spec(text))
-            assert str(exc.value) == CHECK_ORDER[text], realize
+        with pytest.raises(GroupSpecError) as exc:
+            parse_spec(text)
+        assert str(exc.value) == CHECK_ORDER[text]
 
+    # Each spec is made in the test: one past the budget is refused when made.
     @pytest.mark.parametrize("spec", [
-        Cyclic(LAW_BUDGET + 1),
-        Abelian([1024, 2048]),
-        SemidirectCyclic(1, 10**12, 0),
-        Dihedral(2 * LAW_BUDGET + 2),
-        GeneralizedQuaternion(2 * LAW_BUDGET),
-        Modular(2, 22),
+        functools.partial(Cyclic, LAW_BUDGET + 1),
+        functools.partial(Abelian, [1024, 2048]),
+        functools.partial(SemidirectCyclic, 1, 10**12, 0),
+        functools.partial(Dihedral, 2 * LAW_BUDGET + 2),
+        functools.partial(GeneralizedQuaternion, 2 * LAW_BUDGET),
+        functools.partial(Modular, 2, 22),
     ])
     def test_law_budget(self, spec):
         with pytest.raises(GroupSpecError, match="element budget"):
-            build_group(spec)
+            spec()
 
     def test_law_walk_at_the_budget(self):
         g = build_group(GeneralizedQuaternion(LAW_BUDGET))
@@ -798,11 +818,10 @@ def _products_of_two() -> list:
     """Both factors of order 2..16, one product per unordered pair, of
     order up to 256.  An SD with a == 1 is itself the product C_m x C_k,
     so it is left out."""
-    pool = [(s, _built(s).order) for s in _family_specs(16)
-            if not (isinstance(s, SemidirectCyclic) and s.a == 1)]
-    pool = [(s, n) for s, n in pool if n > 1]
-    return [DirectProduct([a, b]) for i, (a, na) in enumerate(pool)
-            for b, nb in pool[i:] if na * nb <= 256]
+    pool = [s for s in _family_specs(16)
+            if s.order > 1 and not (s.text.startswith("SD(") and s.text.endswith(",1)"))]
+    return [DirectProduct([a, b]) for i, a in enumerate(pool)
+            for b in pool[i:] if a.order * b.order <= 256]
 
 
 def _walk(job):
@@ -823,7 +842,7 @@ def walks() -> dict:
                                       for k in range(1, 61))]}
     for n in range(1, 1501):
         jobs[Cyclic(n)] = jobs.get(Cyclic(n), False) or n in CYCLIC_DEFINED
-    found = pool.run(list(jobs.items()), _walk, [groups._factors(spec)[0] for spec in jobs])
+    found = pool.run(list(jobs.items()), _walk, [spec.order for spec in jobs])
     return dict(zip(jobs, found))
 
 
@@ -1123,10 +1142,8 @@ class TestExplicitTables:
     def test_table_is_fresh_on_each_read(self, spec):
         # A group keeps no table: each read builds one from the law, so
         # writing into it changes neither the group nor the next read.
-        if isinstance(spec, FromTable):
-            expected = np.array(spec.rows)
-        else:
-            expected = _loop_perm_table(spec.degree, spec.generators)
+        kind, data = spec.payload
+        expected = np.array(data) if kind == "table" else _loop_perm_table(len(data[0]), data)
         g = build_group(spec)
         psi = g.psi()
         table = g.table
@@ -1273,44 +1290,59 @@ class TestCatalogTableCheck:
             _checked_class(rows, len(rows) if isinstance(rows, list) else 0)
 
 
-# One spec of each type, with the repr its frozen dataclass printed;
-# _spot_check_associativity seeds its triples from the repr.  Cyclic,
-# Dihedral and GeneralizedQuaternion of order 8 hold the same field values.
+# One spec of each constructor, as the keyword call that makes it, and the
+# repr of the record it returns; _spot_check_associativity seeds its
+# triples from the repr.  Cyclic, Dihedral and GeneralizedQuaternion of
+# order 8 are three records.
 SPEC_REPRS = [
-    (Cyclic(8), "Cyclic(n=8)"),
-    (Abelian([2, 6]), "Abelian(factors=(2, 6))"),
-    (DirectProduct([Cyclic(2), Dihedral(8)]),
-     "DirectProduct(parts=(Cyclic(n=2), Dihedral(order=8)))"),
-    (SemidirectCyclic(7, 6, 3), "SemidirectCyclic(m=7, k=6, a=3)"),
-    (Dihedral(8), "Dihedral(order=8)"),
-    (GeneralizedQuaternion(8), "GeneralizedQuaternion(order=8)"),
-    (Modular(2, 4), "Modular(q=2, r=4)"),
-    (FromTable([[0, 1], [1, 0]], path="c2.json"),
-     "FromTable(rows=((0, 1), (1, 0)), path='c2.json')"),
-    (FromPermutations(3, [[1, 2, 0]]),
-     "FromPermutations(degree=3, generators=((1, 2, 0),), path=None)"),
+    ("Cyclic(n=8)", "GroupSpec(text='C8', order=8, factors=(('cyclic', 8),), payload=None)"),
+    ("Abelian(factors=(2, 6))",
+     "GroupSpec(text='A[2,6]', order=12, factors=(('cyclic', 2), ('cyclic', 6)), payload=None)"),
+    ("DirectProduct(parts=(Cyclic(n=2), Dihedral(order=8)))",
+     "GroupSpec(text='C2xD8', order=16, factors=(('cyclic', 2), ('metacyclic', 4, 2, 3)), "
+     "payload=None)"),
+    ("SemidirectCyclic(m=7, k=6, a=3)",
+     "GroupSpec(text='SD(7,6,3)', order=42, factors=(('metacyclic', 7, 6, 3),), payload=None)"),
+    ("Dihedral(order=8)",
+     "GroupSpec(text='D8', order=8, factors=(('metacyclic', 4, 2, 3),), payload=None)"),
+    ("GeneralizedQuaternion(order=8)",
+     "GroupSpec(text='Q8', order=8, factors=(('metacyclic', 4, 2, 3, 2),), payload=None)"),
+    ("Modular(q=2, r=4)",
+     "GroupSpec(text='M(2,4)', order=16, factors=(('metacyclic', 8, 2, 5),), payload=None)"),
+    ("FromTable(rows=((0, 1), (1, 0)), path='c2.json')",
+     "GroupSpec(text='table:c2.json', order=2, factors=None, "
+     "payload=('table', ((0, 1), (1, 0))))"),
+    ("FromPermutations(degree=3, generators=((1, 2, 0),), path=None)",
+     "GroupSpec(text=None, order=None, factors=None, payload=('perm', ((1, 2, 0),)))"),
 ]
 
 
+def made(call: str):
+    return eval(call, vars(groups))
+
+
 class TestSpecRecords:
-    @pytest.mark.parametrize("spec,text", SPEC_REPRS, ids=[t for _, t in SPEC_REPRS])
-    def test_repr_and_equality(self, spec, text):
+    @pytest.mark.parametrize("call,text", SPEC_REPRS, ids=[c for c, _ in SPEC_REPRS])
+    def test_repr_and_equality(self, call, text):
+        spec = made(call)
         assert repr(spec) == text
-        again = eval(text, vars(groups))  # the repr is a keyword call of the constructor
+        again = made(text)  # the repr is a keyword call of GroupSpec
         assert again == spec and not again != spec and hash(again) == hash(spec)
         assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_types_never_compare_equal(self):
+        assert Cyclic(8) != Dihedral(8)
         for (a, _), (b, _) in itertools.combinations(SPEC_REPRS, 2):
-            assert a != b and not a == b
+            assert made(a) != made(b) and not made(a) == made(b)
 
-    @pytest.mark.parametrize("spec,text", SPEC_REPRS, ids=[t for _, t in SPEC_REPRS])
-    def test_fields_are_read_only(self, spec, text):
-        field = text.split("(", 1)[1].split("=", 1)[0]
-        with pytest.raises(AttributeError):
-            setattr(spec, field, 1)
-        with pytest.raises(AttributeError):
-            delattr(spec, field)
+    @pytest.mark.parametrize("call,text", SPEC_REPRS, ids=[c for c, _ in SPEC_REPRS])
+    def test_fields_are_read_only(self, call, text):
+        spec = made(call)
+        for field in spec._fields:
+            with pytest.raises(AttributeError):
+                setattr(spec, field, 1)
+            with pytest.raises(AttributeError):
+                delattr(spec, field)
         with pytest.raises(AttributeError):
             spec.extra = 1
         assert repr(spec) == text
@@ -1326,7 +1358,8 @@ class TestGrammar:
 
     def test_product_parse(self):
         spec = parse_spec("C2xC2xC3")
-        assert isinstance(spec, DirectProduct) and len(spec.parts) == 3
+        assert spec == DirectProduct([Cyclic(2), Cyclic(2), Cyclic(3)])
+        assert spec.factors == (("cyclic", 2), ("cyclic", 2), ("cyclic", 3))
         assert build_group(spec).psi() == 49
 
     @pytest.mark.parametrize("text", ["", "Z5", "C", "A[2", "SD(1)", "Cx", "M(2)"])
