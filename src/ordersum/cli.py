@@ -10,22 +10,27 @@ Importing this module loads no layer of the package.  Each command imports
 the layers it runs when it runs: ``psi`` the groups, ``catalog`` and
 ``spectrum`` the enumerator, ``verify`` and ``audit`` the theorems (which
 load the groups and the enumerator only where a claim needs them).  The
-enumerator checks, walks and names catalog classes on pure-Python tables,
-so ``catalog``, ``spectrum`` and ``verify max_cyclic``/``equality``/
-``lemma7`` load neither the groups nor numpy, with a cached catalog or
-without.  Those three claims check every order of their range before any
-search, then search the orders not yet cached on all allowed CPUs, largest
-first, with no option (``enumeration.search_ahead``).  The groups build
-every generated group of order at most HARD_CAP, and every ``table:``
-file, as pure-Python rows, checked in full, and one generated group of
-order up to TABLE_BUDGET as a law on lists, by the list rules of
-``tables``, so ``psi Q8``, ``psi C2048``, ``psi table:FILE``,
-``upper_bound``, ``mqr``, ``equality --family-only`` and the scans on
-small groups (``thm4 --q 2 --kmax 4``) load no numpy.  Numpy is loaded
-where a group above TABLE_BUDGET, a ``perm:`` closure or a scan's groups
-above HARD_CAP are built as a law: ``psi C4096``, and ``lemma5``,
-``lemma6`` and ``thm4`` at their usual ranges.  The scans walk their
-groups on all allowed CPUs too, largest first, with no option
+orderly search (``search``) is loaded only where a catalog is searched,
+and the checkers of ``thm4``, ``mqr``, ``lemma5``, ``lemma6`` and
+``audit`` (``families``) only by those commands, so a warm ``catalog``,
+``spectrum`` or ``verify max_cyclic``/``equality``/``lemma7`` compiles
+neither.  The enumerator checks, walks and names catalog classes on
+pure-Python tables, so those commands load neither the groups nor numpy,
+with a cached catalog or without.  The three claims check every order of
+their range before any search, then search the orders not yet cached on
+all allowed CPUs, largest first, with no option
+(``enumeration.search_ahead``).  The groups build every generated group of
+order at most HARD_CAP, and every ``table:`` file, as pure-Python rows,
+checked in full, and one generated group of order up to TABLE_BUDGET as a
+law on lists, by the list rules of ``tables``, so ``psi Q8``, ``psi
+C2048``, ``psi table:FILE``, ``upper_bound``, ``mqr`` and the scans on
+small groups (``thm4 --q 2 --kmax 4``, ``equality --n 12 --family-only``)
+load no numpy.  Numpy is loaded where a group above TABLE_BUDGET, a
+``perm:`` closure or a scan's groups above HARD_CAP are built as a law:
+``psi C4096``, ``lemma5``, ``lemma6`` and ``thm4`` at their usual ranges,
+and ``equality --family-only`` at an order above HARD_CAP.  The scans, and
+the witnesses of ``equality --family-only`` over its range, are walked on
+all allowed CPUs too, largest first, with no option
 (``groups.build_groups``), on the same worker pool as the search
 (``pool.run``).  On any number of CPUs, a failed search or walk exits 2
 with the error of the first failing order or group in the command's own
@@ -37,9 +42,10 @@ budget is refused before anything is built: ``thm4`` and
 Of the standard library, no command imports ``dataclasses`` (which
 brings ``inspect``, ``ast`` and ``dis``): the group specs and the value
 records are named tuples.  ``traceback`` is imported only
-when a command crashes, and ``fractions`` (with ``decimal``) only by
-``theorems`` and ``arith.f_ratio``, so ``psi``, ``catalog`` and
-``spectrum`` load neither.  Where no bytecode cache is kept (a read-only
+when a command crashes, and ``fractions`` (with ``decimal``) only where a
+rational is built, by ``families`` and ``arith.f_ratio``, so ``psi``,
+``catalog``, ``spectrum`` and ``verify max_cyclic``/``lemma7`` load
+neither.  Where no bytecode cache is kept (a read-only
 install, or ``PYTHONDONTWRITEBYTECODE`` set), every process compiles each
 of the package's modules it imports from source, and runs every module it
 imports, so the number and size of the modules a command loads are part of
@@ -279,17 +285,15 @@ def _thm4(args) -> list:
 
 def _equality(args) -> list:
     if args.family_only:
-        # One family report per order, each witness walked on list laws up to
-        # TABLE_BUDGET: --nmax 1000 took 2.4 s, 2000 took 10.2 s and 8000
-        # took 28.4 s (2-vCPU Xeon), so a range stops at that budget.
+        # One family report per order, the witnesses of the range walked at
+        # once on every CPU; a range stops at TABLE_BUDGET.
         from .groups import TABLE_BUDGET
 
         orders = _orders_in_play(args)
         if args.nmax is not None and args.nmax > TABLE_BUDGET:
             raise ValueError(f"--nmax {args.nmax} exceeds {TABLE_BUDGET}, the largest "
                              "--family-only range")
-        return [_theorems().verify_equality_classification(n, args.q, family_only=True)
-                for n in orders]
+        return _theorems().equality_family_reports(orders, args.q)
 
     def check(n):
         if n > args.enum_bound:  # theorems names the keyword

@@ -27,15 +27,16 @@ mixed-radix indices every way, so every way gives the same table:
   - a ``ListLaw`` on Python lists, for one group of order up to
     ``TABLE_BUDGET`` from ``build_group``, holding only the rule that
     ``tables._list_law`` builds by the same list rules as the rows:
-    ``psi``, ``verify upper_bound``, ``verify mqr`` and ``verify equality
-    --family-only`` load ``tables`` and no numpy;
+    ``psi``, ``verify upper_bound`` and ``verify mqr`` load ``tables`` and
+    no numpy;
   - a ``Law`` on numpy arrays, for a group above ``TABLE_BUDGET``, for a
     perm: closure, and for the groups above ``HARD_CAP`` of a scan
-    (``verify thm4``, ``lemma5`` and ``lemma6``), where one numpy import
-    pays for itself.  A scan's specs go to ``build_groups``, which checks
-    them all first and then walks their groups on every CPU, largest
-    first, in workers of ``pool.run`` forked after numpy is imported; each
-    worker sends back psi alone and keeps no law.
+    (``verify thm4``, ``lemma5``, ``lemma6`` and the witnesses of ``verify
+    equality --family-only``), where one numpy import pays for itself.
+    A scan's specs go to ``build_groups``, which checks them all first and
+    then walks their groups on every CPU, largest first, in workers of
+    ``pool.run`` forked after numpy is imported; each worker sends back
+    psi alone and keeps no law.
 
 numpy is imported only inside the functions that build or walk a numpy law,
 and ``tables`` only where rows or a ListLaw are built.

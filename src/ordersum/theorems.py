@@ -31,6 +31,13 @@ standalone numeric inequalities used in the proofs of the two bounding
 propositions, including the q = 2 failure 341 < 336 and the q = 3 near-miss
 4087 < 4375.
 
+The checkers of ``thm4``, ``mqr``, ``lemma5``, ``lemma6`` and the audit
+read no catalog and live in ``families``.  This module serves their names
+on first use (PEP 562) and binds each one here, so the catalog claims and
+``upper_bound`` compile none of them, and ``fractions`` (with ``decimal``)
+is loaded only where a rational is built: by ``arith.f_ratio`` and by
+``families``, so ``max_cyclic`` and ``lemma7`` load neither.
+
 ``groups`` and ``enumeration`` are imported inside the checkers that build
 groups or read a catalog, so the audit loads neither.  The catalog claims
 ``max_cyclic``, ``equality`` and ``lemma7`` work on the classes'
@@ -40,22 +47,20 @@ matched to catalog classes by ``isomorphic_to_canonical``, so these claims
 load no ``groups`` or numpy, with a cached catalog or without.  The
 family-scale claims, ``upper_bound`` and ``equality --family-only`` build
 groups with ``groups``: as checked pure-Python rows up to order HARD_CAP and
-as laws above it.  ``upper_bound``, ``mqr`` and ``equality --family-only``
-build one or two groups each with ``build_group``, which walks a law of
-order up to 2048 on Python lists, without numpy; the scans ``thm4``,
-``lemma5`` and ``lemma6`` list their specs and hand them to
-``build_groups``, which walks the groups on every CPU, on numpy laws above
-HARD_CAP, and returns their psi in scan order.  A scan's range is refused
-before any spec is listed where it would reach past the law budget:
-``thm4`` at its first witness past it, ``lemma5`` and ``lemma6`` at an
-mk_max past it.
+as laws above it.  ``upper_bound`` and ``mqr`` build one or two groups each
+with ``build_group``, which walks a law of order up to 2048 on Python
+lists, without numpy.  The scans ``thm4``, ``lemma5`` and ``lemma6``, and
+``equality_family_reports`` (``equality --family-only`` over a range),
+list their specs and hand them to ``build_groups``, which walks the groups
+on every CPU, on numpy laws above HARD_CAP, and returns their psi in their
+order.  A scan's range is refused before any spec is listed where it would
+reach past the law budget: ``thm4`` at its first witness past it,
+``lemma5`` and ``lemma6`` at an mk_max past it.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
-from fractions import Fraction
 
 from . import DEFAULT_BOUND, arith
 from .arith import f_ratio, psi_cyclic
@@ -67,6 +72,21 @@ if TYPE_CHECKING:
     from pathlib import Path
 
     from .groups import Group
+
+# The names that ``families`` defines and this module serves (``__getattr__``).
+_FAMILIES = ("thm4_family_check", "mqr_formula_check", "lemma5_check", "lemma6_check",
+             "proof_inequality_audit", "_sylow_semidirect_parameters", "_shown_cases")
+
+
+def __getattr__(name: str):
+    """A name of ``families``, imported on first use and bound here, where
+    later lookups, and whatever patches this module, find it."""
+    if name not in _FAMILIES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import families
+
+    value = globals()[name] = getattr(families, name)
+    return value
 
 
 class Case(namedtuple("Case", ("params", "lhs", "rhs", "verdict", "expected", "witnesses",
@@ -222,66 +242,87 @@ def verify_equality_classification(
     compared against f(q) * psi(C_n); the single expected witness (when n has
     the right shape) must land on equality and everything else strictly
     below.  Above the bound, family_only restricts the check to the predicted
-    construction and the report is flagged family-restricted.
+    construction and the report is flagged family-restricted
+    (``equality_family_reports``).
     """
+    if family_only:
+        return equality_family_reports([n], q)[0]
     from .enumeration import EnumerationBoundError, catalog, isomorphic_to_canonical
     from .tables import _checked_class, _rows
 
     q = equality_prime(n, q)
+    if n > bound:
+        raise EnumerationBoundError(
+            f"order {n} exceeds the enumeration bound {bound}; "
+            "pass family_only=True for a family-restricted check"
+        )
     k = _witness_cofactor(n, q)
     target = f_ratio(q) * psi_cyclic(n)
-
+    classes = catalog(n, bound=bound, cache_dir=cache_dir)
+    witness = (None if k is None
+               else _checked_class(_rows([("cyclic", q), ("cyclic", q * k)]), n))
     cases = []
-    if family_only and k is None:
+    for cls in classes:
+        if cls.is_cyclic():
+            continue  # psi(C_n) > target since f(q) < 1
         cases.append(
             Case(
-                params={"n": n, "q": q},
+                params={"n": n, "q": q, "class": cls.description},
+                lhs=cls.psi,
+                rhs=target,
+                verdict=_compare(cls.psi, target),
+                expected=("equality" if witness is not None
+                          and isomorphic_to_canonical(witness, cls) else "holds"),
+                witnesses=(cls.description,),
+            )
+        )
+    return _equality_report(n, q, target, cases, family_only=False)
+
+
+def equality_family_reports(orders, q: int | None = None) -> list[VerificationReport]:
+    """``verify_equality_classification(n, q, family_only=True)`` for each n
+    in orders, in their order.
+
+    Every order is checked and its witness (C_q x C_q) x C_k listed first, so
+    a bad q raises before anything is built; the witnesses are then built and
+    walked at once by ``groups.build_groups``, on every CPU, largest first.
+    """
+    from .groups import build_groups
+
+    plan = []
+    for n in orders:
+        qn = equality_prime(n, q)
+        k = _witness_cofactor(n, qn)
+        plan.append((n, qn, None if k is None else _witness_spec(qn, k)))
+    psi = iter(build_groups(spec for _, _, spec in plan if spec is not None))
+    reports = []
+    for n, qn, spec in plan:
+        target = f_ratio(qn) * psi_cyclic(n)
+        if spec is None:
+            case = Case(
+                params={"n": n, "q": qn},
                 lhs=None,
                 rhs=target,
                 verdict="not_applicable",
                 expected="not_applicable",
                 note="n is not of the form q^2 k with k free of primes <= q",
             )
-        )
-    elif family_only:
-        from .groups import build_group, format_spec
-
-        expected = _witness_spec(q, k)
-        g = build_group(expected)
-        label = format_spec(expected)
-        cases.append(
-            Case(
-                params={"n": n, "q": q, "class": label},
-                lhs=g.psi(),
+        else:
+            lhs = next(psi)
+            case = Case(
+                params={"n": n, "q": qn, "class": spec.text},
+                lhs=lhs,
                 rhs=target,
-                verdict=_compare(g.psi(), target),
+                verdict=_compare(lhs, target),
                 expected="equality",
-                witnesses=(label,),
+                witnesses=(spec.text,),
             )
-        )
-    elif n > bound:
-        raise EnumerationBoundError(
-            f"order {n} exceeds the enumeration bound {bound}; "
-            "pass family_only=True for a family-restricted check"
-        )
-    else:
-        classes = catalog(n, bound=bound, cache_dir=cache_dir)  # bound-checked before any table
-        witness = (None if k is None
-                   else _checked_class(_rows([("cyclic", q), ("cyclic", q * k)]), n))
-        for cls in classes:
-            if cls.is_cyclic():
-                continue  # psi(C_n) > target since f(q) < 1
-            cases.append(
-                Case(
-                    params={"n": n, "q": q, "class": cls.description},
-                    lhs=cls.psi,
-                    rhs=target,
-                    verdict=_compare(cls.psi, target),
-                    expected=("equality" if witness is not None
-                              and isomorphic_to_canonical(witness, cls) else "holds"),
-                    witnesses=(cls.description,),
-                )
-            )
+        reports.append(_equality_report(n, qn, target, [case], family_only=True))
+    return reports
+
+
+def _equality_report(n: int, q: int, target, cases: list[Case], *,
+                     family_only: bool) -> VerificationReport:
     return VerificationReport(
         claim_id="equality",
         params={"n": n, "q": q, "mode": "family-restricted" if family_only else "exhaustive"},
@@ -362,350 +403,6 @@ def lemma7_check(
 
 
 # ---------------------------------------------------------------------------
-# Family-scale checks
-# ---------------------------------------------------------------------------
-
-
-def thm4_family_check(q: int, k_max: int) -> VerificationReport:
-    """Equality law over the family (C_q x C_q) x C_k for all k <= k_max.
-
-    For k whose least prime factor exceeds q, brute-force psi of the witness
-    equals f(q) * psi(C_{q^2 k}) exactly, both sides computed from realized
-    groups.  Every other k makes the group fail to be second maximal: its
-    psi must differ from f(q*) * psi(C_n), where q* is the least prime
-    divisor of n = q^2 k.  Family-restricted by construction.
-    """
-    from .groups import LAW_BUDGET, Cyclic, build_groups, format_spec
-
-    if not arith.is_prime(q):
-        raise ValueError(f"{q} is not prime")
-    if k_max > LAW_BUDGET // (q * q):
-        # Making the first witness over the law budget refuses the range,
-        # with the error listing them would give, before 2 k_max are listed.
-        _witness_spec(q, LAW_BUDGET // (q * q) + 1)
-    cases = []
-    ks = range(1, k_max + 1)
-    witnesses = [_witness_spec(q, k) for k in ks]
-    psi = build_groups(spec for k, witness in zip(ks, witnesses)
-                       for spec in (witness, Cyclic(q * q * k)))
-    for k, witness, lhs, cyc in zip(ks, witnesses, psi[0::2], psi[1::2]):
-        n = q * q * k
-        params = {"q": q, "k": k, "n": n}
-        note = ""
-        small = None if k == 1 else arith.least_prime_factor(k)
-        law = small is None or small > q
-        if not law:
-            params["q_star"] = small  # the least prime divisor of n
-            note = (f"k has the prime factor {small} <= q, so n is a "
-                    f"{small}*-order; the group must not be second maximal")
-        rhs = f_ratio(q if law else small) * cyc
-        cases.append(
-            Case(
-                params=params,
-                lhs=lhs,
-                rhs=rhs,
-                verdict=_compare(lhs, rhs),
-                expected="equality" if law else "not_equality",
-                witnesses=(format_spec(witness),),
-                note=note,
-            )
-        )
-    return VerificationReport(
-        claim_id="thm4",
-        params={"q": q, "k_max": k_max},
-        verdict=_verdict_from_cases(cases),
-        cases=cases,
-        witnesses=tuple(
-            c.witnesses[0] for c in cases if c.expected == "equality" and c.ok
-        ),
-        note="family-restricted: only groups of the form (CqxCq)xCk are examined",
-    )
-
-
-def mqr_formula_check(q: int, r: int) -> VerificationReport:
-    """Both maximal non-cyclic order-q^r classes share the closed-form psi.
-
-    Brute-force psi of the modular group of order q^r and of
-    C_q x C_{q^(r-1)} both equal (q^(2r) + q^3 - q^2 + 1) / (q + 1), and the
-    value stays strictly below f(q) * psi(C_{q^r}).
-    """
-    from .groups import Abelian, Modular, build_group, format_spec
-
-    num = q ** (2 * r) + q**3 - q * q + 1
-    assert num % (q + 1) == 0
-    closed = num // (q + 1)
-    cases = []
-    # The modular group comes first: making it validates the (q, r) domain.
-    for spec in (Modular(q, r), Abelian([q, q ** (r - 1)])):
-        psi = build_group(spec).psi()
-        cases.append(
-            Case(
-                params={"q": q, "r": r, "group": format_spec(spec)},
-                lhs=psi,
-                rhs=closed,
-                verdict=_compare(psi, closed),
-                expected="equality",
-            )
-        )
-    bound = f_ratio(q) * psi_cyclic(q**r)
-    cases.append(
-        Case(
-            params={"q": q, "r": r, "comparison": "closed form below f(q) psi(C_n)"},
-            lhs=closed,
-            rhs=bound,
-            verdict=_compare(closed, bound),
-            expected="holds",
-        )
-    )
-    return VerificationReport(
-        claim_id="mqr",
-        params={"q": q, "r": r, "closed_form": closed},
-        verdict=_verdict_from_cases(cases),
-        cases=cases,
-    )
-
-
-def _sylow_semidirect_parameters(mk_max: int):
-    """All (m, k, a) with m a prime power coprime to k, mk <= mk_max, valid a.
-
-    An mk_max past the law budget is refused before any is yielded.
-    """
-    from .groups import LAW_BUDGET
-
-    if mk_max > LAW_BUDGET:
-        raise ValueError(f"mk_max {mk_max} exceeds the element budget {LAW_BUDGET} "
-                         "of a group law")
-    for m in range(2, mk_max + 1):
-        if len(arith.factorize(m)) != 1:
-            continue
-        for k in range(1, mk_max // m + 1):
-            if math.gcd(m, k) != 1:
-                continue
-            for a in arith.semidirect_actions(m, k):
-                yield m, k, a
-
-
-def _shown_cases(cases: list[Case]) -> list[Case]:
-    """Every violation in scan order, then the tightest case that holds.
-
-    The tightest has the largest lhs/rhs among the ok cases whose verdict is
-    "holds"; on a tie the first one scanned wins.
-    """
-    shown = [c for c in cases if not c.ok]
-    strict = [c for c in cases if c.ok and c.verdict == "holds"]
-    if strict:
-        shown.append(max(strict, key=lambda c: Fraction(c.lhs) / c.rhs))
-    return shown
-
-
-def lemma5_check(mk_max: int = 200) -> VerificationReport:
-    """psi(C_m x| C_k) <= psi(C_m) psi(C_k), equality exactly for a = 1.
-
-    Ranges over every SemidirectCyclic(m, k, a) with m a prime power coprime
-    to k and mk <= mk_max, so that C_m is a cyclic normal Sylow subgroup and
-    the quotient is C_k.
-    """
-    from .groups import SemidirectCyclic, build_groups
-
-    cases = []
-    params = list(_sylow_semidirect_parameters(mk_max))
-    for (m, k, a), lhs in zip(params, build_groups(SemidirectCyclic(*p) for p in params)):
-        rhs = psi_cyclic(m) * psi_cyclic(k)
-        cases.append(
-            Case(
-                params={"m": m, "k": k, "a": a},
-                lhs=lhs,
-                rhs=rhs,
-                verdict=_compare(lhs, rhs),
-                expected="equality" if a == 1 else "holds",
-                witnesses=(f"SD({m},{k},{a})",),
-            )
-        )
-    equalities = sum(c.verdict == "equality" for c in cases)
-    return VerificationReport(
-        claim_id="lemma5",
-        params={"mk_max": mk_max, "groups_checked": len(cases), "equalities": equalities},
-        verdict=_verdict_from_cases(cases),
-        cases=_shown_cases(cases),
-        note="cases shown: violations plus the tightest strict instance",
-    )
-
-
-def lemma6_check(mk_max: int = 200) -> VerificationReport:
-    """Strict kernel-weighted bound for non-central actions.
-
-    For every SemidirectCyclic(m, k, a) with m a prime power coprime to k,
-    k > 1 and a != 1 (non-central action with kernel C_z):
-
-        psi(G) < psi(C_m) psi(C_k) (psi(C_z)/psi(C_k) + m/psi(C_m))
-
-    exactly, in rational arithmetic.
-    """
-    from .groups import SemidirectCyclic, build_groups, kernel_of_action
-
-    cases = []
-    params = [(m, k, a) for m, k, a in _sylow_semidirect_parameters(mk_max)
-              if k > 1 and a != 1]
-    for (m, k, a), lhs in zip(params, build_groups(SemidirectCyclic(*p) for p in params)):
-        z = kernel_of_action(m, k, a)
-        rhs = (
-            psi_cyclic(m)
-            * psi_cyclic(k)
-            * (Fraction(psi_cyclic(z), psi_cyclic(k)) + Fraction(m, psi_cyclic(m)))
-        )
-        cases.append(
-            Case(
-                params={"m": m, "k": k, "a": a, "kernel": z},
-                lhs=lhs,
-                rhs=rhs,
-                verdict="holds" if lhs < rhs else "fails",
-                expected="holds",
-                witnesses=(f"SD({m},{k},{a})",),
-            )
-        )
-    return VerificationReport(
-        claim_id="lemma6",
-        params={"mk_max": mk_max, "groups_checked": len(cases)},
-        verdict=_verdict_from_cases(cases),
-        cases=_shown_cases(cases),
-        note="cases shown: violations plus the tightest instance",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Proof inequality audit
-# ---------------------------------------------------------------------------
-
-
-def proof_inequality_audit(
-    q_max: int = 97, p_max: int = 199, s_max: int = 6
-) -> VerificationReport:
-    """Audit of the standalone numeric inequalities inside the proofs.
-
-    (a) (q^4 - q^3 + q - 1) p > q^5 + 1 for primes q >= 3 and primes
-        p >= q + 2;
-    (b) (r^(2s-1) + 1) / (r^(2s+1) + 1) <= 1 / (r^2 - r + 1) for primes
-        r >= 3, with equality exactly at s = 1;
-    (c) 1/(q^2 - q + 1) + (q + 3)/(q + 2)^2 < f(q) for primes q >= 3, and
-        the failure of the same inequality at q = 2; the cross-multiplied
-        integer forms are 341 < 336 (false) at q = 2 and 4087 < 4375 (true)
-        at q = 3;
-    (d) 1/3 + 6/25 = 43/75 < 7/11;
-    (e) (q^2 + q - 1)/(q^2 (q + 1)) n^2 + 1/(q + 1) <= f(q) (q n^2 + 1)/(q + 1)
-        if and only if q^4 <= n^2, checked along n = q^s.
-    """
-    cases: list[Case] = []
-    primes = arith.primes_up_to(max(q_max, p_max))
-    qs = [p for p in primes if p <= q_max]
-    ps = [p for p in primes if p <= p_max]
-
-    for q in qs:
-        if q < 3:
-            continue
-        shown = False
-        for p in ps:
-            if p < q + 2:
-                continue
-            lhs = (q**4 - q**3 + q - 1) * p
-            rhs = q**5 + 1
-            holds = lhs > rhs
-            if not holds or not shown:
-                cases.append(
-                    Case(
-                        params={"item": "a", "q": q, "p": p},
-                        lhs=rhs,  # recorded as rhs < lhs to reuse _compare
-                        rhs=lhs,
-                        verdict="holds" if holds else "fails",
-                        expected="holds",
-                        note="smallest admissible p shown" if holds else "",
-                    )
-                )
-                shown = True
-
-    for r in ps:
-        if r < 3:
-            continue
-        for s in range(1, s_max + 1):
-            lhs = Fraction(r ** (2 * s - 1) + 1, r ** (2 * s + 1) + 1)
-            rhs = Fraction(1, r * r - r + 1)
-            verdict = _compare(lhs, rhs)
-            expected = "equality" if s == 1 else "holds"
-            if verdict != expected or (r == 3 and s == 1):
-                cases.append(
-                    Case(
-                        params={"item": "b", "r": r, "s": s},
-                        lhs=lhs,
-                        rhs=rhs,
-                        verdict=verdict,
-                        expected=expected,
-                        note="boundary: both sides coincide at s = 1" if s == 1 else "",
-                    )
-                )
-
-    for q in qs:
-        lhs = Fraction(1, q * q - q + 1) + Fraction(q + 3, (q + 2) ** 2)
-        rhs = f_ratio(q)
-        cross_lhs = lhs.numerator * rhs.denominator
-        cross_rhs = rhs.numerator * lhs.denominator
-        strict = lhs < rhs
-        assert strict == (cross_lhs < cross_rhs)
-        cases.append(
-            Case(
-                params={"item": "c", "q": q, "cross_lhs": cross_lhs, "cross_rhs": cross_rhs},
-                lhs=lhs,
-                rhs=rhs,
-                verdict="holds" if strict else "fails",
-                expected="fails" if q == 2 else "holds",
-                note=f"cross-multiplied form: {cross_lhs} < {cross_rhs}",
-            )
-        )
-
-    total = Fraction(1, 3) + Fraction(6, 25)
-    assert total == Fraction(43, 75)
-    cases.append(
-        Case(
-            params={"item": "d"},
-            lhs=total,
-            rhs=Fraction(7, 11),
-            verdict=_compare(total, Fraction(7, 11)),
-            expected="holds",
-            note="1/3 + 6/25 = 43/75",
-        )
-    )
-
-    for q in qs:
-        for s in range(1, s_max + 1):
-            n = q**s
-            lhs = Fraction(q * q + q - 1, q * q * (q + 1)) * n * n + Fraction(1, q + 1)
-            rhs = f_ratio(q) * Fraction(q * n * n + 1, q + 1)
-            bound_holds = lhs <= rhs
-            reduction_holds = q**4 <= n * n
-            verdict = "holds" if bound_holds == reduction_holds else "fails"
-            if verdict == "fails" or s <= 2:
-                cases.append(
-                    Case(
-                        params={"item": "e", "q": q, "s": s, "n": n},
-                        lhs=lhs,
-                        rhs=rhs,
-                        verdict=verdict,
-                        expected="holds",
-                        note=(
-                            f"bound {'<=' if bound_holds else '>'} observed and "
-                            f"q^4 {'<=' if reduction_holds else '>'} n^2"
-                        ),
-                    )
-                )
-
-    return VerificationReport(
-        claim_id="audit",
-        params={"q_max": q_max, "p_max": p_max, "s_max": s_max},
-        verdict=_verdict_from_cases(cases),
-        cases=cases,
-        note="cases shown: all of (c) and (d), boundaries of (a), (b), (e), plus any violation",
-    )
-
-
-# ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
@@ -714,9 +411,9 @@ def exact_to_json(v):
     """Exact values for JSON: ints stay ints, rationals become 'num/den'."""
     if v is None:
         return None
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return int(v)
+    if isinstance(v, int):
+        return int(v)
+    return f"{v.numerator}/{v.denominator}"
 
 
 def case_to_dict(case: Case) -> dict:

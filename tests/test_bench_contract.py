@@ -95,3 +95,41 @@ def test_traced_small_group_is_validated_not_walked(tracing, capsys):
     assert "groups.validate_table" in names
     assert "groups.element_orders_of_table" not in names
     assert tracer.metrics(wall=1.0)["groups.order_walk_elements"] == 0
+
+
+def test_traced_cold_catalog_records_one_search(tracing, capsys, tmp_path):
+    # The search lives in `ordersum.search`; the traced name is its entry
+    # point in `enumeration`, and the canonicity checks it makes are traced
+    # through `enumeration` too.
+    from ordersum import cli
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["catalog", "8", "--cache-dir", str(tmp_path)])
+    finally:
+        tracer.remove()
+    assert code == 0 and capsys.readouterr().out.startswith("5 isomorphism classes of order 8")
+    names = [span[0] for span in tracer.spans]
+    assert names.count("enumeration._search_groups") == 1
+    metrics = tracer.metrics(wall=1.0)
+    assert metrics["enumeration.search_calls"] == 1
+    assert metrics["enumeration.is_canonical_calls"] > 0
+
+
+def test_traced_audit_records_the_lazily_served_checker(tracing, capsys, monkeypatch):
+    # `theorems` serves the audit from `families` on first use; unbound
+    # here, the tracer's own lookup binds it, and the CLI runs the wrapper.
+    from ordersum import cli, theorems
+
+    for name in theorems._FAMILIES:
+        monkeypatch.delitem(vars(theorems), name, raising=False)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["audit", "--qmax", "5", "--pmax", "11", "--smax", "2"])
+    finally:
+        tracer.remove()
+    assert code == 0 and "[HOLDS] audit" in capsys.readouterr().out
+    assert "theorems.proof_inequality_audit" in {span[0] for span in tracer.spans}
+    assert tracer.metrics(wall=1.0)["theorems.cases"] > 0

@@ -878,6 +878,32 @@ class TestCatalogCache:
             assert catalog(8, cache_dir=tmp_path) == first
         assert path.read_bytes() == good
 
+    @pytest.mark.parametrize("psi", [None, 999], ids=["good", "bad psi"])
+    def test_values_are_compared_before_naming(self, monkeypatch, tmp_path, psi):
+        # Either way one list of classes is named: a good file's on load, and
+        # for a wrong value, which fails the comparison made with the stored
+        # names held fixed, the recomputed ones alone.
+        catalog(8, cache_dir=tmp_path)
+        path = tmp_path / "catalog" / "n=8.json"
+        if psi is not None:
+            data = json.loads(path.read_text())
+            data["classes"][0]["psi"] = psi
+            path.write_text(json.dumps(data))
+        orders = []
+        real = enumeration._describe_classes
+
+        def recording(n, classes):
+            orders.append(n)
+            return real(n, classes)
+
+        monkeypatch.setattr(enumeration, "_describe_classes", recording)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            catalog(8, cache_dir=tmp_path)
+        assert orders == [8]
+        assert [str(w.message).count("['classes'][0]['psi'] differs") for w in caught] == (
+            [] if psi is None else [1])
+
     @pytest.mark.parametrize("data", [b"[" * 200_000, b"\xff\xfe"], ids=["nested", "binary"])
     def test_unreadable_cache_recomputed_and_rewritten(self, tmp_path, data):
         # json.load raises RecursionError on deep nesting, and

@@ -8,7 +8,10 @@ either, `psi`, `catalog` and `spectrum` load no `fractions` or `typing`,
 and only the catalog commands and those that load numpy load `pathlib`.
 A command that builds only numpy laws, of groups above TABLE_BUDGET or of a
 scan's groups above HARD_CAP, loads no `tables`.  The worker pool that the
-search and the scans share, `ordersum.pool`, loads no layer.
+search and the scans share, `ordersum.pool`, loads no layer.  Only a search
+loads the search, `ordersum.search`, and only the family claims and the
+audit load `ordersum.families`, so a warm catalog command compiles
+neither, and `max_cyclic` and `lemma7` load no `fractions` or `decimal`.
 
 Each case runs in a fresh interpreter and reports the `ordersum` modules,
 numpy and the WATCHED standard modules that it left in `sys.modules` beyond
@@ -30,14 +33,16 @@ from ordersum.enumeration import catalog
 
 SRC = str(Path(ordersum.__file__).resolve().parents[1])
 LAYERS = {"ordersum.arith", "ordersum.tables", "ordersum.groups", "ordersum.enumeration",
-          "ordersum.theorems", "ordersum.cli", "ordersum.pool"}
+          "ordersum.search", "ordersum.theorems", "ordersum.families", "ordersum.cli",
+          "ordersum.pool"}
 
 # Standard modules that no command, or not every command, needs: each is run
 # at import, and `dataclasses` brings `inspect`, `ast` and `dis`.  numpy
 # imports `inspect` itself.  Where `site` imports `typing` or `pathlib` at
 # start-up, as some installations do, no command can load it and its check
 # passes vacuously; test_commands_without_site checks them without `site`.
-WATCHED = {"dataclasses", "traceback", "inspect", "fractions", "typing", "pathlib"}
+WATCHED = {"dataclasses", "traceback", "inspect", "fractions", "decimal", "typing",
+           "pathlib"}
 
 # The public names of `ordersum`, each under the module it resolves to.
 PUBLIC = {
@@ -88,7 +93,7 @@ def test_import_cli_loads_no_layer():
     assert loaded_after("import ordersum.cli") == {"ordersum", "ordersum.cli"}
 
 
-@pytest.mark.parametrize("layer,below", [("theorems", {"fractions"}),
+@pytest.mark.parametrize("layer,below", [("theorems", set()),
                                          ("enumeration", {"ordersum.tables"})],
                          ids=["theorems", "enumeration"])
 def test_import_layer_loads_no_groups(layer, below):
@@ -126,6 +131,12 @@ COMMANDS = {
 }
 
 
+# The commands whose checkers live in `ordersum.families`, and those that
+# search here, with no cache.
+FAMILY_COMMANDS = {"audit", "lemma5", "lemma6", "thm4", "mqr"}
+SEARCHING_COMMANDS = {"catalog", "spectrum"}
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_command_loads_only_its_layers(command):
     argv, absent = COMMANDS[command]
@@ -133,6 +144,8 @@ def test_command_loads_only_its_layers(command):
     assert "ordersum.cli" in loaded
     assert not loaded & (absent | {"dataclasses", "traceback"})
     assert "inspect" not in loaded or "numpy" in loaded
+    assert ("ordersum.families" in loaded) == (command in FAMILY_COMMANDS)
+    assert ("ordersum.search" in loaded) == (command in SEARCHING_COMMANDS)
 
 
 @pytest.mark.parametrize("argv", [["verify", "thm4", "--q", "2"], ["verify", "mqr", "--q", "2"]],
@@ -152,8 +165,9 @@ def test_refused_spec_builds_nothing(spec):
 
 def test_cold_catalog_claim_loads_no_groups():
     # With no cache the classes are named by the families' pure-Python tables.
+    # The search runs, but no family claim, and no rational is built.
     loaded = loaded_by_command(["verify", "max_cyclic", "--n", "6"])
-    assert loaded == LAYERS - {"ordersum.groups"} | {"ordersum", "fractions"}
+    assert loaded == LAYERS - {"ordersum.groups", "ordersum.families"} | {"ordersum"}
 
 
 @pytest.mark.parametrize("argv", [["catalog", "6"], ["spectrum", "6"],
@@ -163,11 +177,14 @@ def test_cold_catalog_claim_loads_no_groups():
 def test_warm_catalog_reads_load_no_groups(argv, tmp_path):
     # A cached catalog is checked and walked on its tables in pure Python; the
     # equality witness and the lemma7 candidates are pure-Python tables too.
+    # Nothing is searched and no family claim runs, so neither module is loaded;
+    # only the equality claim builds a rational.
     for n in range(2, 7):
         catalog(n, cache_dir=tmp_path)
     loaded = loaded_by_command(["--cache-dir", str(tmp_path), *argv])
     assert "ordersum.enumeration" in loaded
-    assert not loaded & {"numpy", "ordersum.groups"}
+    assert not loaded & {"numpy", "ordersum.groups", "ordersum.search", "ordersum.families"}
+    assert ({"fractions", "decimal"} <= loaded) == (argv[1] == "equality")
 
 
 @pytest.mark.parametrize("argv,loads_numpy", [
@@ -209,6 +226,22 @@ def test_parallel_small_scan_loads_no_numpy():
             "    assert cli.main(['verify', 'thm4', '--q', '2', '--kmax', '4']) == 0\n")
     loaded = loaded_after(code)
     assert "ordersum.pool" in loaded and "numpy" not in loaded
+
+
+def test_search_is_loaded_before_the_fork():
+    # search_ahead imports the search before it forks, so no worker compiles it.
+    code = ("import os, sys\n"
+            "from ordersum import enumeration, pool\n"
+            "pool._cpus = lambda: 2\n"
+            "loaded, fork = [], os.fork\n"
+            "def recording():\n"
+            "    loaded.append('ordersum.search' in sys.modules)\n"
+            "    return fork()\n"
+            "os.fork = recording\n"
+            "enumeration.search_ahead([5, 6])\n"
+            "assert loaded == [True], loaded\n"
+            "assert sorted(enumeration._searched) == [5, 6]\n")
+    assert "ordersum.search" in loaded_after(code)
 
 
 def test_perm_file_loads_numpy(tmp_path):
